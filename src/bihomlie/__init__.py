@@ -12,8 +12,7 @@ from .derivations import (DerivationSpace, MembershipError,
                           central_derivations, centroid, commutator,
                           count_members_fp, derivation_grid, derivation_space,
                           jordan_product, normalize_params, quasi_centroid,
-                          subspace_intersection, twist_commutant, twist_power,
-                          verify_derivation)
+                          twist_commutant, twist_power, verify_derivation)
 from .structure import (ClosureError, Decomposition2, SeriesReport,
                         UnsupportedFieldError, center, centralizer,
                         decompose_2dim, derived_series, derived_subalgebra,

@@ -68,6 +68,71 @@ def structure_table(n, entries, field):
     return tuple(tuple(tuple(r) for r in plane) for plane in table)
 
 
+def _unit(n, i, field):
+    v = [field.zero()] * n
+    v[i] = field.one()
+    return tuple(v)
+
+
+def _coerce_table(table, field):
+    return tuple(tuple(tuple(field.coerce(x) for x in row) for row in plane)
+                 for plane in table)
+
+
+def _table_bracket(table, x, y, zero):
+    """[x, y] under a structure table, skipping zero coordinates."""
+    n = len(table)
+    out = [zero] * n
+    for i in range(n):
+        if x[i] == zero:
+            continue
+        for j in range(n):
+            if y[j] == zero:
+                continue
+            coeff = x[i] * y[j]
+            row = table[i][j]
+            for s in range(n):
+                out[s] = out[s] + coeff * row[s]
+    return tuple(out)
+
+
+def _conjugate(table, a, b, zero):
+    """Table of [x, y]' = [a x, b y] for matrix entries a, b (columns hold
+    basis images): cell (i,j) is sum_{p,q} a_{pi} b_{qj} table[p][q]."""
+    n = len(table)
+    new = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            cell = new[i][j]
+            for p in range(n):
+                if a[p][i] == zero:
+                    continue
+                for q in range(n):
+                    coeff = a[p][i] * b[q][j]
+                    if coeff == zero:
+                        continue
+                    row = table[p][q]
+                    for s in range(n):
+                        cell[s] = cell[s] + coeff * row[s]
+    return tuple(tuple(tuple(r) for r in plane) for plane in new)
+
+
+def _morphism_violation(table, m, zero):
+    """First ((i,j,s), residual) where m([e_i,e_j]) != [m e_i, m e_j] under
+    the table, m given by its entries; None when m is a morphism."""
+    n = len(table)
+    image = _conjugate(table, m, m, zero)
+    for i in range(n):
+        for j in range(n):
+            for s in range(n):
+                lhs = zero
+                for k in range(n):
+                    lhs = lhs + table[i][j][k] * m[s][k]
+                if lhs != image[i][j][s]:
+                    return (i, j, s), lhs - image[i][j][s]
+    return None
+
+
 class BiHomLieAlgebra:
 
     __slots__ = ("n", "field", "structure", "alpha", "beta")
@@ -76,9 +141,7 @@ class BiHomLieAlgebra:
         if field is None:
             field = alpha.field if isinstance(alpha, Matrix) else QQ
         n = len(structure)
-        table = tuple(
-            tuple(tuple(field.coerce(x) for x in row) for row in plane)
-            for plane in structure)
+        table = _coerce_table(structure, field)
         if any(len(plane) != n or any(len(row) != n for row in plane)
                for plane in table):
             raise ValueError("structure table is not n x n x n")
@@ -110,21 +173,9 @@ class BiHomLieAlgebra:
     def bracket(self, x, y):
         if len(x) != self.n or len(y) != self.n:
             raise ValueError("vector length mismatch")
-        zero = self.field.zero()
         x = [self.field.coerce(v) for v in x]
         y = [self.field.coerce(v) for v in y]
-        out = [zero] * self.n
-        for i in range(self.n):
-            if x[i] == zero:
-                continue
-            for j in range(self.n):
-                if y[j] == zero:
-                    continue
-                coeff = x[i] * y[j]
-                row = self.structure[i][j]
-                for s in range(self.n):
-                    out[s] = out[s] + coeff * row[s]
-        return tuple(out)
+        return _table_bracket(self.structure, x, y, self.field.zero())
 
     def is_regular(self):
         return is_invertible(self.alpha) and is_invertible(self.beta)
@@ -230,26 +281,16 @@ class BiHomLieAlgebra:
     def check_multiplicative(self):
         """Both twists are bracket endomorphisms. Returns (ok, first)."""
         n, zero = self.n, self.field.zero()
-        c = self.structure
         table_verdict, table_first = True, None
         for name, m in (("alpha", self.alpha.entries),
                         ("beta", self.beta.entries)):
-            for i in range(n):
-                for j in range(n):
-                    for s in range(n):
-                        lhs = zero
-                        for k in range(n):
-                            lhs = lhs + c[i][j][k] * m[s][k]
-                        rhs = zero
-                        for p in range(n):
-                            if m[p][i] == zero:
-                                continue
-                            for q in range(n):
-                                rhs = rhs + m[p][i] * m[q][j] * c[p][q][s]
-                        if lhs != rhs and table_verdict:
-                            table_verdict = False
-                            table_first = ("multiplicative-" + name,
-                                           (i + 1, j + 1, s + 1), lhs - rhs)
+            found = _morphism_violation(self.structure, m, zero)
+            if found is not None:
+                (i, j, s), residual = found
+                table_verdict = False
+                table_first = ("multiplicative-" + name,
+                               (i + 1, j + 1, s + 1), residual)
+                break
         basis_verdict = True
         units = [_unit(n, i, self.field) for i in range(n)]
         for m in (self.alpha, self.beta):
@@ -292,12 +333,6 @@ class BiHomLieAlgebra:
         return "BiHomLieAlgebra(n=%d, field=%r)" % (self.n, self.field)
 
 
-def _unit(n, i, field):
-    v = [field.zero()] * n
-    v[i] = field.one()
-    return tuple(v)
-
-
 # --- classical Lie helpers (inputs/outputs of the twist constructions) ------
 
 def classical_lie_check(table, field):
@@ -307,49 +342,17 @@ def classical_lie_check(table, field):
     skew = all(
         table[i][j][s] + table[j][i][s] == zero
         for i in range(n) for j in range(n) for s in range(n))
-
-    def br(x, y):
-        out = [zero] * n
-        for i in range(n):
-            for j in range(n):
-                coeff = x[i] * y[j]
-                if coeff == zero:
-                    continue
-                for s in range(n):
-                    out[s] = out[s] + coeff * table[i][j][s]
-        return tuple(out)
-
     jacobi = True
     units = [_unit(n, i, field) for i in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                t1 = br(units[i], br(units[j], units[k]))
-                t2 = br(units[j], br(units[k], units[i]))
-                t3 = br(units[k], br(units[i], units[j]))
-                if any(a + b + c != zero for a, b, c in zip(t1, t2, t3)):
+                terms = [_table_bracket(table, units[x], _table_bracket(
+                             table, units[y], units[z], zero), zero)
+                         for x, y, z in ((i, j, k), (j, k, i), (k, i, j))]
+                if any(a + b + c != zero for a, b, c in zip(*terms)):
                     jacobi = False
     return skew, jacobi
-
-
-def _is_bracket_morphism(table, m, field):
-    n = len(table)
-    zero = field.zero()
-    for i in range(n):
-        for j in range(n):
-            # m([e_i,e_j]) vs [m e_i, m e_j] under the classical table
-            lhs = m.apply(table[i][j])
-            rhs = [zero] * n
-            for p in range(n):
-                for q in range(n):
-                    coeff = m.entries[p][i] * m.entries[q][j]
-                    if coeff == zero:
-                        continue
-                    for s in range(n):
-                        rhs[s] = rhs[s] + coeff * table[p][q][s]
-            if list(lhs) != rhs:
-                return False
-    return True
 
 
 def yau_twist(table, alpha, beta, field=QQ):
@@ -359,9 +362,7 @@ def yau_twist(table, alpha, beta, field=QQ):
     and be endomorphisms of that bracket. The output passes check_all by the
     twisting construction, but this is tested, not assumed.
     """
-    n = len(table)
-    table = tuple(tuple(tuple(field.coerce(x) for x in row) for row in plane)
-                  for plane in table)
+    table = _coerce_table(table, field)
     if not isinstance(alpha, Matrix):
         alpha = Matrix(alpha, field)
     if not isinstance(beta, Matrix):
@@ -372,47 +373,20 @@ def yau_twist(table, alpha, beta, field=QQ):
                           "(skew=%s, jacobi=%s)" % (skew, jacobi))
     if alpha * beta != beta * alpha:
         raise TwistError("twist maps do not commute")
-    for name, m in (("alpha", alpha), ("beta", beta)):
-        if not _is_bracket_morphism(table, m, field):
-            raise TwistError("%s is not a morphism of the input bracket" % name)
     zero = field.zero()
-    a, b = alpha.entries, beta.entries
-    new = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for p in range(n):
-                if a[p][i] == zero:
-                    continue
-                for q in range(n):
-                    coeff = a[p][i] * b[q][j]
-                    if coeff == zero:
-                        continue
-                    for s in range(n):
-                        new[i][j][s] = new[i][j][s] + coeff * table[p][q][s]
-    return BiHomLieAlgebra(new, alpha, beta, field)
+    for name, m in (("alpha", alpha), ("beta", beta)):
+        if _morphism_violation(table, m.entries, zero) is not None:
+            raise TwistError("%s is not a morphism of the input bracket" % name)
+    twisted = _conjugate(table, alpha.entries, beta.entries, zero)
+    return BiHomLieAlgebra(twisted, alpha, beta, field)
 
 
 def induced_lie(L):
     """Classical structure table [x,y]' = [alpha^-1 x, beta^-1 y]; regular only."""
     if not L.is_regular():
         raise TwistError("induced Lie bracket needs bijective twist maps")
-    ai = invert(L.alpha).entries
-    bi = invert(L.beta).entries
-    n, zero = L.n, L.field.zero()
-    new = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for p in range(n):
-                if ai[p][i] == zero:
-                    continue
-                for q in range(n):
-                    coeff = ai[p][i] * bi[q][j]
-                    if coeff == zero:
-                        continue
-                    row = L.structure[p][q]
-                    for s in range(n):
-                        new[i][j][s] = new[i][j][s] + coeff * row[s]
-    return tuple(tuple(tuple(r) for r in plane) for plane in new)
+    return _conjugate(L.structure, invert(L.alpha).entries,
+                      invert(L.beta).entries, L.field.zero())
 
 
 def heisenberg(m, a, x, b_list, y_list, field=QQ):
@@ -462,32 +436,19 @@ def derivation_extension(table, D, a, b, field=QQ):
     a = field.coerce(a)
     b = field.coerce(b)
     zero = field.zero()
-    table = tuple(tuple(tuple(field.coerce(v) for v in row) for row in plane)
-                  for plane in table)
+    table = _coerce_table(table, field)
     if not isinstance(D, Matrix):
         D = Matrix(D, field)
     skew, jacobi = classical_lie_check(table, field)
     if not (skew and jacobi):
         raise NotLieError("input table is not a Lie algebra")
-
-    def br(x, y):
-        out = [zero] * n
-        for i in range(n):
-            for j in range(n):
-                coeff = x[i] * y[j]
-                if coeff == zero:
-                    continue
-                for s in range(n):
-                    out[s] = out[s] + coeff * table[i][j][s]
-        return tuple(out)
-
     units = [_unit(n, i, field) for i in range(n)]
     for i in range(n):
         for j in range(n):
             lhs = tuple(b * v for v in D.apply(table[i][j]))
-            rhs = tuple(a * (u + v) for u, v in
-                        zip(br(D.apply(units[i]), units[j]),
-                            br(units[i], D.apply(units[j]))))
+            rhs = tuple(a * (u + v) for u, v in zip(
+                _table_bracket(table, D.apply(units[i]), units[j], zero),
+                _table_bracket(table, units[i], D.apply(units[j]), zero)))
             if lhs != rhs:
                 raise ValueError(
                     "D is not a scaled derivation: fails at basis pair "

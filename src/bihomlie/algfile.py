@@ -8,10 +8,9 @@ byte-identical on canonically formatted files.
 """
 
 import json
-from fractions import Fraction
 
 from .algebra import BiHomLieAlgebra
-from .fields import GF, QQ, ReductionError
+from .fields import GF, QQ, ReductionError, format_scalar, parse_scalar
 from .linalg import Matrix
 
 FORMAT_VERSION = 1
@@ -45,14 +44,16 @@ class AlgebraDocument:
                                                      self.metadata)
 
 
-def _parse_value(raw, where):
+def _parse_value(raw, field, where):
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         raise AlgebraFileError(
             "%s: values must be integers or exact strings, got %r"
             % (where, raw))
     try:
-        return Fraction(str(raw))
-    except (ValueError, ZeroDivisionError):
+        return parse_scalar(raw, field)
+    except ReductionError as exc:
+        raise AlgebraFileError("%s: %s" % (where, exc)) from None
+    except ValueError:
         raise AlgebraFileError("%s: cannot parse value %r"
                                % (where, raw)) from None
 
@@ -78,26 +79,31 @@ def _parse_matrix(raw, dim, field, label):
                    for row in raw)):
         raise AlgebraFileError("%s must be a dense %dx%d array"
                                % (label, dim, dim))
-    rows = []
-    for r, row in enumerate(raw):
-        out = []
-        for c, cell in enumerate(row):
-            value = _parse_value(cell, "%s[%d][%d]" % (label, r, c))
-            try:
-                out.append(field.coerce(value))
-            except ReductionError as exc:
-                raise AlgebraFileError(
-                    "%s[%d][%d]: %s" % (label, r, c, exc)) from None
-        rows.append(out)
-    return Matrix(rows, field)
+    return Matrix([[_parse_value(cell, field, "%s[%d][%d]" % (label, r, c))
+                    for c, cell in enumerate(row)]
+                   for r, row in enumerate(raw)], field)
 
 
-def loads(text):
-    """Parse one algebra document from text."""
+def _json(text):
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError included
         raise AlgebraFileError("not valid JSON: %s" % exc) from None
+
+
+def read_json(path):
+    """The parsed JSON content of one file; any failure is AlgebraFileError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise AlgebraFileError("%s: %s" % (path, exc.strerror)) from None
+    except UnicodeDecodeError:
+        raise AlgebraFileError("%s: not UTF-8 text" % path) from None
+    return _json(text)
+
+
+def _document(doc):
     if not isinstance(doc, dict):
         raise AlgebraFileError("top level must be an object")
     unknown = set(doc) - set(_TOP_KEYS)
@@ -132,11 +138,7 @@ def loads(text):
         if tuple(idx) in entries:
             raise AlgebraFileError("%s: duplicate record for (%d,%d,%d)"
                                    % (where, idx[0], idx[1], idx[2]))
-        value = _parse_value(rec["value"], where)
-        try:
-            entries[tuple(idx)] = field.coerce(value)
-        except ReductionError as exc:
-            raise AlgebraFileError("%s: %s" % (where, exc)) from None
+        entries[tuple(idx)] = _parse_value(rec["value"], field, where)
 
     alpha = _parse_matrix(doc.get("alpha"), dim, field, "alpha")
     beta = _parse_matrix(doc.get("beta"), dim, field, "beta")
@@ -153,21 +155,14 @@ def loads(text):
     return AlgebraDocument(algebra, metadata)
 
 
+def loads(text):
+    """Parse one algebra document from text."""
+    return _document(_json(text))
+
+
 def load(path):
     """Read one algebra document from a file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise AlgebraFileError("%s: %s" % (path, exc.strerror)) from None
-    return loads(text)
-
-
-def format_value(v):
-    """Exact text for one field element."""
-    if isinstance(v, Fraction):
-        return str(v)
-    return str(v.value)
+    return _document(read_json(path))
 
 
 def _field_spec(field):
@@ -190,14 +185,14 @@ def dumps(doc):
                 v = L.structure[i][j][s]
                 if v != zero:
                     records.append({"i": i + 1, "j": j + 1, "k": s + 1,
-                                    "value": format_value(v)})
+                                    "value": format_scalar(v)})
     out = {
         "format_version": FORMAT_VERSION,
         "field": _field_spec(L.field),
         "dim": L.n,
         "brackets": records,
-        "alpha": [[format_value(v) for v in row] for row in L.alpha.entries],
-        "beta": [[format_value(v) for v in row] for row in L.beta.entries],
+        "alpha": [[format_scalar(v) for v in row] for row in L.alpha.entries],
+        "beta": [[format_scalar(v) for v in row] for row in L.beta.entries],
     }
     if metadata:
         out["metadata"] = {k: metadata[k] for k in _META_KEYS

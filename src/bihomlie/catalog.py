@@ -13,7 +13,7 @@ from importlib import resources
 
 from .algebra import BiHomLieAlgebra
 from .derivations import derivation_space
-from .fields import QQ
+from .fields import QQ, parse_scalar
 from .linalg import Matrix, MatrixSubspace
 from .structure import is_characteristically_nilpotent, is_small_centroid
 
@@ -170,14 +170,6 @@ def guard_matches(guard, env):
     return True
 
 
-def format_guard(guard):
-    if not guard:
-        return "always"
-    sym = {"eq": "=", "ne": "!=", "ge": ">=", "le": "<="}
-    return ", ".join(
-        "%s %s %s" % (c["lhs"], sym[c["op"]], c["rhs"]) for c in guard)
-
-
 # --- expected-shape patterns ----------------------------------------------
 
 def pattern_space(pattern, env, field=QQ):
@@ -315,7 +307,7 @@ def coerce_params(family_id, params):
             raise InadmissibleParameterError(
                 "%s: missing parameter %r" % (family_id, name))
         raw = given.pop(name)
-        value = raw if isinstance(raw, Fraction) else Fraction(str(raw))
+        value = raw if isinstance(raw, Fraction) else parse_scalar(raw, QQ)
         if spec["constraint"] == "nonzero" and value == 0:
             raise InadmissibleParameterError(
                 "%s: parameter %r must be nonzero" % (family_id, name))

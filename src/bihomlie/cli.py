@@ -4,21 +4,23 @@ Subcommands load one algebra per file, run the solvers, and print either
 human-readable reports or machine-readable line records (--output
 records, one fact per line). Exit codes: 0 success or match, 1 a
 mathematical negative (axiom violation, mismatch, no witness), 2 usage
-or parse errors. All values print exactly, never as floats.
+or parse errors, 3 an internal error (an independent cross-check of the
+library's own result failed; a bug, never the input's fault). Scalars are
+read as an integer or "num/den" and print exactly, never as floats.
 """
 
 import argparse
-import json
 import os
 import random
 import sys
 from fractions import Fraction
 
 from . import algfile, catalog
+from .algebra import CrossCheckError
 from .algfile import AlgebraFileError
 from .catalog import CatalogError
-from .derivations import derivation_space, normalize_params
-from .fields import ReductionError
+from .derivations import MembershipError, derivation_space, normalize_params
+from .fields import QQ, ReductionError, format_scalar, parse_scalar
 from .isomorphism import (brute_force_iso, compare_fingerprints, fingerprint,
                           verify_isomorphism)
 from .structure import (center, derived_series,
@@ -28,6 +30,7 @@ from .structure import (center, derived_series,
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 SEED_ENV = "BIHOM_SAMPLE_SEED"
 
@@ -43,18 +46,15 @@ class CliError(Exception):
 
 def _fraction(text):
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("not an exact value: %r" % text)
-
-
-def _fmt(v):
-    return algfile.format_value(v)
+        return parse_scalar(text, QQ)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "not an exact value: %r" % text) from None
 
 
 def _fmt_matrix(m):
     return "[%s]" % ",".join(
-        "[%s]" % ",".join(_fmt(v) for v in row) for row in m.entries)
+        "[%s]" % ",".join(format_scalar(v) for v in row) for row in m.entries)
 
 
 def _emit(args, kind, human, **fields):
@@ -111,11 +111,10 @@ def cmd_der(args):
              "k": args.k, "l": args.l})
     if args.normalize:
         (lam, mu, gamma), tag = normalize_params(lam, mu, gamma, L.field)
+        texts = [format_scalar(v) for v in (lam, mu, gamma)]
         _emit(args, "normalized",
-              "normalized: (%s, %s, %s) case %d"
-              % (_fmt(lam), _fmt(mu), _fmt(gamma), tag),
-              **{"lambda": _fmt(lam), "mu": _fmt(mu), "gamma": _fmt(gamma),
-                 "case": tag})
+              "normalized: (%s, %s, %s) case %d" % (*texts, tag),
+              **dict(zip(("lambda", "mu", "gamma"), texts), case=tag))
     space = derivation_space(L, lam, mu, gamma, args.k, args.l)
     _emit(args, "dimension", "dimension: %d" % space.dim, value=space.dim)
     if args.output == "human" and space.dim:
@@ -199,7 +198,7 @@ def cmd_catalog(args):
     failures = 0
     for family_id, params in _catalog_jobs(args):
         env = catalog.coerce_params(family_id, params)
-        shown = ",".join("%s=%s" % (name, _fmt(value))
+        shown = ",".join("%s=%s" % (name, format_scalar(value))
                          for name, value in env.items())
         L = catalog.build(family_id, params)
         for k in range(args.kmax + 1):
@@ -242,7 +241,7 @@ def cmd_fingerprint(args):
               value=text)
     for key, coeffs in (("char_poly_alpha", fp.char_poly_alpha),
                         ("char_poly_beta", fp.char_poly_beta)):
-        text = ",".join(_fmt(c) for c in coeffs)
+        text = ",".join(format_scalar(c) for c in coeffs)
         _emit(args, key, "%s: %s" % (key.replace("_", " "), text),
               value=text)
     for (lam, mu, gamma, k, l) in sorted(fp.der_dims):
@@ -256,15 +255,7 @@ def cmd_fingerprint(args):
 
 
 def _load_witness(path, L):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise AlgebraFileError("%s: %s" % (path, exc.strerror)) from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise AlgebraFileError("witness: not valid JSON: %s" % exc) from None
+    doc = algfile.read_json(path)
     if isinstance(doc, dict) and set(doc) == {"matrix"}:
         doc = doc["matrix"]
     return algfile._parse_matrix(doc, L.n, L.field, "witness")
@@ -369,6 +360,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (MembershipError, CrossCheckError) as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
     except (AlgebraFileError, CatalogError, CliError, ReductionError,
             ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -13,9 +13,8 @@ computed space is re-verified against the defining identity by direct
 bracket evaluation, an independent route from the system assembly.
 """
 
-import hashlib
-
-from .fields import format_scalar
+from .algebra import _unit
+from .fields import QQ
 from .linalg import Matrix, MatrixSubspace, matrix_from_vector, nullspace_basis
 
 
@@ -23,32 +22,14 @@ class MembershipError(AssertionError):
     """Solver output failed the independent identity check; a bug."""
 
 
-def _content_key(L):
-    h = hashlib.sha256()
-    h.update(repr(L.field).encode())
-    h.update(str(L.n).encode())
-    for plane in L.structure:
-        for row in plane:
-            for x in row:
-                h.update(format_scalar(x).encode())
-                h.update(b",")
-    for m in (L.alpha, L.beta):
-        for row in m.entries:
-            for x in row:
-                h.update(format_scalar(x).encode())
-                h.update(b";")
-    return h.hexdigest()[:16]
-
-
 class DerivationSpace:
-    """A solved space: its parameters, basis, and source-algebra key."""
+    """A solved space: its parameters and basis."""
 
-    __slots__ = ("params", "space", "algebra_fingerprint")
+    __slots__ = ("params", "space")
 
-    def __init__(self, params, space, algebra_fingerprint):
+    def __init__(self, params, space):
         self.params = params
         self.space = space
-        self.algebra_fingerprint = algebra_fingerprint
 
     @property
     def dim(self):
@@ -129,8 +110,7 @@ def verify_derivation(L, d, lam, mu, gamma, k=0, l=0):
         return False
     m = twist_power(L, k, l)
     n = L.n
-    units = [tuple(L.field.one() if t == i else L.field.zero()
-                   for t in range(n)) for i in range(n)]
+    units = [_unit(n, i, L.field) for i in range(n)]
     for i in range(n):
         for j in range(n):
             lhs = tuple(lam * v for v in d.apply(L.bracket_basis(i, j)))
@@ -157,7 +137,7 @@ def derivation_space(L, lam, mu, gamma, k=0, l=0):
             raise MembershipError(
                 "solver produced a non-member at params %r"
                 % ((lam, mu, gamma, k, l),))
-    return DerivationSpace((lam, mu, gamma, k, l), space, _content_key(L))
+    return DerivationSpace((lam, mu, gamma, k, l), space)
 
 
 def centroid(L, k=0, l=0):
@@ -178,11 +158,7 @@ def central_derivations(L, k=0, l=0):
     kill = derivation_space(L, one, zero, zero, k, l)
     absorb = derivation_space(L, zero, one, zero, k, l)
     space = kill.space.intersection(absorb.space)
-    return DerivationSpace(("central", k, l), space, _content_key(L))
-
-
-def subspace_intersection(a, b):
-    return a.intersection(b)
+    return DerivationSpace(("central", k, l), space)
 
 
 def normalize_params(lam, mu, gamma, field=None):
@@ -194,7 +170,6 @@ def normalize_params(lam, mu, gamma, field=None):
     the whole twist commutant and normalizing it would lose that fact).
     """
     if field is None:
-        from .fields import QQ
         field = QQ
     lam = field.coerce(lam)
     mu = field.coerce(mu)

@@ -7,6 +7,7 @@ and format its scalars; matrices and algebras carry one descriptor and
 refuse to mix scalars from different fields.
 """
 
+import re
 from fractions import Fraction
 
 
@@ -122,7 +123,6 @@ class FpElement:
 class RationalField:
     """Descriptor for the rational numbers."""
 
-    name = "rational"
     characteristic = 0
 
     def __call__(self, num, den=1):
@@ -133,9 +133,6 @@ class RationalField:
 
     def one(self):
         return Fraction(1)
-
-    def contains(self, x):
-        return isinstance(x, (Fraction, int))
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -165,7 +162,6 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError("modulus %r is not prime" % (p,))
         self.p = p
-        self.name = "fp"
         self.characteristic = p
 
     def __call__(self, value):
@@ -176,9 +172,6 @@ class PrimeField:
 
     def one(self):
         return FpElement(1, self.p)
-
-    def contains(self, x):
-        return isinstance(x, FpElement) and x.p == self.p
 
     def coerce(self, x):
         if isinstance(x, FpElement):
@@ -193,9 +186,6 @@ class PrimeField:
         if isinstance(x, str):
             return parse_scalar(x, self)
         raise FieldMismatchError("not an F_%d scalar: %r" % (self.p, x))
-
-    def elements(self):
-        return [FpElement(v, self.p) for v in range(self.p)]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -228,20 +218,27 @@ def reduce_fraction_mod(x, p):
     return FpElement(x.numerator * den_inv, p)
 
 
+_SCALAR = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_scalar(text, field):
-    """Parse an exact value string: an integer or "num/den"."""
-    text = text.strip()
-    try:
-        if "/" in text:
-            num_s, den_s = text.split("/")
-            num, den = int(num_s), int(den_s)
-            if den == 0:
-                raise ValueError
-            value = Fraction(num, den)
-        else:
-            value = Fraction(int(text))
-    except ValueError:
-        raise ValueError("not an exact scalar string: %r" % (text,)) from None
+    """Parse an exact scalar: an int, or a string "num" or "num/den" of
+    decimal digits with an optional sign on num and den nonzero.
+
+    Anything else, decimals and scientific notation included, is refused
+    by its format before any number is built.
+    """
+    if isinstance(text, int) and not isinstance(text, bool):
+        return field.coerce(text)
+    match = _SCALAR.fullmatch(text) if isinstance(text, str) else None
+    value = None
+    if match:
+        try:
+            value = Fraction(int(match.group(1)), int(match.group(2) or 1))
+        except (ValueError, ZeroDivisionError):  # digit limit, zero den
+            pass
+    if value is None:
+        raise ValueError("not an exact scalar string: %r" % (text,))
     return field.coerce(value)
 
 

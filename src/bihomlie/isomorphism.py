@@ -9,9 +9,9 @@ certify that no witness exists, never that one does.
 
 from itertools import product as cartesian
 
-from .algebra import BiHomLieAlgebra
+from .algebra import BiHomLieAlgebra, _conjugate
 from .derivations import derivation_space
-from .fields import GF, ReductionError
+from .fields import GF, ReductionError, _is_prime
 from .linalg import Matrix, char_poly, invert, is_invertible, rank
 from .structure import (center, derived_series, derived_subalgebra,
                         lower_central_series)
@@ -65,16 +65,11 @@ def transport(L, f):
     """
     f = _as_witness(f, L)
     finv = invert(f)
-    zero = L.field.zero()
-    entries = {}
-    for i in range(L.n):
-        for j in range(L.n):
-            w = f.apply(L.bracket(finv.col(i), finv.col(j)))
-            for s, v in enumerate(w):
-                if v != zero:
-                    entries[(i + 1, j + 1, s + 1)] = v
-    return BiHomLieAlgebra.from_brackets(
-        L.n, entries, f * L.alpha * finv, f * L.beta * finv, L.field)
+    pulled = _conjugate(L.structure, finv.entries, finv.entries,
+                        L.field.zero())
+    table = [[f.apply(cell) for cell in plane] for plane in pulled]
+    return BiHomLieAlgebra(table, f * L.alpha * finv, f * L.beta * finv,
+                           L.field)
 
 
 class Fingerprint:
@@ -162,19 +157,12 @@ def _iter_values(L):
                 yield v
 
 
-def _next_prime(p):
-    q = p + 1
-    while any(q % d == 0 for d in range(2, q)):
-        q += 1
-    return q
-
-
 def smallest_admissible_prime(L):
     """Least prime dividing no denominator of the structure data."""
     dens = {v.denominator for v in _iter_values(L)}
     p = 2
-    while not all(d % p for d in dens):
-        p = _next_prime(p)
+    while not (_is_prime(p) and all(d % p for d in dens)):
+        p += 1
     return p
 
 
@@ -188,20 +176,17 @@ def reduce_mod_p(L, p):
     if L.field.characteristic:
         raise ValueError("the algebra is already over a finite field")
     field = GF(p)
+    zero = field.zero()
     try:
-        entries = {}
-        for i in range(L.n):
-            for j in range(L.n):
-                for s, v in enumerate(L.structure[i][j]):
-                    if v != 0:
-                        entries[(i + 1, j + 1, s + 1)] = field.coerce(v)
+        table = [[[field.coerce(v) if v else zero for v in row]
+                  for row in plane] for plane in L.structure]
         alpha = Matrix(L.alpha.entries, field)
         beta = Matrix(L.beta.entries, field)
     except ReductionError as exc:
         raise ReductionError(
             "%s; smallest admissible prime is %d"
             % (exc, smallest_admissible_prime(L))) from None
-    return BiHomLieAlgebra.from_brackets(L.n, entries, alpha, beta, field)
+    return BiHomLieAlgebra(table, alpha, beta, field)
 
 
 def brute_force_iso(L, L2, p):

@@ -53,13 +53,6 @@ class Matrix:
         m[i][j] = field.one()
         return cls(m, field)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
-
     def col(self, j):
         return tuple(self.entries[i][j] for i in range(self.rows))
 

@@ -7,6 +7,7 @@ MatrixSubspace types, so equality assertions in reports are structural.
 import math
 from fractions import Fraction
 
+from .algebra import _unit
 from .linalg import Matrix, MatrixSubspace, VectorSubspace, nullspace_basis
 from .derivations import (central_derivations, centroid, commutator,
                           derivation_space)
@@ -36,22 +37,14 @@ class SeriesReport:
             self.kind, list(self.dims), self.terminated_at_zero)
 
 
-def _unit(n, i, field):
-    return tuple(field.one() if t == i else field.zero() for t in range(n))
-
-
 def product_subspace(L, S, T):
     """Span of all brackets [s, t] over the two bases."""
     vecs = [L.bracket(s, t) for s in S.basis for t in T.basis]
     return VectorSubspace(L.n, vecs, L.field)
 
 
-def full_space(L):
-    return VectorSubspace.full(L.n, L.field)
-
-
 def derived_subalgebra(L):
-    f = full_space(L)
+    f = VectorSubspace.full(L.n, L.field)
     return product_subspace(L, f, f)
 
 
@@ -79,7 +72,7 @@ def centralizer(L, S):
     """{x : [x, s] = 0 for every s in S}."""
     n = L.n
     if not S.basis:
-        return full_space(L)
+        return VectorSubspace.full(n, L.field)
     rows = []
     for s_vec in S.basis:
         cols = [L.bracket(_unit(n, i, L.field), s_vec) for i in range(n)]
@@ -90,11 +83,12 @@ def centralizer(L, S):
 
 
 def _series(L, kind):
-    current = full_space(L)
+    current = VectorSubspace.full(L.n, L.field)
     dims = [current.dim]
     while True:
         if kind == "lower_central":
-            nxt = product_subspace(L, full_space(L), current)
+            nxt = product_subspace(L, VectorSubspace.full(L.n, L.field),
+                                   current)
         else:
             nxt = product_subspace(L, current, current)
         if nxt.dim == 0:

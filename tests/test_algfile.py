@@ -143,6 +143,26 @@ def test_rejects_non_json_and_non_object():
         loads("[1, 2]")
 
 
+@pytest.mark.parametrize("text", ["1e3", "1.5", "1e999999999"])
+def test_rejects_scalars_outside_the_exact_grammar(text):
+    for mutate in ({"brackets": [{"i": 1, "j": 2, "k": 1, "value": text}]},
+                   {"alpha": [[text, "0"], ["0", "1"]]}):
+        with pytest.raises(AlgebraFileError, match="cannot parse value"):
+            loads(json.dumps(minimal_doc(**mutate)))
+
+
+def test_rejects_deeply_nested_json():
+    with pytest.raises(AlgebraFileError, match="not valid JSON"):
+        loads("[" * 100000)
+
+
+def test_load_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "\xe9"}')
+    with pytest.raises(AlgebraFileError, match="not UTF-8"):
+        load(path)
+
+
 def test_prime_field_rejects_bad_denominator():
     doc = minimal_doc(field={"fp": 3},
                       brackets=[{"i": 1, "j": 2, "k": 1, "value": "1/3"}])

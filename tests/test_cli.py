@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from bihomlie import algfile
-from bihomlie.algebra import BiHomLieAlgebra, heisenberg
+from bihomlie import algfile, cli
+from bihomlie.algebra import BiHomLieAlgebra, CrossCheckError, heisenberg
 from bihomlie.catalog import build
 from bihomlie.cli import main
+from bihomlie.derivations import MembershipError
 from bihomlie.fields import QQ
 from bihomlie.linalg import Matrix
 
@@ -73,6 +74,13 @@ def test_check_missing_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_check_deeply_nested_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert main(["check", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_check_records_output(tmp_path, capsys):
     path = skew_violating_file(tmp_path)
     assert main(["check", path, "--output", "records"]) == 1
@@ -113,6 +121,30 @@ def test_der_rejects_bad_value(files, capsys):
     assert exit_info.value.code == 2
 
 
+@pytest.mark.parametrize("text", ["1e3", "1.5", "1e999999999"])
+def test_der_rejects_non_exact_scalar(files, text):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["der", files["l110"], "--lambda", text])
+    assert exit_info.value.code == 2
+
+
+def test_der_internal_error_exit_code(files, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise MembershipError("solver produced a non-member")
+    monkeypatch.setattr(cli, "derivation_space", broken)
+    assert main(["der", files["l110"]]) == 3
+    assert ("internal error: solver produced a non-member"
+            in capsys.readouterr().err)
+
+
+def test_check_internal_error_exit_code(files, monkeypatch, capsys):
+    def broken(self):
+        raise CrossCheckError("skew-symmetry routes disagree")
+    monkeypatch.setattr(BiHomLieAlgebra, "check_all", broken)
+    assert main(["check", files["l110"]]) == 3
+    assert "internal error:" in capsys.readouterr().err
+
+
 # --- structure -------------------------------------------------------------
 
 def test_structure_report(files, capsys):
@@ -148,6 +180,13 @@ def test_catalog_params_need_entry(capsys):
 
 def test_catalog_rejects_inadmissible_params(capsys):
     assert main(["catalog", "--entry", "L_3^1", "--params", "b=0,y=3"]) == 2
+
+
+@pytest.mark.parametrize("text", ["1e3", "1.5", "1e999999999"])
+def test_catalog_rejects_non_exact_params(text, capsys):
+    assert main(["catalog", "--entry", "L_3^1",
+                 "--params", "b=%s,y=3" % text]) == 2
+    assert "not an exact scalar string" in capsys.readouterr().err
 
 
 def test_catalog_rejects_unknown_entry(capsys):
@@ -226,6 +265,15 @@ def test_iso_fingerprint_fallback(files, capsys):
     assert "fingerprints distinct" in capsys.readouterr().out
     assert main(["iso", files["l110"], files["l110"]]) == 0
     assert "inconclusive" in capsys.readouterr().out
+
+
+def test_iso_deeply_nested_witness_is_a_parse_error(files, tmp_path,
+                                                    capsys):
+    wit = tmp_path / "deep.json"
+    wit.write_text("[" * 100000)
+    assert main(["iso", files["l110"], files["l110"],
+                 "--witness", str(wit)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_iso_witness_and_brute_conflict(files):

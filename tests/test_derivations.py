@@ -151,7 +151,7 @@ def test_two_sided_kill_is_quasi_central():
     for L in (l_1_1(), l_1_8(), l_1_10(), l_1_17()):
         a = bh.derivation_space(L, 1, 0, 0)
         b = bh.derivation_space(L, 1, 1, -1)
-        both = bh.subspace_intersection(a.space, b.space)
+        both = a.space.intersection(b.space)
         for d in both.basis:
             assert bh.verify_derivation(L, d, 0, 1, -1)
 
