@@ -410,11 +410,11 @@ def verify_entry(family_id, params, k, l, algebra=None):
     for idx in matched:
         row = fam.rows[idx]
         cen_expected = pattern_space(row.centroid, guard_env)
-        if not cen_expected.equals(cen):
+        if cen_expected != cen:
             verdict._fail("centroid row %d" % idx,
                           _space_repr(cen_expected), _space_repr(cen))
         der_expected = pattern_space(row.der, guard_env)
-        if not der_expected.equals(der):
+        if der_expected != der:
             verdict._fail("der row %d" % idx,
                           _space_repr(der_expected), _space_repr(der))
         if row.cn is not None:

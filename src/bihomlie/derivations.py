@@ -13,6 +13,7 @@ computed space is re-verified against the defining identity by direct
 bracket evaluation, an independent route from the system assembly.
 """
 
+from .algebra import _table_bracket
 from .fields import FieldMismatchError, QQ
 from .linalg import Matrix, MatrixSubspace, matrix_from_vector, nullspace_basis
 
@@ -137,8 +138,8 @@ def verify_derivation(L, d, lam, mu, gamma, k=0, l=0):
     for i in range(n):
         for j in range(n):
             lhs = tuple(lam * v for v in d.apply(L.bracket_basis(i, j)))
-            t1 = L.bracket(d_cols[i], m_cols[j])
-            t2 = L.bracket(m_cols[i], d_cols[j])
+            t1 = _table_bracket(L.structure, d_cols[i], m_cols[j], zero)
+            t2 = _table_bracket(L.structure, m_cols[i], d_cols[j], zero)
             rhs = tuple(mu * a + gamma * b for a, b in zip(t1, t2))
             if lhs != rhs:
                 return False

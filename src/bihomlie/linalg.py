@@ -366,16 +366,6 @@ class MatrixSubspace:
         self.basis = tuple(
             matrix_from_vector(v, dim_ambient, field) for v in self._vs.basis)
 
-    @classmethod
-    def zero(cls, n, field):
-        return cls(n, [], field)
-
-    @classmethod
-    def full(cls, n, field):
-        mats = [Matrix.unit(n, i, j, field)
-                for i in range(n) for j in range(n)]
-        return cls(n, mats, field)
-
     @property
     def dim(self):
         return self._vs.dim
@@ -385,9 +375,6 @@ class MatrixSubspace:
 
     def contains_subspace(self, other):
         return all(self.contains(m) for m in other.basis)
-
-    def equals(self, other):
-        return self._vs == other._vs
 
     def sum(self, other):
         return MatrixSubspace(self.dim_ambient,
@@ -400,7 +387,7 @@ class MatrixSubspace:
         return MatrixSubspace(self.dim_ambient, mats, self.field)
 
     def __eq__(self, other):
-        return isinstance(other, MatrixSubspace) and self.equals(other)
+        return isinstance(other, MatrixSubspace) and self._vs == other._vs
 
     def __hash__(self):
         return hash(self._vs)

@@ -48,24 +48,26 @@ def derived_subalgebra(L):
     return product_subspace(L, f, f)
 
 
+def _bracket_maps(L, j):
+    """Rows of the matrices of x -> [x, e_j] and x -> [e_j, x], read off
+    the structure table (columns hold images)."""
+    c, r = L.structure, range(L.n)
+    return ([[c[i][j][s] for i in r] for s in r],
+            [[c[j][i][s] for i in r] for s in r])
+
+
 def center(L, two_sided=False):
     """{x : [x, y] = 0 for all y}; the flag also demands [y, x] = 0.
 
     The one-sided version is the default: with twisted skew-symmetry the
     left and right conditions genuinely differ.
     """
-    n = L.n
     rows = []
-    for j in range(n):
-        # map x -> [x, e_j]; its matrix has columns [e_i, e_j]
-        for s in range(n):
-            rows.append([L.structure[i][j][s] for i in range(n)])
-    if two_sided:
-        for j in range(n):
-            for s in range(n):
-                rows.append([L.structure[j][i][s] for i in range(n)])
+    for j in range(L.n):
+        right, left = _bracket_maps(L, j)
+        rows += right + (left if two_sided else [])
     sols = nullspace_basis(Matrix(rows, L.field))
-    return VectorSubspace(n, sols, L.field)
+    return VectorSubspace(L.n, sols, L.field)
 
 
 def centralizer(L, S):
@@ -82,30 +84,30 @@ def centralizer(L, S):
     return VectorSubspace(n, sols, L.field)
 
 
-def _series(L, kind):
-    current = VectorSubspace.full(L.n, L.field)
-    dims = [current.dim]
-    while True:
-        if kind == "lower_central":
-            nxt = product_subspace(L, VectorSubspace.full(L.n, L.field),
-                                   current)
-        else:
-            nxt = product_subspace(L, current, current)
-        if nxt.dim == 0:
-            dims.append(0)
-            return SeriesReport(kind, dims, True)
+def _descend(first, step):
+    """Dimensions of first, step(first), step(step(first)), ... up to the
+    first zero term or the first repeat; (dims, whether zero was reached)."""
+    dims = [first.dim]
+    current = first
+    while current.dim:
+        nxt = step(current)
         if nxt == current:
-            return SeriesReport(kind, dims, False)
+            return dims, False
         current = nxt
         dims.append(current.dim)
+    return dims, True
 
 
 def lower_central_series(L):
-    return _series(L, "lower_central")
+    full = VectorSubspace.full(L.n, L.field)
+    return SeriesReport("lower_central", *_descend(
+        full, lambda s: product_subspace(L, full, s)))
 
 
 def derived_series(L):
-    return _series(L, "derived")
+    full = VectorSubspace.full(L.n, L.field)
+    return SeriesReport("derived", *_descend(
+        full, lambda s: product_subspace(L, s, s)))
 
 
 def is_nilpotent(L):
@@ -139,20 +141,6 @@ def ker_alpha_plus_ker_beta(L):
     return ka.sum(kb)
 
 
-def _matrix_space_series(basis_mats, n, field):
-    """Lower central series of the matrix Lie algebra spanned by the basis."""
-    v1 = MatrixSubspace(n, basis_mats, field)
-    current = v1
-    while True:
-        prods = [commutator(a, b) for a in v1.basis for b in current.basis]
-        nxt = MatrixSubspace(n, prods, field)
-        if nxt.dim == 0:
-            return True
-        if nxt.equals(current):
-            return False
-        current = nxt
-
-
 def is_characteristically_nilpotent(L):
     """Whether the (1,1,1) derivation space at exponents (0,0) is a
     nilpotent matrix Lie algebra.
@@ -160,22 +148,26 @@ def is_characteristically_nilpotent(L):
     Commutator closure of the computed span is verified first; a non-closed
     span raises ClosureError rather than running the series on a non-algebra.
     """
-    der = derivation_space(L, L.field.one(), L.field.one(), L.field.one(), 0, 0)
-    if der.dim == 0:
-        return True
-    space = der.space
+    one = L.field.one()
+    space = derivation_space(L, one, one, one, 0, 0).space
     for a in space.basis:
         for b in space.basis:
             if not space.contains(commutator(a, b)):
                 raise ClosureError(
                     "derivation space is not closed under commutators")
-    return _matrix_space_series(list(space.basis), L.n, L.field)
+    return _descend(space, lambda cur: MatrixSubspace(
+        L.n, [commutator(a, b) for a in space.basis for b in cur.basis],
+        L.field))[1]
 
 
 def _strictly_central_maps(L):
     """Members of both the centroid and the derivation space at exponents
     (0,0) whose image lies in the central part of the derived subalgebra
-    and which kill the derived subalgebra."""
+    and which kill the derived subalgebra.
+
+    The maps with that image and kernel are spanned by t w^T, with t in
+    the intersection of the center and L^2 and w in the annihilator of L^2.
+    """
     one = L.field.one()
     gamma00 = centroid(L, 0, 0).space
     der00 = derivation_space(L, one, one, one, 0, 0).space
@@ -184,34 +176,12 @@ def _strictly_central_maps(L):
         return pool
     l2 = derived_subalgebra(L)
     target = center(L).intersection(l2)
-    # linear conditions on coordinates within the pool's basis
-    rows = []
-    k = pool.dim
-    n = L.n
-    for j in range(n):
-        ej = _unit(n, j, L.field)
-        images = [b.apply(ej) for b in pool.basis]
-        # image of e_j must stay in `target`: express via quotient conditions
-        for w in _cokernel_rows(target, n, L.field):
-            rows.append([sum((w[s] * images[t][s] for s in range(n)),
-                             L.field.zero()) for t in range(k)])
-    for v in l2.basis:
-        images = [b.apply(v) for b in pool.basis]
-        for s in range(n):
-            rows.append([images[t][s] for t in range(k)])
-    if not rows:
-        return pool
-    sols = nullspace_basis(Matrix(rows, L.field))
-    mats = []
-    for coeffs in sols:
-        m = Matrix.zero(n, n, L.field)
-        for t in range(k):
-            m = m + pool.basis[t] * coeffs[t]
-        mats.append(m)
-    return MatrixSubspace(n, mats, L.field)
+    maps = [Matrix([[a * b for b in w] for a in t], L.field)
+            for t in target.basis for w in _annihilator(l2, L.n, L.field)]
+    return pool.intersection(MatrixSubspace(L.n, maps, L.field))
 
 
-def _cokernel_rows(S, n, field):
+def _annihilator(S, n, field):
     """Functionals vanishing exactly on S: rows of a matrix with kernel S."""
     if S.dim == n:
         return []
@@ -278,97 +248,58 @@ def _int_sqrt(v):
     return r if r * r == v else None
 
 
+def _rational_eigenvalues(m):
+    """Distinct rational eigenvalues of a 2x2 matrix, ascending."""
+    (a, b), (c, d) = m.entries
+    tr, det = a + d, a * d - b * c
+    root = _rational_sqrt(tr * tr - 4 * det)
+    if root is None:
+        return []
+    return sorted({(tr - root) / 2, (tr + root) / 2})
+
+
 def _check_rational_spectrum(m):
     """2x2 only: raise unless the eigenvalues lie in the rationals."""
-    tr = m.entries[0][0] + m.entries[1][1]
-    det = (m.entries[0][0] * m.entries[1][1]
-           - m.entries[0][1] * m.entries[1][0])
-    disc = tr * tr - 4 * det
-    if _rational_sqrt(disc) is None:
+    if not _rational_eigenvalues(m):
         raise UnsupportedFieldError(
             "twist map has eigenvalues outside the rationals")
 
 
 def _candidate_lines(L):
-    """All lines that could be twist-invariant ideals, exactly.
+    """Lines that could be ideals (2-dim only), as spanning vectors.
 
-    A line span(v) qualifies only if alpha(v), beta(v) and all brackets
-    with basis vectors stay parallel to v; each condition is a quadratic
-    in the line coordinates, so candidates are the rational roots. If every
-    condition vanishes identically, all lines qualify.
+    An ideal line is an eigenline of alpha, of beta and of every bracket
+    map x -> [x, e_j], x -> [e_j, x]. Over Q the candidates are therefore
+    the eigenlines of the first non-scalar map among these; when all are
+    scalar, every line is an ideal and the two coordinate lines suffice.
+    Over a prime field all p+1 lines are listed.
     """
-    n, field = L.n, L.field
+    field = L.field
+    zero, one = field.zero(), field.one()
     if field.characteristic:
-        # small prime field: just enumerate the p+1 lines
-        p = field.characteristic
-        lines = [( field.one(), field.zero() )]
-        for t in range(p):
-            lines.append((field(t), field.one()))
-        return lines
-
-    def parallel_poly(img_of):
-        # v = (1, t): condition img(v) parallel to v as polynomial in t,
-        # coefficients constant-first
-        w0 = img_of((field.one(), field.zero()))
-        w1 = img_of((field.zero(), field.one()))
-        # img(v) = w0 + t*w1; parallel: img0 * t - img1 * 1 ... cross product
-        # (w0[0] + t w1[0], w0[1] + t w1[1]) x (1, t) = (w0[0]+t w1[0]) t - (w0[1]+t w1[1])
-        return [-w0[1], w0[0] - w1[1], w1[0]]
-
-    conditions = []
-    for m in (L.alpha, L.beta):
-        conditions.append(parallel_poly(m.apply))
-    for j in range(n):
-        ej = _unit(n, j, field)
-        conditions.append(parallel_poly(lambda v, e=ej: L.bracket(v, e)))
-        conditions.append(parallel_poly(lambda v, e=ej: L.bracket(e, v)))
-    zero = field.zero()
-    nonzero = [p for p in conditions if any(c != zero for c in p)]
-    if not nonzero:
-        # every line works; two coordinate lines are enough for callers
-        return [(field.one(), zero), (zero, field.one())]
-    roots = _common_rational_roots(nonzero, field)
-    lines = [(r, field.one()) for r in roots]
-    # the line (1, 0) corresponds to t = infinity: check it directly
-    lines.append((field.one(), zero))
-    return lines
-
-
-def _common_rational_roots(polys, field):
-    first = polys[0]
-    roots = _rational_roots(first)
-    out = []
-    for r in roots:
-        ok = True
-        for p in polys[1:]:
-            val = field.zero()
-            power = field.one()
-            for c in p:
-                val = val + c * power
-                power = power * r
-            if val != field.zero():
-                ok = False
-                break
-        if ok:
-            out.append(r)
-    return out
-
-
-def _rational_roots(poly):
-    c0, c1, c2 = poly
-    if c2 == 0:
-        if c1 == 0:
-            return []
-        return [-c0 / c1]
-    disc = c1 * c1 - 4 * c2 * c0
-    root = _rational_sqrt(disc)
-    if root is None:
-        return []
-    return sorted(set([(-c1 + root) / (2 * c2), (-c1 - root) / (2 * c2)]))
+        return [(one, zero)] + [(field(t), one)
+                                for t in range(field.characteristic)]
+    maps = [L.alpha.entries, L.beta.entries]
+    for j in range(2):
+        maps.extend(_bracket_maps(L, j))
+    for rows in maps:
+        (a, b), (c, d) = rows
+        if b != zero or c != zero or a != d:
+            m = Matrix(rows, field)
+            return [v for lam in _rational_eigenvalues(m)
+                    for v in nullspace_basis(
+                        m - Matrix.identity(2, field) * lam)]
+    return [(one, zero), (zero, one)]
 
 
 def decompose_2dim(L):
     """Split into two 1-dimensional ideals when possible (2-dim only).
+
+    The pair is the first two ideal lines found. Over Q the candidates are
+    the rational eigenlines of the first non-scalar map among alpha, beta
+    and the bracket maps x -> [x, e_j], x -> [e_j, x] (the coordinate lines
+    when all are scalar); over F_p they are all p+1 lines. is_ideal decides
+    each candidate.
 
     Also evaluates whether L equals derived-subalgebra plus center as a
     direct sum, and reports whether that split agrees with the outcome.
@@ -380,20 +311,9 @@ def decompose_2dim(L):
     if not L.field.characteristic:
         _check_rational_spectrum(L.alpha)
         _check_rational_spectrum(L.beta)
-    ideal_lines = []
-    for v in _candidate_lines(L):
-        s = VectorSubspace(2, [v], L.field)
-        if s.dim == 1 and is_ideal(L, s) and not any(
-                s == t for t in ideal_lines):
-            ideal_lines.append(s)
-    pair = None
-    for a in range(len(ideal_lines)):
-        for b in range(a + 1, len(ideal_lines)):
-            if ideal_lines[a].sum(ideal_lines[b]).dim == 2:
-                pair = (ideal_lines[a], ideal_lines[b])
-                break
-        if pair:
-            break
+    lines = [VectorSubspace(2, [v], L.field) for v in _candidate_lines(L)]
+    ideal_lines = [s for s in lines if is_ideal(L, s)]
+    pair = tuple(ideal_lines[:2]) if len(ideal_lines) >= 2 else None
     l2 = derived_subalgebra(L)
     c = center(L)
     split_holds = l2.intersection(c).dim == 0 and l2.sum(c).dim == 2

@@ -78,7 +78,7 @@ def test_centroid_l_1_1_z0():
 def test_params_zero_gives_commutant():
     for L in (l_1_10(), l_1_1(), l_1_8()):
         space = bh.derivation_space(L, 0, 0, 0)
-        assert space.space.equals(bh.twist_commutant(L))
+        assert space.space == bh.twist_commutant(L)
 
 
 def test_der_l_1_10_full_params():
@@ -131,7 +131,7 @@ def test_quasi_centroid_heisenberg():
 
 def test_quasi_centroid_abelian_is_commutant():
     L = BiHomLieAlgebra.from_brackets(2, {}, [[1, 1], [0, 1]], IDENT)
-    assert bh.quasi_centroid(L).space.equals(bh.twist_commutant(L))
+    assert bh.quasi_centroid(L).space == bh.twist_commutant(L)
 
 
 def test_central_derivation_not_always_quasi_central():
@@ -248,7 +248,7 @@ def test_normalized_span_matches_original_on_regular():
         (nl, nm, ng), _tag = bh.normalize_params(lam, mu, ga)
         a = bh.derivation_space(L, lam, mu, ga)
         b = bh.derivation_space(L, nl, nm, ng)
-        assert a.space.equals(b.space)
+        assert a.space == b.space
 
 
 # --- commutator and Jordan product ---------------------------------------
@@ -335,8 +335,8 @@ def test_grid_abelian_everywhere_commutant():
     om = bh.twist_commutant(L)
     assert len(grid) == 9
     for space in grid.values():
-        assert space.space.equals(om)
-    assert union.equals(om)
+        assert space.space == om
+    assert union == om
 
 
 def test_grid_heisenberg_closed_forms():
@@ -352,7 +352,7 @@ def test_grid_heisenberg_closed_forms():
             Matrix([[1, 0, 0], [0, q, 0], [0, 0, 0]], QQ),
             Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]], QQ),
         ], QQ)
-        assert space.space.equals(expected)
+        assert space.space == expected
 
 
 # --- exhaustive prime-field oracle ---------------------------------------

@@ -1,10 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 import bihomlie as bh
-from bihomlie import BiHomLieAlgebra, VectorSubspace, heisenberg
+from bihomlie import BiHomLieAlgebra, Matrix, VectorSubspace, heisenberg
 from bihomlie.fields import GF, QQ
 
 
@@ -289,12 +290,52 @@ def test_decompose_l_1_10_none():
     assert res.agrees
 
 
-def test_decompose_abelian_identity_twists():
-    res = bh.decompose_2dim(abelian2())
+@pytest.mark.parametrize("alpha, expected", [
+    (IDENT, None),
+    # alpha has eigenlines span{(1,2)} (eigenvalue 2) and span{(0,1)} (3)
+    ([[2, 0], [-2, 3]], [(1, 2), (0, 1)]),
+], ids=["identity", "eigenlines"])
+def test_decompose_abelian(alpha, expected):
+    L = BiHomLieAlgebra.from_brackets(2, {}, alpha, IDENT)
+    res = bh.decompose_2dim(L)
     assert res.pair is not None
     a, b = res.pair
-    assert a.contains((1, 0)) or a.contains((0, 1))
+    if expected is None:
+        assert a.contains((1, 0)) or a.contains((0, 1))
+    else:
+        assert set(res.pair) == {span(L, v) for v in expected}
+        assert res.agrees
     assert a.sum(b).dim == 2
+
+
+def _one_dim(rng):
+    """A random 1-dim BiHom-Lie algebra over Q: abelian with any twists, or
+    [e,e] = c with twists in {0, 1} and one of them 0."""
+    if rng.random() < 0.5:
+        a, b = (Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for _ in range(2))
+        return BiHomLieAlgebra.from_brackets(1, {}, [[a]], [[b]])
+    a, b = rng.choice([(0, 0), (0, 1), (1, 0)])
+    return BiHomLieAlgebra.from_brackets(1, {(1, 1, 1): rng.randint(1, 5)},
+                                         [[a]], [[b]])
+
+
+def test_decompose_transported_direct_sums():
+    rng = random.Random(2024)
+    for _ in range(50):
+        L = bh.direct_sum(_one_dim(rng), _one_dim(rng))
+        while True:
+            f = Matrix([[rng.randint(-3, 3) for _ in range(2)]
+                        for _ in range(2)], QQ)
+            if bh.rank(f) == 2:
+                break
+        M = bh.transport(L, f)
+        assert M.check_all().passed
+        res = bh.decompose_2dim(M)
+        assert res.pair is not None
+        a, b = res.pair
+        assert bh.is_ideal(M, a) and bh.is_ideal(M, b)
+        assert a.sum(b).dim == 2
 
 
 def test_decompose_l_1_9():
