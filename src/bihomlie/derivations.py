@@ -1,16 +1,26 @@
-"""Generalized derivation spaces via one exact linear system.
+"""Generalized derivation spaces, solved in twist-commutant coordinates.
 
 For coefficients (lam, mu, gamma) and twist exponents (k, l) the space of
 interest is every operator d that commutes with both twist maps and satisfies
 
     lam * d([x,y]) = mu * [d(x), m(y)] + gamma * [m(x), d(y)],   m = alpha^k beta^l.
 
-The solver vectorizes d row-major into n^2 unknowns and stacks, in this
-order: the alpha-commutation rows, the beta-commutation rows, then one
-bracket row per (i,j,s) in lexicographic order. The fixed row order keeps
-solver diagnostics and golden outputs stable. Every basis matrix of a
-computed space is re-verified against the defining identity by direct
-bracket evaluation, an independent route from the system assembly.
+Every such d lies in the twist commutant. A SolveContext solves the
+commutant of one algebra once, with basis B_1..B_c, and writes
+d = sum_r x_r B_r. The identity is linear in (lam, mu, gamma), so per (k, l)
+the context builds three residual blocks: the coordinates of d([e_i,e_j]),
+[d(e_i), m(e_j)] and [m(e_i), d(e_j)] at d = B_r, read off the nonzero
+structure constants only. A triple combines the blocks into a system in the
+c unknowns x_r, and its nullspace, mapped back through the B_r, spans the
+space. Spaces are MatrixSubspaces, stored by the reduced row echelon form of
+their vectorized basis; that canonical basis, not the commutant basis or the
+row order, is what keeps the output stable. Every basis matrix of a computed
+space is re-verified by verify_derivation, which evaluates the identity
+bracket by bracket, a route independent of the blocks.
+
+A context lives for one public call: derivation_space builds a fresh one,
+and fingerprint, derivation_grid and central_derivations share one for the
+length of their call. Nothing is cached on the algebra.
 """
 
 from .algebra import _table_bracket
@@ -47,6 +57,10 @@ def twist_power(L, k, l):
     """Matrix of alpha^k composed with beta^l."""
     if k < 0 or l < 0:
         raise ValueError("twist exponents must be non-negative")
+    if not k:
+        return L.beta ** l
+    if not l:
+        return L.alpha ** k
     return (L.alpha ** k) * (L.beta ** l)
 
 
@@ -61,42 +75,17 @@ def _commutation_rows(L):
                 row = [zero] * (n * n)
                 # (d m - m d)_{ij}: coefficient of d_{uv}
                 for t in range(n):
-                    row[i * n + t] = row[i * n + t] + m[t][j]
-                    row[t * n + j] = row[t * n + j] - m[i][t]
-                rows.append(row)
-    return rows
-
-
-def _bracket_rows(L, lam, mu, gamma, m):
-    n = L.n
-    zero = L.field.zero()
-    c = L.structure
-    me = m.entries
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for s in range(n):
-                row = [zero] * (n * n)
-                for b in range(n):
-                    row[s * n + b] = row[s * n + b] + lam * c[i][j][b]
-                    acc = zero
-                    for u in range(n):
-                        acc = acc + me[u][j] * c[b][u][s]
-                    row[b * n + i] = row[b * n + i] - mu * acc
-                    acc = zero
-                    for t in range(n):
-                        acc = acc + me[t][i] * c[t][b][s]
-                    row[b * n + j] = row[b * n + j] - gamma * acc
+                    if m[t][j]:
+                        row[i * n + t] = row[i * n + t] + m[t][j]
+                    if m[i][t]:
+                        row[t * n + j] = row[t * n + j] - m[i][t]
                 rows.append(row)
     return rows
 
 
 def twist_commutant(L):
     """Basis of all operators commuting with both twist maps."""
-    rows = _commutation_rows(L)
-    sols = nullspace_basis(Matrix(rows, L.field))
-    mats = [matrix_from_vector(v, L.n, L.field) for v in sols]
-    return MatrixSubspace(L.n, mats, L.field)
+    return SolveContext(L).commutant
 
 
 def _commutes(d, m, zero):
@@ -137,31 +126,110 @@ def verify_derivation(L, d, lam, mu, gamma, k=0, l=0):
     m_cols = [m.col(i) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = tuple(lam * v for v in d.apply(L.bracket_basis(i, j)))
+            # d([e_i,e_j]) = sum_b c_ij^b d(e_b) over the nonzero c_ij^b
+            image = [zero] * n
+            for b, c in enumerate(L.structure[i][j]):
+                if c:
+                    for s, x in enumerate(d_cols[b]):
+                        if x:
+                            image[s] = image[s] + c * x
             t1 = _table_bracket(L.structure, d_cols[i], m_cols[j], zero)
             t2 = _table_bracket(L.structure, m_cols[i], d_cols[j], zero)
-            rhs = tuple(mu * a + gamma * b for a, b in zip(t1, t2))
-            if lhs != rhs:
-                return False
+            for v, a, b in zip(image, t1, t2):
+                if (v or a or b) and lam * v != mu * a + gamma * b:
+                    return False
     return True
+
+
+def _nonzero_rows(entries):
+    """Per row, the (column, value) pairs of its nonzero entries."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in entries]
+
+
+class SolveContext:
+    """Solver state for one algebra, kept for the length of one public call:
+    the nonzero structure constants, the twist commutant and, per (k, l),
+    the three residual blocks."""
+
+    def __init__(self, L):
+        n, field = L.n, L.field
+        self.L = L
+        self.constants = [(p, q, s, v) for p in range(n) for q in range(n)
+                          for s, v in enumerate(L.structure[p][q]) if v]
+        sols = nullspace_basis(Matrix(_commutation_rows(L), field))
+        self.commutant = MatrixSubspace(
+            n, [matrix_from_vector(v, n, field) for v in sols], field)
+        self._blocks = {}
+
+    def _residual_blocks(self, m):
+        """The lam, mu and gamma blocks at twist power m: per commutant
+        basis member B_r, a map from (i, j, s) to coordinate s of
+        d([e_i,e_j]), [d(e_i), m(e_j)] and [m(e_i), d(e_j)] at d = B_r.
+        A missing key is zero."""
+        zero = self.L.field.zero()
+        blocks = ([], [], [])
+        m_rows = _nonzero_rows(m.entries)
+        for b in self.commutant.basis:
+            lam, mu, gamma = {}, {}, {}
+            b_rows = _nonzero_rows(b.entries)
+            b_cols = _nonzero_rows(zip(*b.entries))
+            for p, q, s, v in self.constants:
+                # d([e_p,e_q])_t = sum_s d_ts c_pq^s
+                for t, w in b_cols[s]:
+                    lam[p, q, t] = lam.get((p, q, t), zero) + v * w
+                # [d(e_i), m(e_j)]_s = sum_pq d_pi m_qj c_pq^s
+                for i, x in b_rows[p]:
+                    for j, y in m_rows[q]:
+                        mu[i, j, s] = mu.get((i, j, s), zero) + v * x * y
+                # [m(e_i), d(e_j)]_s = sum_pq m_pi d_qj c_pq^s
+                for i, x in m_rows[p]:
+                    for j, y in b_rows[q]:
+                        gamma[i, j, s] = gamma.get((i, j, s), zero) + v * x * y
+            for block, residuals in zip(blocks, (lam, mu, gamma)):
+                block.append(residuals)
+        return blocks
+
+    def solve(self, lam, mu, gamma, k=0, l=0):
+        """The space at one triple and exponent pair; every basis member
+        is re-verified by verify_derivation."""
+        L = self.L
+        n, field = L.n, L.field
+        lam = field.coerce(lam)
+        mu = field.coerce(mu)
+        gamma = field.coerce(gamma)
+        zero = field.zero()
+        if (k, l) not in self._blocks:
+            self._blocks[k, l] = self._residual_blocks(twist_power(L, k, l))
+        basis = self.commutant.basis
+        rows = {}
+        for coeff, block in zip((lam, -mu, -gamma), self._blocks[k, l]):
+            if not coeff:
+                continue
+            for r, residuals in enumerate(block):
+                for key, v in residuals.items():
+                    row = rows.setdefault(key, [zero] * len(basis))
+                    row[r] = row[r] + coeff * v
+        system = [row for row in rows.values() if any(row)]
+        space = self.commutant
+        if system:
+            vecs = [b.vectorize() for b in basis]
+            members = []
+            for x in nullspace_basis(Matrix(system, field)):
+                d = [sum((xr * vec[t] for xr, vec in zip(x, vecs) if xr), zero)
+                     for t in range(n * n)]
+                members.append(matrix_from_vector(d, n, field))
+            space = MatrixSubspace(n, members, field)
+        for d in space.basis:
+            if not verify_derivation(L, d, lam, mu, gamma, k, l):
+                raise MembershipError(
+                    "solver produced a non-member at params %r"
+                    % ((lam, mu, gamma, k, l),))
+        return DerivationSpace((lam, mu, gamma, k, l), space)
 
 
 def derivation_space(L, lam, mu, gamma, k=0, l=0):
     """Solve for the full space at the given coefficients and exponents."""
-    lam = L.field.coerce(lam)
-    mu = L.field.coerce(mu)
-    gamma = L.field.coerce(gamma)
-    m = twist_power(L, k, l)
-    rows = _commutation_rows(L) + _bracket_rows(L, lam, mu, gamma, m)
-    sols = nullspace_basis(Matrix(rows, L.field))
-    mats = [matrix_from_vector(v, L.n, L.field) for v in sols]
-    space = MatrixSubspace(L.n, mats, L.field)
-    for d in space.basis:
-        if not verify_derivation(L, d, lam, mu, gamma, k, l):
-            raise MembershipError(
-                "solver produced a non-member at params %r"
-                % ((lam, mu, gamma, k, l),))
-    return DerivationSpace((lam, mu, gamma, k, l), space)
+    return SolveContext(L).solve(lam, mu, gamma, k, l)
 
 
 def centroid(L, k=0, l=0):
@@ -179,8 +247,9 @@ def quasi_centroid(L, k=0, l=0):
 def central_derivations(L, k=0, l=0):
     """Intersection of the (1,0,0) and (0,1,0) spaces."""
     one, zero = L.field.one(), L.field.zero()
-    kill = derivation_space(L, one, zero, zero, k, l)
-    absorb = derivation_space(L, zero, one, zero, k, l)
+    context = SolveContext(L)
+    kill = context.solve(one, zero, zero, k, l)
+    absorb = context.solve(zero, one, zero, k, l)
     space = kill.space.intersection(absorb.space)
     return DerivationSpace(("central", k, l), space)
 
@@ -235,11 +304,12 @@ def derivation_grid(L, lam, mu, gamma, k_max=3, l_max=3):
     any fixed algebra eventually repeat in effect but no termination test is
     attempted here, so the caps are an explicit, documented truncation.
     """
+    context = SolveContext(L)
     spaces = {}
     mats = []
     for k in range(k_max + 1):
         for l in range(l_max + 1):
-            sp = derivation_space(L, lam, mu, gamma, k, l)
+            sp = context.solve(lam, mu, gamma, k, l)
             spaces[(k, l)] = sp
             mats.extend(sp.space.basis)
     union = MatrixSubspace(L.n, mats, L.field)

@@ -10,7 +10,7 @@ certify that no witness exists, never that one does.
 from itertools import product as cartesian
 
 from .algebra import BiHomLieAlgebra, _conjugate
-from .derivations import derivation_space
+from .derivations import SolveContext
 from .fields import GF, ReductionError, _is_prime
 from .linalg import Matrix, char_poly, invert, is_invertible, rank
 from .structure import (center, derived_series, derived_subalgebra,
@@ -121,11 +121,12 @@ class Fingerprint:
 
 def fingerprint(L):
     """Deterministic invariant profile; see Fingerprint."""
+    context = SolveContext(L)
     der_dims = {}
     for lam, mu, gamma in CANONICAL_TRIPLES:
         for k in range(2):
             for l in range(2):
-                space = derivation_space(L, lam, mu, gamma, k, l)
+                space = context.solve(lam, mu, gamma, k, l)
                 der_dims[(lam, mu, gamma, k, l)] = space.dim
     return Fingerprint(
         dim=L.n,

@@ -94,14 +94,17 @@ class Matrix:
     def __pow__(self, n):
         if self.rows != self.cols or n < 0:
             raise ValueError("powers need a square matrix and n >= 0")
-        result = Matrix.identity(self.rows, self.field)
+        if n == 0:
+            return Matrix.identity(self.rows, self.field)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def apply(self, vec):
         """Matrix times coordinate vector (columns hold basis images)."""

@@ -160,16 +160,15 @@ def is_characteristically_nilpotent(L):
         L.field))[1]
 
 
-def _strictly_central_maps(L):
-    """Members of both the centroid and the derivation space at exponents
-    (0,0) whose image lies in the central part of the derived subalgebra
-    and which kill the derived subalgebra.
+def _strictly_central_maps(L, gamma00):
+    """Members of both the centroid gamma00 and the derivation space at
+    exponents (0,0) whose image lies in the central part of the derived
+    subalgebra and which kill the derived subalgebra.
 
     The maps with that image and kernel are spanned by t w^T, with t in
     the intersection of the center and L^2 and w in the annihilator of L^2.
     """
     one = L.field.one()
-    gamma00 = centroid(L, 0, 0).space
     der00 = derivation_space(L, one, one, one, 0, 0).space
     pool = gamma00.intersection(der00)
     if pool.dim == 0:
@@ -206,7 +205,7 @@ def is_small_centroid(L, mode="strict"):
     """
     gamma00 = centroid(L, 0, 0).space
     if mode == "strict":
-        k = _strictly_central_maps(L)
+        k = _strictly_central_maps(L, gamma00)
         gens = [Matrix.identity(L.n, L.field)] + list(k.basis)
     elif mode == "cder_span":
         cder = central_derivations(L, 0, 0).space

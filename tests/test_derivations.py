@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 import bihomlie as bh
-from bihomlie import BiHomLieAlgebra, heisenberg
-from bihomlie.fields import GF, QQ
-from bihomlie.linalg import Matrix, MatrixSubspace
+from bihomlie import BiHomLieAlgebra, catalog, derivations, heisenberg
+from bihomlie.derivations import _commutation_rows
+from bihomlie.fields import GF, QQ, ReductionError
+from bihomlie.linalg import (Matrix, MatrixSubspace, matrix_from_vector,
+                             nullspace_basis)
 
 
 IDENT = [[1, 0], [0, 1]]
@@ -368,3 +370,117 @@ def test_count_members_matches_dimension_f2_f3():
             count = bh.count_members_fp(L, lam, mu, ga)
             dim = bh.derivation_space(L, lam, mu, ga).dim
             assert count == p ** dim
+
+
+# --- dense reference solver ------------------------------------------------
+
+CANONICAL_TRIPLES = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1),
+                     (0, 1, 0), (0, 1, 1), (1, 1, -1), (0, 1, -1))
+
+
+def _bracket_rows(L, lam, mu, gamma, m):
+    """The bracket identity over all n^2 entries of d (row-major), one row
+    per (i, j, s): the dense n^5 assembly the solver used before it moved
+    to commutant coordinates, with zero terms skipped."""
+    n = L.n
+    zero = L.field.zero()
+    c = L.structure
+    me = m.entries
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for s in range(n):
+                row = [zero] * (n * n)
+                for b in range(n):
+                    if c[i][j][b]:
+                        row[s * n + b] = row[s * n + b] + lam * c[i][j][b]
+                    acc = zero
+                    for u in range(n):
+                        if c[b][u][s]:
+                            acc = acc + me[u][j] * c[b][u][s]
+                    if acc:
+                        row[b * n + i] = row[b * n + i] - mu * acc
+                    acc = zero
+                    for t in range(n):
+                        if c[t][b][s]:
+                            acc = acc + me[t][i] * c[t][b][s]
+                    if acc:
+                        row[b * n + j] = row[b * n + j] - gamma * acc
+                rows.append(row)
+    return rows
+
+
+def _reference_spaces(L, k, l):
+    """Triple -> space from the dense system over all n^2 entries of d.
+
+    _bracket_rows is linear in (lam, mu, gamma), so it is assembled once
+    per unit triple and each canonical triple combines the three; zero
+    rows are dropped, which leaves the nullspace as it is.
+    """
+    f = L.field
+    zero, one = f.zero(), f.one()
+    m = Matrix.identity(L.n, f)   # alpha^k beta^l by repeated products
+    for factor in [L.alpha] * k + [L.beta] * l:
+        m = m * factor
+    units = [_bracket_rows(L, *coeffs, m) for coeffs in
+             ((one, zero, zero), (zero, one, zero), (zero, zero, one))]
+    live = [rows for rows in zip(*units) if any(map(any, rows))]
+    commutation = [row for row in _commutation_rows(L) if any(row)]
+    spaces = {}
+    for triple in CANONICAL_TRIPLES:
+        lam, mu, gamma = (f.coerce(x) for x in triple)
+        rows = commutation + [
+            [lam * a + mu * b + gamma * c if a or b or c else zero
+             for a, b, c in zip(*rows)]
+            for rows in live]
+        rows = [row for row in rows if any(row)] or [[zero] * (L.n * L.n)]
+        sols = nullspace_basis(Matrix(rows, f))
+        spaces[triple] = MatrixSubspace(
+            L.n, [matrix_from_vector(v, L.n, f) for v in sols], f)
+    return spaces
+
+
+def _reference_algebras():
+    """Pinned catalog instances, their mod-3 reductions, and twisted
+    Heisenberg at m = 1, 2 off and on the locus a = b^2, x = y^2."""
+    rational = [catalog.build(fid, params) for fid in catalog.family_ids()
+                for params in catalog.pinned_samples(fid)]
+    reduced = []
+    for L in rational:
+        try:
+            reduced.append(bh.reduce_mod_p(L, 3))
+        except ReductionError:
+            pass
+    heis = [heisenberg(1, 12, 27, [2], [3]), heisenberg(1, 4, 9, [2], [3]),
+            heisenberg(2, -6, -10, [2, 3], [2, 5]),
+            heisenberg(2, 4, 9, [2, -2], [3, -3])]
+    return rational + reduced + heis
+
+
+def test_commutant_coordinates_match_dense_reference():
+    algebras = _reference_algebras()
+    assert len(algebras) == 69 + 68 + 4
+    for L in algebras:
+        # derivation_space solves on a fresh SolveContext; one context per
+        # algebra runs the same solve at an eighth of the commutant solves
+        context = derivations.SolveContext(L)
+        for k, l in ((0, 0), (1, 1), (2, 1)):
+            want = _reference_spaces(L, k, l)
+            for triple in CANONICAL_TRIPLES:
+                got = context.solve(*triple, k, l)
+                assert got.space == want[triple], (L, triple, k, l)
+            got = bh.derivation_space(L, 1, 1, 1, k, l)
+            assert got.space == want[(1, 1, 1)], (L, k, l)
+
+
+def test_dropped_gamma_block_is_caught(monkeypatch):
+    build = derivations.SolveContext._residual_blocks
+
+    def without_gamma(self, m):
+        lam_block, mu_block, _ = build(self, m)
+        return lam_block, mu_block, []
+
+    monkeypatch.setattr(derivations.SolveContext, "_residual_blocks",
+                        without_gamma)
+    with pytest.raises(bh.MembershipError):
+        bh.derivation_space(heisenberg(1, 12, 27, [2], [3]), 1, 1, 1, 1, 1)

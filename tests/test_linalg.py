@@ -160,6 +160,24 @@ def test_matrix_power():
     assert m ** 3 == mat([[1, 3], [0, 1]])
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_matrix_power_matches_repeated_products(field):
+    m = Matrix([[1, 2, 0], [0, 2, 1], [1, 0, 2]], field)
+    product = Matrix.identity(3, field)
+    for n in range(7):
+        assert m ** n == product
+        product = product * m
+
+
+def test_matrix_power_refuses_non_square_and_negative():
+    with pytest.raises(ValueError):
+        mat([[1, 2]]) ** 2
+    with pytest.raises(ValueError):
+        mat([[1, 2]]) ** 0
+    with pytest.raises(ValueError):
+        mat([[1, 0], [0, 1]]) ** -1
+
+
 def test_apply_uses_columns_as_images():
     m = mat([[0, 2], [1, 0]])
     # image of e1 is first column (0, 1)
