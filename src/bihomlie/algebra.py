@@ -7,12 +7,14 @@ not enforce the axioms; the check_* operations produce diagnostics so that
 candidate non-algebras can be represented and rejected.
 
 Every axiom is evaluated by two independent routes: once through the
-structure-constant identities (sums over the c/a/b tables) and once through
-direct evaluation on basis tuples via matrix application. check_all compares
-the two verdicts and refuses to return if they ever disagree; the redundancy
-exists because the index bookkeeping of the twisted Jacobi sum is easy to
-get wrong in exactly one of the two forms.
+structure-constant identities, summed over the nonzero constants and twist
+entries only, and once through direct evaluation on basis tuples via matrix
+application. check_all compares the two verdicts and refuses to return if
+they ever disagree; the redundancy exists because the index bookkeeping of
+the twisted Jacobi sum is easy to get wrong in exactly one of the two forms.
 """
+
+from collections import defaultdict
 
 from .fields import QQ, FieldMismatchError
 from .linalg import Matrix, invert, is_invertible
@@ -80,20 +82,45 @@ def _coerce_table(table, field):
 
 
 def _table_bracket(table, x, y, zero):
-    """[x, y] under a structure table, skipping zero coordinates."""
-    n = len(table)
-    out = [zero] * n
-    for i in range(n):
-        if x[i] == zero:
+    """[x, y] under a structure table, skipping zero coordinates and zero
+    structure constants."""
+    out = [zero] * len(table)
+    y_support = [(j, v) for j, v in enumerate(y) if v != zero]
+    for i, u in enumerate(x):
+        if u == zero:
             continue
-        for j in range(n):
-            if y[j] == zero:
-                continue
-            coeff = x[i] * y[j]
-            row = table[i][j]
-            for s in range(n):
-                out[s] = out[s] + coeff * row[s]
+        plane = table[i]
+        for j, v in y_support:
+            coeff = u * v
+            for s, c in enumerate(plane[j]):
+                if c != zero:
+                    out[s] = out[s] + coeff * c
     return tuple(out)
+
+
+def _constants(table, zero):
+    """The nonzero structure constants as (p, q, s, c_pq^s)."""
+    return [(p, q, s, c) for p, plane in enumerate(table)
+            for q, row in enumerate(plane)
+            for s, c in enumerate(row) if c != zero]
+
+
+def _row_support(m, zero):
+    """Per row p of matrix entries m, the nonzero (i, m_pi)."""
+    return [[(i, x) for i, x in enumerate(row) if x != zero] for row in m]
+
+
+def _first_violation(kind, totals, zero):
+    """(kind, 1-based key, total) at the smallest key with a nonzero total,
+    the tuple a loop in index order reaches first; None when there is none."""
+    key = min((k for k, v in totals.items() if v != zero), default=None)
+    return None if key is None else (kind, tuple(i + 1 for i in key),
+                                     totals[key])
+
+
+def _cyclic_keys(i, j, k, r):
+    """The Jacobi totals that the outer sum O(i,j,k,r) enters."""
+    return ((i, j, k, r), (k, i, j, r), (j, k, i, r))
 
 
 def _conjugate(table, a, b, zero):
@@ -101,36 +128,30 @@ def _conjugate(table, a, b, zero):
     basis images): cell (i,j) is sum_{p,q} a_{pi} b_{qj} table[p][q]."""
     n = len(table)
     new = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cell = new[i][j]
-            for p in range(n):
-                if a[p][i] == zero:
-                    continue
-                for q in range(n):
-                    coeff = a[p][i] * b[q][j]
-                    if coeff == zero:
-                        continue
-                    row = table[p][q]
-                    for s in range(n):
-                        cell[s] = cell[s] + coeff * row[s]
+    a_rows, b_rows = _row_support(a, zero), _row_support(b, zero)
+    for p, q, s, c in _constants(table, zero):
+        for i, x in a_rows[p]:
+            for j, y in b_rows[q]:
+                new[i][j][s] = new[i][j][s] + x * y * c
     return tuple(tuple(tuple(r) for r in plane) for plane in new)
 
 
-def _morphism_violation(table, m, zero):
-    """First ((i,j,s), residual) where m([e_i,e_j]) != [m e_i, m e_j] under
-    the table, m given by its entries; None when m is a morphism."""
-    n = len(table)
-    image = _conjugate(table, m, m, zero)
-    for i in range(n):
-        for j in range(n):
-            for s in range(n):
-                lhs = zero
-                for k in range(n):
-                    lhs = lhs + table[i][j][k] * m[s][k]
-                if lhs != image[i][j][s]:
-                    return (i, j, s), lhs - image[i][j][s]
-    return None
+def _morphism_violation(table, m, zero, kind):
+    """First (kind, 1-based (i,j,s), residual) with m([e_i,e_j]) != [m e_i,
+    m e_j] under the table, m given by its entries, or None. The residual
+    is sum_k c_ij^k m_sk - sum_{p,q} m_pi m_qj c_pq^s."""
+    constants = _constants(table, zero)
+    rows = _row_support(m, zero)
+    cols = _row_support(tuple(zip(*m)), zero)
+    totals = defaultdict(lambda: zero)
+    for i, j, k, c in constants:
+        for s, x in cols[k]:
+            totals[i, j, s] += c * x
+    for p, q, s, c in constants:
+        for i, x in rows[p]:
+            for j, y in rows[q]:
+                totals[i, j, s] -= x * y * c
+    return _first_violation(kind, totals, zero)
 
 
 class BiHomLieAlgebra:
@@ -188,19 +209,18 @@ class BiHomLieAlgebra:
     def check_skew_symmetry(self):
         """Twisted skew-symmetry. Returns (ok, first_violation)."""
         n, zero = self.n, self.field.zero()
-        a, b, c = self.alpha.entries, self.beta.entries, self.structure
-        table_verdict, table_first = True, None
-        for i in range(n):
-            for j in range(n):
-                for s in range(n):
-                    total = zero
-                    for p in range(n):
-                        for q in range(n):
-                            total = total + (b[p][i] * a[q][j]
-                                             + b[p][j] * a[q][i]) * c[p][q][s]
-                    if total != zero and table_verdict:
-                        table_verdict = False
-                        table_first = ("skew", (i + 1, j + 1, s + 1), total)
+        # sum_{p,q} (b_pi a_qj + b_pj a_qi) c_pq^s for every (i, j, s)
+        a_rows = _row_support(self.alpha.entries, zero)
+        b_rows = _row_support(self.beta.entries, zero)
+        totals = defaultdict(lambda: zero)
+        for p, q, s, c in _constants(self.structure, zero):
+            for i, x in b_rows[p]:
+                for j, y in a_rows[q]:
+                    term = x * y * c
+                    totals[i, j, s] += term
+                    totals[j, i, s] += term
+        table_first = _first_violation("skew", totals, zero)
+        table_verdict = table_first is None
         basis_verdict = True
         for i in range(n):
             bi = self.beta.apply(_unit(n, i, self.field))
@@ -219,48 +239,30 @@ class BiHomLieAlgebra:
     def check_bihom_jacobi(self):
         """Twisted Jacobi identity. Returns (ok, first_violation)."""
         n, zero = self.n, self.field.zero()
-        a, b, c = self.alpha.entries, self.beta.entries, self.structure
-        beta2 = (self.beta * self.beta).entries
-        # inner[j][k][l] = sum_{q,s} b_{qj} a_{sk} c_{qs}^l, then the full
-        # quintuple sum is sum_{p,l} beta2_{pi} inner[j][k][l] c_{pl}^r
-        # plus its two cyclic shifts of (i,j,k); this factoring evaluates
-        # the same polynomial with fewer multiplications.
-        inner = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        for j in range(n):
-            for k in range(n):
-                for q in range(n):
-                    if b[q][j] == zero:
-                        continue
-                    for s in range(n):
-                        coeff = b[q][j] * a[s][k]
-                        if coeff == zero:
-                            continue
-                        row = c[q][s]
-                        for l in range(n):
-                            inner[j][k][l] = inner[j][k][l] + coeff * row[l]
-
-        def outer(i, j, k, r):
-            total = zero
-            for p in range(n):
-                if beta2[p][i] == zero:
-                    continue
-                for l in range(n):
-                    total = total + beta2[p][i] * inner[j][k][l] * c[p][l][r]
-            return total
-
-        table_verdict, table_first = True, None
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for r in range(n):
-                        total = (outer(i, j, k, r) + outer(j, k, i, r)
-                                 + outer(k, i, j, r))
-                        if total != zero:
-                            table_verdict = False
-                            if table_first is None:
-                                table_first = ("jacobi",
-                                               (i + 1, j + 1, k + 1, r + 1),
-                                               total)
+        constants = _constants(self.structure, zero)
+        a_rows = _row_support(self.alpha.entries, zero)
+        b_rows = _row_support(self.beta.entries, zero)
+        b2_rows = _row_support((self.beta * self.beta).entries, zero)
+        # inner(j,k,l) = sum_{q,s} b_qj a_sk c_qs^l, then the outer sum
+        # O(i,j,k,r) = sum_{p,l} beta2_pi inner(j,k,l) c_pl^r; the Jacobi
+        # total at (i,j,k,r) is O there plus its two cyclic shifts of (i,j,k)
+        inner = defaultdict(lambda: zero)
+        for q, s, l, c in constants:
+            for j, x in b_rows[q]:
+                for k, y in a_rows[s]:
+                    inner[j, k, l] += x * y * c
+        by_middle = [[] for _ in range(n)]
+        for p, l, r, c in constants:
+            by_middle[l].append((p, r, c))
+        totals = defaultdict(lambda: zero)
+        for (j, k, l), w in inner.items():
+            for p, r, c in by_middle[l]:
+                for i, x in b2_rows[p]:
+                    term = x * w * c
+                    for key in _cyclic_keys(i, j, k, r):
+                        totals[key] += term
+        table_first = _first_violation("jacobi", totals, zero)
+        table_verdict = table_first is None
         basis_verdict = True
         units = [_unit(n, i, self.field) for i in range(n)]
         b2 = [(self.beta * self.beta).apply(u) for u in units]
@@ -281,16 +283,12 @@ class BiHomLieAlgebra:
     def check_multiplicative(self):
         """Both twists are bracket endomorphisms. Returns (ok, first)."""
         n, zero = self.n, self.field.zero()
-        table_verdict, table_first = True, None
-        for name, m in (("alpha", self.alpha.entries),
-                        ("beta", self.beta.entries)):
-            found = _morphism_violation(self.structure, m, zero)
-            if found is not None:
-                (i, j, s), residual = found
-                table_verdict = False
-                table_first = ("multiplicative-" + name,
-                               (i + 1, j + 1, s + 1), residual)
+        for name, m in (("alpha", self.alpha), ("beta", self.beta)):
+            table_first = _morphism_violation(self.structure, m.entries, zero,
+                                              "multiplicative-" + name)
+            if table_first is not None:
                 break
+        table_verdict = table_first is None
         basis_verdict = True
         units = [_unit(n, i, self.field) for i in range(n)]
         for m in (self.alpha, self.beta):
@@ -375,7 +373,7 @@ def yau_twist(table, alpha, beta, field=QQ):
         raise TwistError("twist maps do not commute")
     zero = field.zero()
     for name, m in (("alpha", alpha), ("beta", beta)):
-        if _morphism_violation(table, m.entries, zero) is not None:
+        if _morphism_violation(table, m.entries, zero, name) is not None:
             raise TwistError("%s is not a morphism of the input bracket" % name)
     twisted = _conjugate(table, alpha.entries, beta.entries, zero)
     return BiHomLieAlgebra(twisted, alpha, beta, field)

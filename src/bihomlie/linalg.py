@@ -110,11 +110,11 @@ class Matrix:
         """Matrix times coordinate vector (columns hold basis images)."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        vec = [self.field.coerce(x) for x in vec]
-        return tuple(
-            sum((self.entries[i][j] * vec[j] for j in range(self.cols)),
-                self.field.zero())
-            for i in range(self.rows))
+        zero = self.field.zero()
+        support = [(j, x) for j, x in enumerate(map(self.field.coerce, vec))
+                   if x != zero]
+        return tuple(sum((row[j] * x for j, x in support), zero)
+                     for row in self.entries)
 
     def transpose(self):
         return Matrix([self.col(j) for j in range(self.cols)], self.field)
@@ -169,12 +169,16 @@ def rref(m):
         if pivot_row is None:
             continue
         work[pr], work[pivot_row] = work[pivot_row], work[pr]
-        inv = work[pr][pc]
-        work[pr] = [x / inv for x in work[pr]]
-        for r in range(m.rows):
-            if r != pr and work[r][pc] != zero:
-                factor = work[r][pc]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[pr])]
+        row, inv = work[pr], work[pr][pc]
+        # the pivot row is zero left of pc: only its nonzero columns change
+        support = [c for c in range(pc, m.cols) if row[c] != zero]
+        for c in support:
+            row[c] = row[c] / inv
+        for other in work:
+            factor = other[pc]
+            if other is not row and factor != zero:
+                for c in support:
+                    other[c] = other[c] - factor * row[c]
         pivots.append(pc)
         pr += 1
         if pr == m.rows:

@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 
 import bihomlie as bh
-from bihomlie import (BiHomLieAlgebra, NotLieError, TwistError,
-                      derivation_extension, direct_sum, heisenberg,
-                      induced_lie, structure_table, yau_twist)
-from bihomlie.fields import QQ
+from bihomlie import (BiHomLieAlgebra, CrossCheckError, NotLieError,
+                      TwistError, derivation_extension, direct_sum,
+                      heisenberg, induced_lie, structure_table, yau_twist)
+from bihomlie import algebra as algebra_module
+from bihomlie.algebra import _conjugate
+from bihomlie.fields import GF, QQ
+from bihomlie.linalg import Matrix
 
 
 IDENT = [[1, 0], [0, 1]]
@@ -312,3 +315,197 @@ def test_direct_sum_reproduces_single_line_family():
     L31 = BiHomLieAlgebra.from_brackets(2, {(1, 1, 1): 1}, [[0, 0], [0, 2]],
                                         [[0, 0], [0, 3]])
     assert S == L31
+
+
+# --- sparse table routes against the dense index sums ----------------------
+#
+# The table routes of check_all run over the nonzero structure constants.
+# The dense loops below evaluate the same identities as full index sums in
+# index order; they are the reference the sparse routes are compared with,
+# verdict and first violation (indices and exact residual) alike.
+
+def dense_skew(L):
+    """First (i,j,s) with sum_{p,q} (b_pi a_qj + b_pj a_qi) c_pq^s != 0."""
+    n, zero = L.n, L.field.zero()
+    a, b, c = L.alpha.entries, L.beta.entries, L.structure
+    for i in range(n):
+        for j in range(n):
+            for s in range(n):
+                total = zero
+                for p in range(n):
+                    for q in range(n):
+                        total = total + (b[p][i] * a[q][j]
+                                         + b[p][j] * a[q][i]) * c[p][q][s]
+                if total != zero:
+                    return False, ("skew", (i + 1, j + 1, s + 1), total)
+    return True, None
+
+
+def dense_jacobi(L):
+    """First (i,j,k,r) where the BiHom-Jacobi sum is nonzero: the sum over
+    p, l of beta2_pi inner[j][k][l] c_pl^r plus its two cyclic shifts of
+    (i,j,k), with inner[j][k][l] = sum_{q,s} b_qj a_sk c_qs^l."""
+    n, zero = L.n, L.field.zero()
+    a, b, c = L.alpha.entries, L.beta.entries, L.structure
+    beta2 = (L.beta * L.beta).entries
+    inner = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for k in range(n):
+            for q in range(n):
+                if b[q][j] == zero:
+                    continue
+                for s in range(n):
+                    coeff = b[q][j] * a[s][k]
+                    if coeff == zero:
+                        continue
+                    row = c[q][s]
+                    for l in range(n):
+                        inner[j][k][l] = inner[j][k][l] + coeff * row[l]
+
+    def outer(i, j, k, r):
+        total = zero
+        for p in range(n):
+            if beta2[p][i] == zero:
+                continue
+            for l in range(n):
+                total = total + beta2[p][i] * inner[j][k][l] * c[p][l][r]
+        return total
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for r in range(n):
+                    total = (outer(i, j, k, r) + outer(j, k, i, r)
+                             + outer(k, i, j, r))
+                    if total != zero:
+                        return False, ("jacobi",
+                                       (i + 1, j + 1, k + 1, r + 1), total)
+    return True, None
+
+
+def dense_morphism_violation(table, m, zero):
+    """First ((i,j,s), m([e_i,e_j]) - [m e_i, m e_j] at s), or None."""
+    n = len(table)
+    image = _conjugate(table, m, m, zero)
+    for i in range(n):
+        for j in range(n):
+            for s in range(n):
+                lhs = zero
+                for k in range(n):
+                    lhs = lhs + table[i][j][k] * m[s][k]
+                if lhs != image[i][j][s]:
+                    return (i, j, s), lhs - image[i][j][s]
+    return None
+
+
+def dense_multiplicative(L):
+    zero = L.field.zero()
+    for name, m in (("alpha", L.alpha), ("beta", L.beta)):
+        found = dense_morphism_violation(L.structure, m.entries, zero)
+        if found is not None:
+            (i, j, s), residual = found
+            return False, ("multiplicative-" + name, (i + 1, j + 1, s + 1),
+                           residual)
+    return True, None
+
+
+def _random_algebra(rng, n, field):
+    """A random n-dim table and pair of twists, mostly not an algebra.
+
+    Tables are sparse, and skew-symmetric half of the time; each twist is
+    the identity, diagonal or sparse, so some inputs pass some axioms.
+    """
+    values = (1, -1, 2, Fraction(1, 2))
+    entries = {}
+    skew = rng.random() < 0.5
+    for i in range(1, n + 1):
+        for j in range(i + 1 if skew else 1, n + 1):
+            for k in range(1, n + 1):
+                if rng.random() < 0.25:
+                    v = rng.choice(values)
+                    entries[(i, j, k)] = v
+                    if skew:
+                        entries[(j, i, k)] = -v
+
+    def twist():
+        kind = rng.random()
+        if kind < 0.3:
+            return [[int(i == j) for j in range(n)] for i in range(n)]
+        if kind < 0.6:
+            return [[rng.choice(values) if i == j else 0 for j in range(n)]
+                    for i in range(n)]
+        return [[rng.choice(values) if rng.random() < 0.4 else 0
+                 for j in range(n)] for i in range(n)]
+
+    return BiHomLieAlgebra.from_brackets(n, entries, twist(), twist(), field)
+
+
+def _random_algebras(seed, count):
+    rng = random.Random(seed)
+    return [_random_algebra(rng, n, field)
+            for field in (QQ, GF(3)) for n in (2, 3) for _ in range(count)]
+
+
+def _broken_heisenbergs():
+    """Twisted Heisenberg algebras with m = 1, 2 over Q and mod 5, each
+    also with a unit added to one entry of alpha (or beta), which breaks
+    some of the axioms at dimension 5."""
+    out = []
+    for field in (QQ, GF(5)):
+        for m, (a, x, b, y) in ((1, (4, 9, [2], [3])),
+                                (2, (-3, -2, [2, 3], [4, 7]))):
+            H = heisenberg(m, a, x, b, y, field)
+            out.append(H)
+            bump = Matrix.unit(H.n, 0, H.n - 1, field)
+            out.append(BiHomLieAlgebra(H.structure, H.alpha + bump, H.beta,
+                                       field))
+            out.append(BiHomLieAlgebra(H.structure, H.alpha, H.beta + bump,
+                                       field))
+    return out
+
+
+def _differential(algebras):
+    """(comparisons, violations, mismatches) of the sparse table routes
+    against the dense references; a CrossCheckError is a mismatch."""
+    comparisons = violations = 0
+    mismatches = []
+    for L in algebras:
+        for method, reference in ((L.check_skew_symmetry, dense_skew),
+                                  (L.check_bihom_jacobi, dense_jacobi),
+                                  (L.check_multiplicative,
+                                   dense_multiplicative)):
+            expected = reference(L)
+            try:
+                got = method()
+            except CrossCheckError as exc:
+                got = exc
+            comparisons += 1
+            violations += not expected[0]
+            if got != expected:
+                mismatches.append((L, method.__name__, got, expected))
+    return comparisons, violations, mismatches
+
+
+def test_sparse_table_routes_match_dense_reference_on_random_tables():
+    comparisons, violations, mismatches = _differential(
+        _random_algebras(seed=2020, count=60))
+    assert mismatches == []
+    assert comparisons == 720
+    # most inputs fail an axiom, and enough of them pass one
+    assert comparisons // 2 < violations < comparisons - 60
+
+
+def test_sparse_table_routes_match_dense_reference_on_heisenberg():
+    algebras = _broken_heisenbergs()
+    comparisons, violations, mismatches = _differential(algebras)
+    assert mismatches == []
+    assert all(H.check_all().passed for H in algebras[::3])
+    assert 0 < violations < comparisons
+
+
+def test_differential_catches_a_dropped_cyclic_shift(monkeypatch):
+    # a Jacobi accumulation that forgets the (j,k,i) shift must be caught
+    monkeypatch.setattr(algebra_module, "_cyclic_keys",
+                        lambda i, j, k, r: ((i, j, k, r), (k, i, j, r)))
+    _, _, mismatches = _differential(_random_algebras(seed=2020, count=10))
+    assert mismatches

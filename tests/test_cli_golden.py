@@ -1,10 +1,12 @@
-"""Byte-for-byte CLI output on two fixture algebras.
+"""Byte-for-byte CLI output on fixture algebras.
 
 Each case runs one subcommand with ``--output records`` and compares the
 whole of standard output with ``tests/golden/<case>.txt``. The fixtures are
 the catalog's L_1^10 over the rationals and a 3-dimensional twisted
-Heisenberg algebra reduced mod 3. After a deliberate output change, rewrite
-the expected files with
+Heisenberg algebra reduced mod 3, on every subcommand; and three
+non-algebras under ``check`` alone, each failing one axiom first (skew,
+Jacobi, multiplicativity), which pins the indices of the first violation.
+After a deliberate output change, rewrite the expected files with
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
 """
@@ -38,6 +40,9 @@ def _per_fixture(tag, path):
 CASES = [case for tag, name in FIXTURES.items()
          for case in _per_fixture(tag, os.path.join(GOLDEN, name))]
 CASES.append(("catalog_l_1_13", ["catalog", "--entry", "L_1^13"], 0))
+CASES.extend(("%s_check" % name,
+              ["check", os.path.join(GOLDEN, name + ".json")], 1)
+             for name in ("skew_fail", "jacobi_fail", "mult_fail"))
 
 
 def _run(argv):
