@@ -316,26 +316,21 @@ def derivation_grid(L, lam, mu, gamma, k_max=3, l_max=3):
     return spaces, union
 
 
-def count_members_fp(L, lam, mu, gamma, k=0, l=0, *, max_candidates=10000):
+def count_members_fp(L, lam, mu, gamma, k=0, l=0):
     """Exhaustively count members over a prime field; the completeness oracle.
 
     Enumerates every n x n matrix over F_p (p^(n^2) candidates) and counts
-    those passing verify_derivation; the callers run n = 2 over F_2 or F_3,
-    16 or 81 candidates. A scan of more than max_candidates candidates (no
-    limit for None) is refused before it starts.
+    those passing verify_derivation. Intended for p in {2,3} and n = 2,
+    where the scan is 16 or 81 candidates.
     """
     field = L.field
     p = field.characteristic
     if not p:
         raise ValueError("exhaustive enumeration needs a prime field")
     n = L.n
-    total = p ** (n * n)
-    if max_candidates is not None and total > max_candidates:
-        raise ValueError("census of %d^%d = %d candidates exceeds "
-                         "max_candidates=%d" % (p, n * n, total,
-                                                max_candidates))
     residues = [field(v) for v in range(p)]
     count = 0
+    total = p ** (n * n)
     for idx in range(total):
         entries = []
         v = idx

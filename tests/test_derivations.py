@@ -372,33 +372,6 @@ def test_count_members_matches_dimension_f2_f3():
             assert count == p ** dim
 
 
-def _refuse_scan(*args, **kwargs):
-    raise AssertionError("the census started a scan")
-
-
-def test_count_members_budget_refuses_before_scanning(monkeypatch):
-    monkeypatch.setattr(derivations, "verify_derivation", _refuse_scan)
-    L3 = BiHomLieAlgebra.from_brackets(2, {(1, 1, 1): 1}, [[0, 0], [0, 1]],
-                                       [[0, 0], [0, 1]], field=GF(3))
-    with pytest.raises(ValueError, match="3\\^4 = 81 candidates exceeds "
-                                         "max_candidates=80"):
-        bh.count_members_fp(L3, 1, 1, 0, max_candidates=80)
-    for p, n in ((5, 3), (3, 4)):
-        ident = Matrix.identity(n, GF(p))
-        L = BiHomLieAlgebra.from_brackets(n, {}, ident, ident, field=GF(p))
-        with pytest.raises(ValueError, match="exceeds max_candidates=10000"):
-            bh.count_members_fp(L, 1, 1, 0)
-
-
-def test_count_members_budget_override():
-    L = BiHomLieAlgebra.from_brackets(2, {(1, 1, 1): 1, (2, 1, 1): 1},
-                                      [[0, 0], [0, 1]], [[0, 0], [0, 1]],
-                                      field=GF(3))
-    default = bh.count_members_fp(L, 1, 1, 0)
-    assert bh.count_members_fp(L, 1, 1, 0, max_candidates=81) == default
-    assert bh.count_members_fp(L, 1, 1, 0, max_candidates=None) == default
-
-
 # --- dense reference solver ------------------------------------------------
 
 CANONICAL_TRIPLES = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1),
