@@ -85,35 +85,35 @@ def _table_bracket(table, x, y, zero):
     """[x, y] under a structure table, skipping zero coordinates and zero
     structure constants."""
     out = [zero] * len(table)
-    y_support = [(j, v) for j, v in enumerate(y) if v != zero]
+    y_support = [(j, v) for j, v in enumerate(y) if v]
     for i, u in enumerate(x):
-        if u == zero:
+        if not u:
             continue
         plane = table[i]
         for j, v in y_support:
             coeff = u * v
             for s, c in enumerate(plane[j]):
-                if c != zero:
+                if c:
                     out[s] = out[s] + coeff * c
     return tuple(out)
 
 
-def _constants(table, zero):
+def _constants(table):
     """The nonzero structure constants as (p, q, s, c_pq^s)."""
     return [(p, q, s, c) for p, plane in enumerate(table)
             for q, row in enumerate(plane)
-            for s, c in enumerate(row) if c != zero]
+            for s, c in enumerate(row) if c]
 
 
-def _row_support(m, zero):
+def _row_support(m):
     """Per row p of matrix entries m, the nonzero (i, m_pi)."""
-    return [[(i, x) for i, x in enumerate(row) if x != zero] for row in m]
+    return [[(i, x) for i, x in enumerate(row) if x] for row in m]
 
 
-def _first_violation(kind, totals, zero):
+def _first_violation(kind, totals):
     """(kind, 1-based key, total) at the smallest key with a nonzero total,
     the tuple a loop in index order reaches first; None when there is none."""
-    key = min((k for k, v in totals.items() if v != zero), default=None)
+    key = min((k for k, v in totals.items() if v), default=None)
     return None if key is None else (kind, tuple(i + 1 for i in key),
                                      totals[key])
 
@@ -128,8 +128,8 @@ def _conjugate(table, a, b, zero):
     basis images): cell (i,j) is sum_{p,q} a_{pi} b_{qj} table[p][q]."""
     n = len(table)
     new = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    a_rows, b_rows = _row_support(a, zero), _row_support(b, zero)
-    for p, q, s, c in _constants(table, zero):
+    a_rows, b_rows = _row_support(a), _row_support(b)
+    for p, q, s, c in _constants(table):
         for i, x in a_rows[p]:
             for j, y in b_rows[q]:
                 new[i][j][s] = new[i][j][s] + x * y * c
@@ -140,9 +140,9 @@ def _morphism_violation(table, m, zero, kind):
     """First (kind, 1-based (i,j,s), residual) with m([e_i,e_j]) != [m e_i,
     m e_j] under the table, m given by its entries, or None. The residual
     is sum_k c_ij^k m_sk - sum_{p,q} m_pi m_qj c_pq^s."""
-    constants = _constants(table, zero)
-    rows = _row_support(m, zero)
-    cols = _row_support(tuple(zip(*m)), zero)
+    constants = _constants(table)
+    rows = _row_support(m)
+    cols = _row_support(tuple(zip(*m)))
     totals = defaultdict(lambda: zero)
     for i, j, k, c in constants:
         for s, x in cols[k]:
@@ -151,12 +151,12 @@ def _morphism_violation(table, m, zero, kind):
         for i, x in rows[p]:
             for j, y in rows[q]:
                 totals[i, j, s] -= x * y * c
-    return _first_violation(kind, totals, zero)
+    return _first_violation(kind, totals)
 
 
 class BiHomLieAlgebra:
 
-    __slots__ = ("n", "field", "structure", "alpha", "beta")
+    __slots__ = ("n", "field", "structure", "alpha", "beta", "_solver")
 
     def __init__(self, structure, alpha, beta, field=None):
         if field is None:
@@ -180,6 +180,7 @@ class BiHomLieAlgebra:
         self.structure = table
         self.alpha = alpha
         self.beta = beta
+        self._solver = None     # derivations._solver builds it on first use
 
     @classmethod
     def from_brackets(cls, n, entries, alpha, beta, field=QQ):
@@ -210,26 +211,25 @@ class BiHomLieAlgebra:
         """Twisted skew-symmetry. Returns (ok, first_violation)."""
         n, zero = self.n, self.field.zero()
         # sum_{p,q} (b_pi a_qj + b_pj a_qi) c_pq^s for every (i, j, s)
-        a_rows = _row_support(self.alpha.entries, zero)
-        b_rows = _row_support(self.beta.entries, zero)
+        a_rows = _row_support(self.alpha.entries)
+        b_rows = _row_support(self.beta.entries)
         totals = defaultdict(lambda: zero)
-        for p, q, s, c in _constants(self.structure, zero):
+        for p, q, s, c in _constants(self.structure):
             for i, x in b_rows[p]:
                 for j, y in a_rows[q]:
                     term = x * y * c
                     totals[i, j, s] += term
                     totals[j, i, s] += term
-        table_first = _first_violation("skew", totals, zero)
+        table_first = _first_violation("skew", totals)
         table_verdict = table_first is None
         basis_verdict = True
+        units = [_unit(n, i, self.field) for i in range(n)]
+        bu = [self.beta.apply(u) for u in units]
+        au = [self.alpha.apply(u) for u in units]
         for i in range(n):
-            bi = self.beta.apply(_unit(n, i, self.field))
-            ai = self.alpha.apply(_unit(n, i, self.field))
             for j in range(i, n):
-                bj = self.beta.apply(_unit(n, j, self.field))
-                aj = self.alpha.apply(_unit(n, j, self.field))
-                lhs = self.bracket(bi, aj)
-                rhs = self.bracket(bj, ai)
+                lhs = self.bracket(bu[i], au[j])
+                rhs = self.bracket(bu[j], au[i])
                 if any(u + v != zero for u, v in zip(lhs, rhs)):
                     basis_verdict = False
         if table_verdict != basis_verdict:
@@ -239,10 +239,10 @@ class BiHomLieAlgebra:
     def check_bihom_jacobi(self):
         """Twisted Jacobi identity. Returns (ok, first_violation)."""
         n, zero = self.n, self.field.zero()
-        constants = _constants(self.structure, zero)
-        a_rows = _row_support(self.alpha.entries, zero)
-        b_rows = _row_support(self.beta.entries, zero)
-        b2_rows = _row_support((self.beta * self.beta).entries, zero)
+        constants = _constants(self.structure)
+        a_rows = _row_support(self.alpha.entries)
+        b_rows = _row_support(self.beta.entries)
+        b2_rows = _row_support((self.beta * self.beta).entries)
         # inner(j,k,l) = sum_{q,s} b_qj a_sk c_qs^l, then the outer sum
         # O(i,j,k,r) = sum_{p,l} beta2_pi inner(j,k,l) c_pl^r; the Jacobi
         # total at (i,j,k,r) is O there plus its two cyclic shifts of (i,j,k)
@@ -261,11 +261,12 @@ class BiHomLieAlgebra:
                     term = x * w * c
                     for key in _cyclic_keys(i, j, k, r):
                         totals[key] += term
-        table_first = _first_violation("jacobi", totals, zero)
+        table_first = _first_violation("jacobi", totals)
         table_verdict = table_first is None
         basis_verdict = True
         units = [_unit(n, i, self.field) for i in range(n)]
-        b2 = [(self.beta * self.beta).apply(u) for u in units]
+        beta2 = self.beta * self.beta
+        b2 = [beta2.apply(u) for u in units]
         bu = [self.beta.apply(u) for u in units]
         au = [self.alpha.apply(u) for u in units]
         for i in range(n):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .algebra import BiHomLieAlgebra
-from .derivations import derivation_space
+from .derivations import centroid, derivation_space
 from .fields import QQ, parse_scalar
 from .linalg import Matrix, MatrixSubspace
 from .structure import is_characteristically_nilpotent, is_small_centroid
@@ -402,9 +402,8 @@ def verify_entry(family_id, params, k, l, algebra=None):
     if len(matched) > 1:
         verdict.notes.append(
             "guards overlap: rows %s all match" % (matched,))
-    one, zero = QQ.one(), QQ.zero()
-    cen = derivation_space(L, one, one, zero, k, l).space
-    der = derivation_space(L, one, one, one, k, l).space
+    cen = centroid(L, k, l).space
+    der = derivation_space(L, 1, 1, 1, k, l).space
     cn_value = None
     small_value = None
     for idx in matched:

@@ -23,7 +23,7 @@ from .derivations import MembershipError, derivation_space, normalize_params
 from .fields import QQ, ReductionError, format_scalar, parse_scalar
 from .isomorphism import (brute_force_iso, compare_fingerprints, fingerprint,
                           verify_isomorphism)
-from .structure import (center, derived_series,
+from .structure import (ClosureError, center, derived_series,
                         is_characteristically_nilpotent, is_nilpotent,
                         is_small_centroid, is_solvable, lower_central_series)
 
@@ -360,7 +360,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MembershipError, CrossCheckError) as exc:
+    except (MembershipError, CrossCheckError, ClosureError) as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
     except (AlgebraFileError, CatalogError, CliError, ReductionError,

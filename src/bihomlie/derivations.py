@@ -18,9 +18,11 @@ row order, is what keeps the output stable. Every basis matrix of a computed
 space is re-verified by verify_derivation, which evaluates the identity
 bracket by bracket, a route independent of the blocks.
 
-A context lives for one public call: derivation_space builds a fresh one,
-and fingerprint, derivation_grid and central_derivations share one for the
-length of their call. Nothing is cached on the algebra.
+Each algebra keeps one context, built by _solver on its first solve and
+stored in the algebra's private _solver slot; every public solve goes
+through derivation_space, so the commutant and the blocks are computed once
+per algebra. Solved spaces themselves are not kept: every call solves its
+own triple and re-verifies every basis member.
 """
 
 from .algebra import _table_bracket
@@ -85,7 +87,7 @@ def _commutation_rows(L):
 
 def twist_commutant(L):
     """Basis of all operators commuting with both twist maps."""
-    return SolveContext(L).commutant
+    return _solver(L).commutant
 
 
 def _commutes(d, m, zero):
@@ -147,9 +149,9 @@ def _nonzero_rows(entries):
 
 
 class SolveContext:
-    """Solver state for one algebra, kept for the length of one public call:
-    the nonzero structure constants, the twist commutant and, per (k, l),
-    the three residual blocks."""
+    """Solver state that depends on the algebra alone: the nonzero structure
+    constants, the twist commutant and, per (k, l), the three residual
+    blocks. Built only by _solver, once per algebra."""
 
     def __init__(self, L):
         n, field = L.n, L.field
@@ -227,29 +229,32 @@ class SolveContext:
         return DerivationSpace((lam, mu, gamma, k, l), space)
 
 
+def _solver(L):
+    """The algebra's SolveContext, built on first use and kept on L."""
+    if L._solver is None:
+        L._solver = SolveContext(L)
+    return L._solver
+
+
 def derivation_space(L, lam, mu, gamma, k=0, l=0):
     """Solve for the full space at the given coefficients and exponents."""
-    return SolveContext(L).solve(lam, mu, gamma, k, l)
+    return _solver(L).solve(lam, mu, gamma, k, l)
 
 
 def centroid(L, k=0, l=0):
     """Operators with d([x,y]) = [d(x), m(y)]: coefficients (1,1,0)."""
-    one, zero = L.field.one(), L.field.zero()
-    return derivation_space(L, one, one, zero, k, l)
+    return derivation_space(L, 1, 1, 0, k, l)
 
 
 def quasi_centroid(L, k=0, l=0):
     """Operators with [d(x), m(y)] = [m(x), d(y)]: coefficients (0,1,-1)."""
-    one, zero = L.field.one(), L.field.zero()
-    return derivation_space(L, zero, one, -one, k, l)
+    return derivation_space(L, 0, 1, -1, k, l)
 
 
 def central_derivations(L, k=0, l=0):
     """Intersection of the (1,0,0) and (0,1,0) spaces."""
-    one, zero = L.field.one(), L.field.zero()
-    context = SolveContext(L)
-    kill = context.solve(one, zero, zero, k, l)
-    absorb = context.solve(zero, one, zero, k, l)
+    kill = derivation_space(L, 1, 0, 0, k, l)
+    absorb = derivation_space(L, 0, 1, 0, k, l)
     space = kill.space.intersection(absorb.space)
     return DerivationSpace(("central", k, l), space)
 
@@ -304,12 +309,11 @@ def derivation_grid(L, lam, mu, gamma, k_max=3, l_max=3):
     any fixed algebra eventually repeat in effect but no termination test is
     attempted here, so the caps are an explicit, documented truncation.
     """
-    context = SolveContext(L)
     spaces = {}
     mats = []
     for k in range(k_max + 1):
         for l in range(l_max + 1):
-            sp = context.solve(lam, mu, gamma, k, l)
+            sp = derivation_space(L, lam, mu, gamma, k, l)
             spaces[(k, l)] = sp
             mats.extend(sp.space.basis)
     union = MatrixSubspace(L.n, mats, L.field)

@@ -112,7 +112,7 @@ class Matrix:
             raise ValueError("vector length mismatch")
         zero = self.field.zero()
         support = [(j, x) for j, x in enumerate(map(self.field.coerce, vec))
-                   if x != zero]
+                   if x]
         return tuple(sum((row[j] * x for j, x in support), zero)
                      for row in self.entries)
 
@@ -120,8 +120,7 @@ class Matrix:
         return Matrix([self.col(j) for j in range(self.cols)], self.field)
 
     def is_zero(self):
-        z = self.field.zero()
-        return all(x == z for r in self.entries for x in r)
+        return not any(x for r in self.entries for x in r)
 
     def is_identity(self):
         if self.rows != self.cols:
@@ -156,14 +155,13 @@ def matrix_from_vector(vec, n, field):
 def rref(m):
     """Reduced row echelon form. Returns (rref matrix, pivot column list)."""
     field = m.field
-    zero = field.zero()
     work = [list(r) for r in m.entries]
     pivots = []
     pr = 0
     for pc in range(m.cols):
         pivot_row = None
         for r in range(pr, m.rows):
-            if work[r][pc] != zero:
+            if work[r][pc]:
                 pivot_row = r
                 break
         if pivot_row is None:
@@ -171,12 +169,12 @@ def rref(m):
         work[pr], work[pivot_row] = work[pivot_row], work[pr]
         row, inv = work[pr], work[pr][pc]
         # the pivot row is zero left of pc: only its nonzero columns change
-        support = [c for c in range(pc, m.cols) if row[c] != zero]
+        support = [c for c in range(pc, m.cols) if row[c]]
         for c in support:
             row[c] = row[c] / inv
         for other in work:
             factor = other[pc]
-            if other is not row and factor != zero:
+            if other is not row and factor:
                 for c in support:
                     other[c] = other[c] - factor * row[c]
         pivots.append(pc)
@@ -305,7 +303,7 @@ class VectorSubspace:
 
     def contains(self, vec):
         vec = tuple(self.field.coerce(x) for x in vec)
-        if all(x == self.field.zero() for x in vec):
+        if not any(vec):
             return True
         if not self.basis:
             return False

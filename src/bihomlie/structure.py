@@ -148,8 +148,7 @@ def is_characteristically_nilpotent(L):
     Commutator closure of the computed span is verified first; a non-closed
     span raises ClosureError rather than running the series on a non-algebra.
     """
-    one = L.field.one()
-    space = derivation_space(L, one, one, one, 0, 0).space
+    space = derivation_space(L, 1, 1, 1, 0, 0).space
     for a in space.basis:
         for b in space.basis:
             if not space.contains(commutator(a, b)):
@@ -168,8 +167,7 @@ def _strictly_central_maps(L, gamma00):
     The maps with that image and kernel are spanned by t w^T, with t in
     the intersection of the center and L^2 and w in the annihilator of L^2.
     """
-    one = L.field.one()
-    der00 = derivation_space(L, one, one, one, 0, 0).space
+    der00 = derivation_space(L, 1, 1, 1, 0, 0).space
     pool = gamma00.intersection(der00)
     if pool.dim == 0:
         return pool

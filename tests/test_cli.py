@@ -9,6 +9,7 @@ from bihomlie.cli import main
 from bihomlie.derivations import MembershipError
 from bihomlie.fields import QQ
 from bihomlie.linalg import Matrix
+from bihomlie.structure import ClosureError
 
 
 @pytest.fixture
@@ -153,6 +154,15 @@ def test_structure_report(files, capsys):
     assert "characteristically nilpotent: no" in out
     assert "small centroid: yes" in out
     assert "lower central dims: 2,1" in out
+
+
+def test_structure_closure_error_exit_code(files, monkeypatch, capsys):
+    def broken(L):
+        raise ClosureError("derivation space is not closed under commutators")
+    monkeypatch.setattr(cli, "is_characteristically_nilpotent", broken)
+    assert main(["structure", files["l110"]]) == 3
+    assert ("internal error: derivation space is not closed"
+            in capsys.readouterr().err)
 
 
 # --- catalog ---------------------------------------------------------------

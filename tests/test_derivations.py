@@ -461,19 +461,18 @@ def test_commutant_coordinates_match_dense_reference():
     algebras = _reference_algebras()
     assert len(algebras) == 69 + 68 + 4
     for L in algebras:
-        # derivation_space solves on a fresh SolveContext; one context per
-        # algebra runs the same solve at an eighth of the commutant solves
-        context = derivations.SolveContext(L)
         for k, l in ((0, 0), (1, 1), (2, 1)):
             want = _reference_spaces(L, k, l)
             for triple in CANONICAL_TRIPLES:
-                got = context.solve(*triple, k, l)
+                got = bh.derivation_space(L, *triple, k, l)
                 assert got.space == want[triple], (L, triple, k, l)
+            # a repeated solve on the algebra's kept context
             got = bh.derivation_space(L, 1, 1, 1, k, l)
             assert got.space == want[(1, 1, 1)], (L, k, l)
 
 
 def test_dropped_gamma_block_is_caught(monkeypatch):
+    # needs a freshly built algebra: a solved one keeps its blocks
     build = derivations.SolveContext._residual_blocks
 
     def without_gamma(self, m):
@@ -484,3 +483,25 @@ def test_dropped_gamma_block_is_caught(monkeypatch):
                         without_gamma)
     with pytest.raises(bh.MembershipError):
         bh.derivation_space(heisenberg(1, 12, 27, [2], [3]), 1, 1, 1, 1, 1)
+
+
+def test_one_algebra_keeps_one_solve_context(monkeypatch):
+    built = []
+    init = derivations.SolveContext.__init__
+
+    def counting(self, L):
+        built.append(L)
+        init(self, L)
+
+    monkeypatch.setattr(derivations.SolveContext, "__init__", counting)
+    L = l_1_17()
+    bh.derivation_space(L, 1, 1, 1, 1, 0)
+    bh.centroid(L)
+    bh.central_derivations(L, 1, 1)
+    bh.derivation_grid(L, 1, 1, 0, 1, 1)
+    bh.fingerprint(L)
+    bh.is_characteristically_nilpotent(L)
+    bh.is_small_centroid(L)
+    assert len(built) == 1
+    copy = l_1_17()
+    assert L == copy and hash(L) == hash(copy)
