@@ -182,6 +182,12 @@ class BiHomLieAlgebra:
         self.beta = beta
         self._solver = None     # derivations._solver builds it on first use
 
+    def __setattr__(self, name, value):
+        # the kept _solver answers for the data it was built from
+        if name != "_solver" and hasattr(self, name):
+            raise AttributeError("BiHomLieAlgebra.%s is read-only" % name)
+        object.__setattr__(self, name, value)
+
     @classmethod
     def from_brackets(cls, n, entries, alpha, beta, field=QQ):
         return cls(structure_table(n, entries, field), alpha, beta, field)

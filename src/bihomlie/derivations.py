@@ -25,7 +25,7 @@ per algebra. Solved spaces themselves are not kept: every call solves its
 own triple and re-verifies every basis member.
 """
 
-from .algebra import _table_bracket
+from .algebra import _constants, _row_support, _table_bracket
 from .fields import FieldMismatchError, QQ
 from .linalg import Matrix, MatrixSubspace, matrix_from_vector, nullspace_basis
 
@@ -66,23 +66,28 @@ def twist_power(L, k, l):
     return (L.alpha ** k) * (L.beta ** l)
 
 
-def _commutation_rows(L):
-    """Rows expressing d*alpha = alpha*d and d*beta = beta*d."""
-    n = L.n
-    zero = L.field.zero()
+def intertwiners(L, L2):
+    """Operators f with f*alpha = alpha2*f and f*beta = beta2*f, alpha2 and
+    beta2 the twists of L2, with a basis in reduced row echelon form of the
+    row-major vectors; intertwiners(L, L) is the twist commutant of L."""
+    n, field = L.n, L.field
+    zero = field.zero()
     rows = []
-    for m in (L.alpha.entries, L.beta.entries):
+    for m, m2 in ((L.alpha.entries, L2.alpha.entries),
+                  (L.beta.entries, L2.beta.entries)):
         for i in range(n):
             for j in range(n):
                 row = [zero] * (n * n)
-                # (d m - m d)_{ij}: coefficient of d_{uv}
+                # (f m - m2 f)_{ij}: coefficient of f_{uv}
                 for t in range(n):
                     if m[t][j]:
                         row[i * n + t] = row[i * n + t] + m[t][j]
-                    if m[i][t]:
-                        row[t * n + j] = row[t * n + j] - m[i][t]
+                    if m2[i][t]:
+                        row[t * n + j] = row[t * n + j] - m2[i][t]
                 rows.append(row)
-    return rows
+    sols = nullspace_basis(Matrix(rows, field))
+    return MatrixSubspace(
+        n, [matrix_from_vector(v, n, field) for v in sols], field)
 
 
 def twist_commutant(L):
@@ -110,9 +115,13 @@ def _commutes(d, m, zero):
 
 def verify_derivation(L, d, lam, mu, gamma, k=0, l=0):
     """Independent membership check on all basis pairs (no linear system)."""
-    lam = L.field.coerce(lam)
-    mu = L.field.coerce(mu)
-    gamma = L.field.coerce(gamma)
+    field = L.field
+    return _is_member(L, d, field.coerce(lam), field.coerce(mu),
+                      field.coerce(gamma), twist_power(L, k, l))
+
+
+def _is_member(L, d, lam, mu, gamma, m):
+    """verify_derivation at twist power m, coefficients in L's field."""
     if d.rows != L.n or d.cols != L.n:
         return False
     if d.field != L.field:
@@ -121,7 +130,6 @@ def verify_derivation(L, d, lam, mu, gamma, k=0, l=0):
     zero = L.field.zero()
     if not (_commutes(d, L.alpha, zero) and _commutes(d, L.beta, zero)):
         return False
-    m = twist_power(L, k, l)
     n = L.n
     # d(e_i) and m(e_i) are the i-th columns
     d_cols = [d.col(i) for i in range(n)]
@@ -143,24 +151,15 @@ def verify_derivation(L, d, lam, mu, gamma, k=0, l=0):
     return True
 
 
-def _nonzero_rows(entries):
-    """Per row, the (column, value) pairs of its nonzero entries."""
-    return [[(j, v) for j, v in enumerate(row) if v] for row in entries]
-
-
 class SolveContext:
     """Solver state that depends on the algebra alone: the nonzero structure
     constants, the twist commutant and, per (k, l), the three residual
     blocks. Built only by _solver, once per algebra."""
 
     def __init__(self, L):
-        n, field = L.n, L.field
         self.L = L
-        self.constants = [(p, q, s, v) for p in range(n) for q in range(n)
-                          for s, v in enumerate(L.structure[p][q]) if v]
-        sols = nullspace_basis(Matrix(_commutation_rows(L), field))
-        self.commutant = MatrixSubspace(
-            n, [matrix_from_vector(v, n, field) for v in sols], field)
+        self.constants = _constants(L.structure)
+        self.commutant = intertwiners(L, L)
         self._blocks = {}
 
     def _residual_blocks(self, m):
@@ -170,11 +169,11 @@ class SolveContext:
         A missing key is zero."""
         zero = self.L.field.zero()
         blocks = ([], [], [])
-        m_rows = _nonzero_rows(m.entries)
+        m_rows = _row_support(m.entries)
         for b in self.commutant.basis:
             lam, mu, gamma = {}, {}, {}
-            b_rows = _nonzero_rows(b.entries)
-            b_cols = _nonzero_rows(zip(*b.entries))
+            b_rows = _row_support(b.entries)
+            b_cols = _row_support(zip(*b.entries))
             for p, q, s, v in self.constants:
                 # d([e_p,e_q])_t = sum_s d_ts c_pq^s
                 for t, w in b_cols[s]:
@@ -333,6 +332,8 @@ def count_members_fp(L, lam, mu, gamma, k=0, l=0):
         raise ValueError("exhaustive enumeration needs a prime field")
     n = L.n
     residues = [field(v) for v in range(p)]
+    lam, mu, gamma = field.coerce(lam), field.coerce(mu), field.coerce(gamma)
+    m = twist_power(L, k, l)
     count = 0
     total = p ** (n * n)
     for idx in range(total):
@@ -342,6 +343,6 @@ def count_members_fp(L, lam, mu, gamma, k=0, l=0):
             entries.append(residues[v % p])
             v //= p
         d = matrix_from_vector(tuple(entries), n, field)
-        if verify_derivation(L, d, lam, mu, gamma, k, l):
+        if _is_member(L, d, lam, mu, gamma, m):
             count += 1
     return count

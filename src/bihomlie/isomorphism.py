@@ -1,18 +1,20 @@
 """Isomorphism witnesses, basis-independent fingerprints, and an
-exhaustive finite-field witness search for small dimensions.
+exhaustive finite-field witness search.
 
 A witness f must be invertible, intertwine both twist maps, and carry
 every bracket of the source to the matching bracket of the target.
 Fingerprints collect invariants that any witness preserves; they can
-certify that no witness exists, never that one does.
+certify that no witness exists, never that one does. The search scans the
+intertwiner space, which holds every witness: p^d members, not p^(n^2).
 """
 
 from itertools import product as cartesian
 
 from .algebra import BiHomLieAlgebra, _conjugate
-from .derivations import derivation_space
+from .derivations import derivation_space, intertwiners
 from .fields import GF, ReductionError, _is_prime
-from .linalg import Matrix, char_poly, invert, is_invertible, rank
+from .linalg import (Matrix, char_poly, invert, is_invertible,
+                     matrix_from_vector, rank)
 from .structure import (center, derived_series, derived_subalgebra,
                         lower_central_series)
 
@@ -23,7 +25,8 @@ CANONICAL_TRIPLES = (
     (0, 1, 0), (0, 1, 1), (1, 1, -1), (0, 1, -1),
 )
 
-MAX_SEARCH_DIM = 3
+# most candidates brute_force_iso scans; checked before the scan starts
+MAX_SEARCH_CANDIDATES = 10 ** 5
 
 
 def _as_witness(f, L):
@@ -192,14 +195,14 @@ def reduce_mod_p(L, p):
 def brute_force_iso(L, L2, p):
     """First witness in entry-lexicographic order over F_p, else None.
 
-    Scans all of GL_n(F_p), so the verdict is definitive for the reduced
-    pair. Rational inputs are reduced mod p first.
+    Every witness lies in the intertwiner space, so the search scans its
+    p^d members in coefficient-lexicographic order; the basis is in reduced
+    row echelon form, so that order is entry-lexicographic. The verdict is
+    definitive for the reduced pair. Rational inputs are reduced mod p
+    first; more than MAX_SEARCH_CANDIDATES members are refused up front.
     """
     if L.n != L2.n:
         raise ValueError("dimension mismatch: %d vs %d" % (L.n, L2.n))
-    if L.n > MAX_SEARCH_DIM:
-        raise ValueError(
-            "exhaustive search is limited to dimension <= %d" % MAX_SEARCH_DIM)
     reduced = []
     for A in (L, L2):
         if not A.field.characteristic:
@@ -210,12 +213,18 @@ def brute_force_iso(L, L2, p):
             raise ValueError("algebra is over F_%d, not F_%d"
                              % (A.field.characteristic, p))
     Lp, L2p = reduced
-    field = GF(p)
-    n = L.n
-    for digits in cartesian(range(p), repeat=n * n):
-        f = Matrix([list(digits[r * n:(r + 1) * n]) for r in range(n)], field)
-        if not is_invertible(f):
-            continue
-        if verify_isomorphism(Lp, L2p, f):
+    space = intertwiners(Lp, L2p)
+    if p ** space.dim > MAX_SEARCH_CANDIDATES:
+        raise ValueError(
+            "witness search over %d^%d = %d candidates exceeds the cap of %d"
+            % (p, space.dim, p ** space.dim, MAX_SEARCH_CANDIDATES))
+    vecs = [b.vectorize() for b in space.basis]
+    # per entry of a candidate, the basis members nonzero there
+    entries = [[(r, v[t].value) for r, v in enumerate(vecs) if v[t]]
+               for t in range(L.n * L.n)]
+    for coeffs in cartesian(range(p), repeat=space.dim):
+        f = matrix_from_vector([sum(coeffs[r] * x for r, x in entry) % p
+                                for entry in entries], L.n, Lp.field)
+        if is_invertible(f) and verify_isomorphism(Lp, L2p, f):
             return f
     return None

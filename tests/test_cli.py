@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bihomlie import algfile, cli
+from bihomlie import algfile, cli, isomorphism
 from bihomlie.algebra import BiHomLieAlgebra, CrossCheckError, heisenberg
 from bihomlie.catalog import build
 from bihomlie.cli import main
@@ -295,3 +295,19 @@ def test_iso_witness_and_brute_conflict(files):
 
 def test_iso_dimension_mismatch(files, capsys):
     assert main(["iso", files["l110"], files["heis"], "--brute", "3"]) == 2
+
+
+def test_iso_brute_over_the_cap_is_refused(tmp_path, capsys, monkeypatch):
+    # every 3x3 matrix intertwines the abelian algebra's identity twists,
+    # so mod 7 the search would scan 7^9 candidates; it must not start
+    def no_scan(m):
+        raise AssertionError("a candidate was scanned")
+
+    monkeypatch.setattr(isomorphism, "is_invertible", no_scan)
+    ident = Matrix.identity(3, QQ)
+    path = str(tmp_path / "abelian3.json")
+    algfile.dump(algfile.AlgebraDocument(
+        BiHomLieAlgebra.from_brackets(3, {}, ident, ident), None), path)
+    assert main(["iso", path, path, "--brute", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "7^9 = 40353607" in err and "100000" in err

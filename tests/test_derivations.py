@@ -6,7 +6,6 @@ import pytest
 
 import bihomlie as bh
 from bihomlie import BiHomLieAlgebra, catalog, derivations, heisenberg
-from bihomlie.derivations import _commutation_rows
 from bihomlie.fields import GF, QQ, ReductionError
 from bihomlie.linalg import (Matrix, MatrixSubspace, matrix_from_vector,
                              nullspace_basis)
@@ -410,6 +409,26 @@ def _bracket_rows(L, lam, mu, gamma, m):
     return rows
 
 
+def _commutation_rows(L):
+    """Rows expressing d*alpha = alpha*d and d*beta = beta*d, kept apart
+    from the library's intertwiner equations."""
+    n = L.n
+    zero = L.field.zero()
+    rows = []
+    for m in (L.alpha.entries, L.beta.entries):
+        for i in range(n):
+            for j in range(n):
+                row = [zero] * (n * n)
+                # (d m - m d)_{ij}: coefficient of d_{uv}
+                for t in range(n):
+                    if m[t][j]:
+                        row[i * n + t] = row[i * n + t] + m[t][j]
+                    if m[i][t]:
+                        row[t * n + j] = row[t * n + j] - m[i][t]
+                rows.append(row)
+    return rows
+
+
 def _reference_spaces(L, k, l):
     """Triple -> space from the dense system over all n^2 entries of d.
 
@@ -505,3 +524,18 @@ def test_one_algebra_keeps_one_solve_context(monkeypatch):
     assert len(built) == 1
     copy = l_1_17()
     assert L == copy and hash(L) == hash(copy)
+
+
+def test_solved_algebra_refuses_reassignment():
+    # a kept solve context would answer for the old twists and table
+    L = heisenberg(1, 12, 27, [2], [3])
+    M = heisenberg(1, 4, 9, [2], [3])
+    bh.derivation_space(L, 1, 1, 1, 1, 1)
+    for name in ("alpha", "beta", "structure", "n", "field"):
+        with pytest.raises(AttributeError):
+            setattr(L, name, getattr(M, name))
+    assert bh.twist_commutant(L).dim == 3
+    assert bh.twist_commutant(M).dim == 5
+    copy = heisenberg(1, 12, 27, [2], [3])
+    assert L == copy and hash(L) == hash(copy) and L != M
+    assert L._solver is not None and copy._solver is None

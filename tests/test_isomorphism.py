@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 from itertools import product as cartesian
 
 import pytest
 
 from bihomlie.algebra import BiHomLieAlgebra, heisenberg
-from bihomlie.catalog import build
+from bihomlie.catalog import build, family_ids, pinned_samples
+from bihomlie.derivations import intertwiners
 from bihomlie.fields import GF, QQ, ReductionError
 from bihomlie.isomorphism import (brute_force_iso, compare_fingerprints,
                                   fingerprint, reduce_mod_p,
@@ -211,3 +213,77 @@ def test_search_can_surface_rational_witnesses():
     assert brute_force_iso(La, Lb, 3) is not None
     lift = Matrix([[Fraction(1, 2), Fraction(1, 2)], [0, 1]], QQ)
     assert verify_isomorphism(La, Lb, lift)
+
+
+# --- the search against the full GL_n(F_p) scan ------------------------------
+
+def _full_scan(L, L2, p):
+    """First witness among all n x n matrices over F_p in entry order: the
+    scan the search ran before it moved into the intertwiner space."""
+    n, field = L.n, GF(p)
+    for digits in cartesian(range(p), repeat=n * n):
+        f = Matrix([digits[r * n:(r + 1) * n] for r in range(n)], field)
+        if is_invertible(f) and verify_isomorphism(L, L2, f):
+            return f
+    return None
+
+
+def _random_invertible(rng, n, p):
+    while True:
+        f = Matrix([[rng.randrange(p) for _ in range(n)] for _ in range(n)],
+                   GF(p))
+        if is_invertible(f):
+            return f
+
+
+def _benchmark_witness_pair(seed):
+    """The n = 3 witness pair of the benchmark's fp3-exhaustive workload:
+    a twisted Heisenberg algebra mod 3 and its transport by a seeded map
+    whose first row is (0, 0, 1), drawn in the benchmark's order."""
+    rng = random.Random(seed)
+    a, x = rng.choice((-2, -5, -8)), rng.choice((-1, -2, -4, -5))
+    b, y = [rng.choice((4, 7, 10))], [rng.choice((2, 4, 5, 7))]
+    for choices in ((-1, -4, -7), (-1, -2, -4, -5), (2, 4, 5, 7),
+                    (2, 4, 5, 7)):
+        rng.choice(choices)      # the parameters of the search pair's B
+    while True:
+        f = Matrix([[0, 0, 1]] + [[rng.randrange(3) for _ in range(3)]
+                                  for _ in range(2)], GF(3))
+        if is_invertible(f):
+            break
+    A = reduce_mod_p(heisenberg(1, a, x, b, y), 3)
+    return A, transport(A, f)
+
+
+def test_search_matches_full_scan():
+    rng = random.Random(12)
+    pairs = []
+    for fid in family_ids():
+        for params in pinned_samples(fid):
+            for p in (2, 3):
+                try:
+                    Lp = reduce_mod_p(build(fid, params), p)
+                except ReductionError:
+                    continue
+                moved = transport(Lp, _random_invertible(rng, 2, p))
+                pairs += [(Lp, Lp, p), (Lp, moved, p)]
+    pairs += [_benchmark_witness_pair(seed) + (3,) for seed in (7, 11)]
+    assert len(pairs) == 2 * (41 + 68) + 2
+    for L, L2, p in pairs:
+        witness = brute_force_iso(L, L2, p)
+        assert witness == _full_scan(L, L2, p), (L, L2, p)
+        assert witness is not None
+
+
+def test_search_finds_witnesses_at_dimension_5():
+    # transported twisted Heisenberg pairs with m = 2, out of reach of the
+    # 5^25 and 3^25 full scans: intertwiner dimension 5 mod 5, 7 mod 3
+    rng = random.Random(5)
+    for p, params, dim in ((5, (2, 3, [2, 3], [4, 2]), 5),
+                           (3, (1, 2, [1, 2], [1, 1]), 7)):
+        Lp = reduce_mod_p(heisenberg(2, *params), p)
+        moved = transport(Lp, _random_invertible(rng, 5, p))
+        assert intertwiners(Lp, moved).dim == dim
+        witness = brute_force_iso(Lp, moved, p)
+        assert witness is not None
+        assert verify_isomorphism(Lp, moved, witness)
