@@ -109,9 +109,9 @@ def _document(doc):
     unknown = set(doc) - set(_TOP_KEYS)
     if unknown:
         raise AlgebraFileError("unknown keys: %s" % sorted(unknown))
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise AlgebraFileError("unsupported format_version %r"
-                               % (doc.get("format_version"),))
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise AlgebraFileError("unsupported format_version %r" % (version,))
     field = _parse_field(doc.get("field"))
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:

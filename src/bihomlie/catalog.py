@@ -176,7 +176,9 @@ def pattern_space(pattern, env, field=QQ):
     """The matrix space a symbolic shape denotes, as slots range freely.
 
     Every cell must be linear in the slot symbols with zero constant part;
-    parameter and exponent symbols come from env.
+    parameter and exponent symbols come from env. Cells are evaluated and
+    checked over Q; only the unit-slot matrices are mapped into field, so
+    over F_p a denominator divisible by p raises ReductionError.
     """
     n = len(pattern)
     slots = sorted({name
@@ -188,31 +190,26 @@ def pattern_space(pattern, env, field=QQ):
     base = [[eval_expr(cell, zero_env) for cell in row] for row in pattern]
     if any(v != 0 for row in base for v in row):
         raise CatalogError("shape has a nonzero constant part: %r" % (pattern,))
-    basis = []
+    units = []
     for s in slots:
         unit_env = dict(zero_env)
         unit_env[s] = Fraction(1)
-        mat = [[eval_expr(cell, unit_env) for cell in row] for row in pattern]
-        basis.append(Matrix(mat, field))
-    # spot-check linearity: a combined assignment must reproduce the
-    # weighted sum of the unit-slot matrices
+        units.append([[eval_expr(cell, unit_env) for cell in row]
+                      for row in pattern])
+    # spot-check linearity over Q, where no weight vanishes: a combined
+    # assignment must reproduce the weighted sum of the unit-slot matrices
+    weights = [Fraction(5 + 2 * idx) for idx in range(len(slots))]
     probe_env = dict(zero_env)
-    weights = []
-    for idx, s in enumerate(slots):
-        w = Fraction(5 + 2 * idx)
-        probe_env[s] = w
-        weights.append(w)
+    probe_env.update(zip(slots, weights))
     probe = [[eval_expr(cell, probe_env) for cell in row] for row in pattern]
     for i in range(n):
         for j in range(n):
-            acc = Fraction(0)
-            for w, b in zip(weights, basis):
-                acc += w * b.entries[i][j]
+            acc = sum(w * unit[i][j] for w, unit in zip(weights, units))
             if acc != probe[i][j]:
                 raise CatalogError(
                     "shape cell (%d,%d) is not linear in its slots: %r"
                     % (i + 1, j + 1, pattern))
-    return MatrixSubspace(n, basis, field)
+    return MatrixSubspace(n, [Matrix(unit, field) for unit in units], field)
 
 
 # --- data access -----------------------------------------------------------

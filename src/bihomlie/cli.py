@@ -162,11 +162,8 @@ def _parse_cli_params(text):
 
 
 def _random_samples(family, rng, count=2):
-    samples = []
-    for _ in range(count):
-        samples.append({spec["name"]: rng.choice(_SAMPLE_POOL)
-                        for spec in family.params})
-    return samples
+    return [{spec["name"]: rng.choice(_SAMPLE_POOL) for spec in family.params}
+            for _ in range(count)]
 
 
 def _catalog_jobs(args):

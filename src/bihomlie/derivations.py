@@ -14,16 +14,19 @@ structure constants only. A triple combines the blocks into a system in the
 c unknowns x_r, and its nullspace, mapped back through the B_r, spans the
 space. Spaces are MatrixSubspaces, stored by the reduced row echelon form of
 their vectorized basis; that canonical basis, not the commutant basis or the
-row order, is what keeps the output stable. Every basis matrix of a computed
-space is re-verified by verify_derivation, which evaluates the identity
-bracket by bracket, a route independent of the blocks.
+row order, is what keeps the output stable. Every basis member is
+re-verified by verify_derivation, which evaluates the identity bracket by
+bracket, independently of the blocks, in the membership kernel _is_member.
+That kernel computes on plain scalars (Fractions, or int residues over
+F_p); the F_p census count_members_fp runs every candidate through it too.
 
 Each algebra keeps one context, built by _solver on its first solve and
-stored in the algebra's private _solver slot; every public solve goes
-through derivation_space, so the commutant and the blocks are computed once
-per algebra. Solved spaces themselves are not kept: every call solves its
-own triple and re-verifies every basis member.
+kept in its _solver slot; every public solve goes through derivation_space,
+so the commutant and the blocks are computed once per algebra. Solved
+spaces are not kept: every call solves and re-verifies its own triple.
 """
+
+from itertools import product
 
 from .algebra import _constants, _row_support, _table_bracket
 from .fields import FieldMismatchError, QQ
@@ -95,58 +98,74 @@ def twist_commutant(L):
     return _solver(L).commutant
 
 
-def _commutes(d, m, zero):
-    """d*m == m*d, compared entry by entry up to the first mismatch;
-    products with a zero factor are skipped."""
-    de, me = d.entries, m.entries
-    n = len(de)
-    for i in range(n):
-        for j in range(n):
-            left = right = zero
-            for t in range(n):
-                if de[i][t] and me[t][j]:
-                    left = left + de[i][t] * me[t][j]
-                if me[i][t] and de[t][j]:
-                    right = right + me[i][t] * de[t][j]
-            if left != right:
+def _commutes(d, m, is_zero):
+    """d*m == m*d on plain entry rows, compared entry by entry up to the
+    first mismatch; products with a zero factor are skipped."""
+    n = range(len(d))
+    for i in n:
+        for j in n:
+            left = right = 0
+            for t in n:
+                if d[i][t] and m[t][j]:
+                    left += d[i][t] * m[t][j]
+                if m[i][t] and d[t][j]:
+                    right += m[i][t] * d[t][j]
+            if not is_zero(left - right):
                 return False
     return True
 
 
+def _plain(field, rows):
+    """Entry rows of a matrix (or planes of a table) as plain scalars."""
+    return [list(map(field.plain, row)) for row in rows]
+
+
 def verify_derivation(L, d, lam, mu, gamma, k=0, l=0):
     """Independent membership check on all basis pairs (no linear system)."""
-    field = L.field
-    return _is_member(L, d, field.coerce(lam), field.coerce(mu),
-                      field.coerce(gamma), twist_power(L, k, l))
-
-
-def _is_member(L, d, lam, mu, gamma, m):
-    """verify_derivation at twist power m, coefficients in L's field."""
     if d.rows != L.n or d.cols != L.n:
         return False
     if d.field != L.field:
         raise FieldMismatchError(
             "mixed fields %r and %r" % (d.field, L.field))
-    zero = L.field.zero()
-    if not (_commutes(d, L.alpha, zero) and _commutes(d, L.beta, zero)):
+    return _is_member(_plain(L.field, d.entries),
+                      *_plain_problem(L, lam, mu, gamma, k, l))
+
+
+def _plain_problem(L, lam, mu, gamma, k, l):
+    """The arguments of _is_member after d, in plain scalars."""
+    field = L.field
+    plain = field.plain
+    return ([_plain(field, plane) for plane in L.structure],
+            _plain(field, L.alpha.entries), _plain(field, L.beta.entries),
+            _plain(field, twist_power(L, k, l).entries),
+            plain(field.coerce(lam)), plain(field.coerce(mu)),
+            plain(field.coerce(gamma)), field.is_zero)
+
+
+def _is_member(d, table, alpha, beta, m, lam, mu, gamma, is_zero):
+    """The membership kernel: verify_derivation on plain scalars. d and m
+    are entry rows, table, alpha and beta the algebra's, and is_zero is the
+    field's zero test."""
+    if not (_commutes(d, alpha, is_zero) and _commutes(d, beta, is_zero)):
         return False
-    n = L.n
+    n = len(d)
     # d(e_i) and m(e_i) are the i-th columns
-    d_cols = [d.col(i) for i in range(n)]
-    m_cols = [m.col(i) for i in range(n)]
+    d_cols = list(zip(*d))
+    m_cols = list(zip(*m))
     for i in range(n):
         for j in range(n):
             # d([e_i,e_j]) = sum_b c_ij^b d(e_b) over the nonzero c_ij^b
-            image = [zero] * n
-            for b, c in enumerate(L.structure[i][j]):
+            image = [0] * n
+            for b, c in enumerate(table[i][j]):
                 if c:
                     for s, x in enumerate(d_cols[b]):
                         if x:
-                            image[s] = image[s] + c * x
-            t1 = _table_bracket(L.structure, d_cols[i], m_cols[j], zero)
-            t2 = _table_bracket(L.structure, m_cols[i], d_cols[j], zero)
+                            image[s] += c * x
+            t1 = _table_bracket(table, d_cols[i], m_cols[j], 0)
+            t2 = _table_bracket(table, m_cols[i], d_cols[j], 0)
             for v, a, b in zip(image, t1, t2):
-                if (v or a or b) and lam * v != mu * a + gamma * b:
+                if (v or a or b) and not is_zero(
+                        lam * v - mu * a - gamma * b):
                     return False
     return True
 
@@ -322,27 +341,17 @@ def derivation_grid(L, lam, mu, gamma, k_max=3, l_max=3):
 def count_members_fp(L, lam, mu, gamma, k=0, l=0):
     """Exhaustively count members over a prime field; the completeness oracle.
 
-    Enumerates every n x n matrix over F_p (p^(n^2) candidates) and counts
-    those passing verify_derivation. Intended for p in {2,3} and n = 2,
-    where the scan is 16 or 81 candidates.
+    Enumerates every n x n matrix over F_p (p^(n^2) candidates) lazily, as
+    n-tuples of int residue rows, and counts those the membership kernel
+    of verify_derivation accepts; its other inputs are converted once, so
+    no candidate builds a Matrix or an FpElement. Intended for p in {2,3}
+    and n = 2, where the scan is 16 or 81 candidates.
     """
     field = L.field
     p = field.characteristic
     if not p:
         raise ValueError("exhaustive enumeration needs a prime field")
-    n = L.n
-    residues = [field(v) for v in range(p)]
-    lam, mu, gamma = field.coerce(lam), field.coerce(mu), field.coerce(gamma)
-    m = twist_power(L, k, l)
-    count = 0
-    total = p ** (n * n)
-    for idx in range(total):
-        entries = []
-        v = idx
-        for _ in range(n * n):
-            entries.append(residues[v % p])
-            v //= p
-        d = matrix_from_vector(tuple(entries), n, field)
-        if _is_member(L, d, lam, mu, gamma, m):
-            count += 1
-    return count
+    problem = _plain_problem(L, lam, mu, gamma, k, l)
+    rows = product(range(p), repeat=L.n)
+    return sum(1 for d in product(rows, repeat=L.n)
+               if _is_member(d, *problem))

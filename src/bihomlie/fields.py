@@ -1,12 +1,14 @@
 """Exact scalar arithmetic: the rationals and prime fields F_p.
 
-Every value the library touches is either a ``fractions.Fraction`` (kept in
-lowest terms with positive denominator by the stdlib) or an ``FpElement``.
-A field descriptor object (``QQ`` or ``GF(p)``) knows how to build, parse
-and format its scalars; matrices and algebras carry one descriptor and
-refuse to mix scalars from different fields.
+Every public value is either a ``fractions.Fraction`` (kept in lowest terms
+with positive denominator by the stdlib) or an ``FpElement``. A field
+descriptor (``QQ`` or ``GF(p)``) builds, parses and formats its scalars;
+matrices and algebras carry one and refuse to mix fields. Hot kernels
+compute on the descriptor's ``plain`` view instead (the Fraction itself,
+or the int residue) and its ``is_zero`` test, which takes unreduced sums.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -20,14 +22,7 @@ class ReductionError(ValueError):
 
 
 def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 class FpElement:
@@ -146,6 +141,12 @@ class RationalField:
             return parse_scalar(x, self)
         raise FieldMismatchError("not a rational scalar: %r" % (x,))
 
+    def plain(self, x):
+        return x
+
+    def is_zero(self, x):
+        return not x
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -189,6 +190,12 @@ class PrimeField:
         if isinstance(x, str):
             return parse_scalar(x, self)
         raise FieldMismatchError("not an F_%d scalar: %r" % (self.p, x))
+
+    def plain(self, x):
+        return x.value
+
+    def is_zero(self, x):
+        return x % self.p == 0
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -13,8 +13,7 @@ from itertools import product as cartesian
 from .algebra import BiHomLieAlgebra, _conjugate
 from .derivations import derivation_space, intertwiners
 from .fields import GF, ReductionError, _is_prime
-from .linalg import (Matrix, char_poly, invert, is_invertible,
-                     matrix_from_vector, rank)
+from .linalg import Matrix, char_poly, invert, is_invertible, rank
 from .structure import (center, derived_series, derived_subalgebra,
                         lower_central_series)
 
@@ -150,14 +149,8 @@ def compare_fingerprints(a, b):
 
 
 def _iter_values(L):
-    for row in L.structure:
-        for cell in row:
-            for v in cell:
-                yield v
-    for m in (L.alpha, L.beta):
-        for row in m.entries:
-            for v in row:
-                yield v
+    yield from (v for plane in L.structure for row in plane for v in row)
+    yield from (v for m in (L.alpha, L.beta) for row in m.entries for v in row)
 
 
 def smallest_admissible_prime(L):
@@ -197,9 +190,12 @@ def brute_force_iso(L, L2, p):
 
     Every witness lies in the intertwiner space, so the search scans its
     p^d members in coefficient-lexicographic order; the basis is in reduced
-    row echelon form, so that order is entry-lexicographic. The verdict is
-    definitive for the reduced pair. Rational inputs are reduced mod p
-    first; more than MAX_SEARCH_CANDIDATES members are refused up front.
+    row echelon form, so that order is entry-lexicographic, and row i of a
+    candidate is fixed by the members with pivots in rows up to i. A prefix
+    that fixes a zero row is skipped: its completions are singular. The
+    verdict is definitive for the reduced pair. Rational inputs are reduced
+    mod p first; more than MAX_SEARCH_CANDIDATES members are refused up
+    front.
     """
     if L.n != L2.n:
         raise ValueError("dimension mismatch: %d vs %d" % (L.n, L2.n))
@@ -218,13 +214,28 @@ def brute_force_iso(L, L2, p):
         raise ValueError(
             "witness search over %d^%d = %d candidates exceeds the cap of %d"
             % (p, space.dim, p ** space.dim, MAX_SEARCH_CANDIDATES))
+    n = L.n
     vecs = [b.vectorize() for b in space.basis]
     # per entry of a candidate, the basis members nonzero there
     entries = [[(r, v[t].value) for r, v in enumerate(vecs) if v[t]]
-               for t in range(L.n * L.n)]
-    for coeffs in cartesian(range(p), repeat=space.dim):
-        f = matrix_from_vector([sum(coeffs[r] * x for r, x in entry) % p
-                                for entry in entries], L.n, Lp.field)
+               for t in range(n * n)]
+    pivot_rows = [next(t for t, x in enumerate(v) if x) // n for v in vecs]
+
+    def row(coeffs, i):
+        return [sum(coeffs[r] * x for r, x in entries[t]) % p
+                for t in range(i * n, i * n + n)]
+
+    def walk(coeffs, i):
+        # coeffs fix rows 0..i-1, none of them zero
+        if i == n:
+            yield coeffs
+            return
+        for block in cartesian(range(p), repeat=pivot_rows.count(i)):
+            if any(row(coeffs + block, i)):
+                yield from walk(coeffs + block, i + 1)
+
+    for coeffs in walk((), 0):
+        f = Matrix([row(coeffs, i) for i in range(n)], Lp.field)
         if is_invertible(f) and verify_isomorphism(Lp, L2p, f):
             return f
     return None

@@ -261,10 +261,8 @@ def char_poly(m):
                 if bin(used >> (r + 1)).count("1") % 2 == 1:
                     term = [-c for c in term]
                 key = used | 1 << r
-                if key in new_memo:
-                    new_memo[key] = padd(new_memo[key], term)
-                else:
-                    new_memo[key] = term
+                new_memo[key] = (padd(new_memo[key], term)
+                                 if key in new_memo else term)
         memo = new_memo
     poly = memo[(1 << n) - 1]
     poly = list(poly) + [zero] * (n + 1 - len(poly))

@@ -232,12 +232,8 @@ def _rational_sqrt(x):
     x = Fraction(x)
     if x < 0:
         return None
-    num, den = x.numerator, x.denominator
-    rn = _int_sqrt(num)
-    rd = _int_sqrt(den)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
+    rn, rd = _int_sqrt(x.numerator), _int_sqrt(x.denominator)
+    return None if rn is None or rd is None else Fraction(rn, rd)
 
 
 def _int_sqrt(v):

@@ -1,5 +1,8 @@
+import copy
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +132,8 @@ def test_prime_field_values_reduce():
     {"metadata": {"name": 3}},
     {"metadata": {"license": "MIT"}},
     {"extra": True},
+    {"format_version": True},
+    {"format_version": 1.0},
 ])
 def test_rejected_documents(mutate):
     doc = minimal_doc(**mutate)
@@ -175,3 +180,52 @@ def test_document_equality():
     assert AlgebraDocument(L, {"name": "a"}) == AlgebraDocument(L,
                                                                {"name": "a"})
     assert AlgebraDocument(L, {"name": "a"}) != AlgebraDocument(L, None)
+
+
+# --- fuzzing -----------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+# no leaf of the format accepts one of these: values are ints or strings,
+# indices, sizes and versions ints, names strings
+MISTYPED = (None, True, False, 0.5, 1.0, [], {})
+
+
+def _leaves(node, path=()):
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def test_truncated_and_mistyped_documents_are_refused():
+    rng = random.Random(13)
+    texts = []
+    for golden in sorted(GOLDEN.glob("*.json")):
+        text = golden.read_text(encoding="utf-8").rstrip()
+        loads(text)  # the golden itself is accepted
+        doc = json.loads(text)
+        texts.extend(text[:cut] for cut in range(len(text)))
+        leaves = list(_leaves(doc))
+        for path in leaves:
+            for value in MISTYPED:
+                texts.append(json.dumps(_replaced(doc, path, value)))
+        for _ in range(200):
+            mutated = doc
+            for path in rng.sample(leaves, rng.randint(2, 4)):
+                mutated = _replaced(mutated, path, rng.choice(MISTYPED))
+            texts.append(json.dumps(mutated))
+    assert len(texts) == 4845
+    for text in texts:
+        with pytest.raises(AlgebraFileError):
+            loads(text)

@@ -17,7 +17,7 @@ from bihomlie.catalog import (
     verify_family,
 )
 from bihomlie.derivations import derivation_space
-from bihomlie.fields import QQ
+from bihomlie.fields import GF, QQ, ReductionError
 from bihomlie.linalg import Matrix
 
 
@@ -86,6 +86,34 @@ def test_pattern_space_rejects_nonlinear_slot():
 def test_pattern_space_zero_shape_is_zero_space():
     space = pattern_space([["0", "0"], ["0", "0"]], {})
     assert space.dim == 0
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_pattern_space_over_prime_fields(p):
+    field = GF(p)
+    built = refused = 0
+    for fid in family_ids():
+        rows = expected_rows(fid)
+        for params in pinned_samples(fid):
+            env = dict(params, k=F(0), l=F(0))
+            for row in rows:
+                for pattern in (row.centroid, row.der):
+                    q_dim = pattern_space(pattern, env).dim
+                    try:
+                        space = pattern_space(pattern, env, field=field)
+                    except ReductionError:
+                        refused += 1
+                        continue
+                    assert space.field == field
+                    assert space.dim <= q_dim, (fid, params, pattern)
+                    built += 1
+    assert built + refused == 334
+    assert pattern_space([["c1", "0"], ["0", "c1"]], {}, field=field).dim == 1
+    with pytest.raises(ReductionError):
+        pattern_space([["c1/%d" % p, "0"], ["0", "c1"]], {}, field=field)
+    for bad in ("c1*c1", "c1+1"):
+        with pytest.raises(CatalogError):
+            pattern_space([[bad, "0"], ["0", "c1"]], {}, field=field)
 
 
 # --- data integrity --------------------------------------------------------

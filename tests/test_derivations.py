@@ -6,7 +6,7 @@ import pytest
 
 import bihomlie as bh
 from bihomlie import BiHomLieAlgebra, catalog, derivations, heisenberg
-from bihomlie.fields import GF, QQ, ReductionError
+from bihomlie.fields import GF, QQ, FieldMismatchError, ReductionError
 from bihomlie.linalg import (Matrix, MatrixSubspace, matrix_from_vector,
                              nullspace_basis)
 
@@ -369,6 +369,52 @@ def test_count_members_matches_dimension_f2_f3():
             count = bh.count_members_fp(L, lam, mu, ga)
             dim = bh.derivation_space(L, lam, mu, ga).dim
             assert count == p ** dim
+
+
+def _all_matrices(n, field):
+    """Every n x n matrix over F_p, each built by matrix_from_vector."""
+    p = field.characteristic
+    return [matrix_from_vector(digits, n, field)
+            for digits in itertools.product(range(p), repeat=n * n)]
+
+
+def test_census_matches_matrix_reference():
+    reduced = []
+    for fid in catalog.family_ids():
+        for params in catalog.pinned_samples(fid):
+            try:
+                reduced.append(bh.reduce_mod_p(catalog.build(fid, params), 3))
+            except ReductionError:
+                pass
+    assert len(reduced) == 68
+    # mod 2 the twists are diag(1, 0, 0) and the identity: 512 candidates
+    heis = bh.reduce_mod_p(heisenberg(1, 2, 3, [1], [3]), 2)
+    # the reference: every candidate a Matrix, checked by verify_derivation;
+    # members at any triple commute with both twists, so they are all
+    # among the members at (0, 0, 0), the first triple
+    candidates = {(2, 3): _all_matrices(2, GF(3)),
+                  (3, 2): _all_matrices(3, GF(2))}
+    for L in reduced + [heis]:
+        p = L.field.characteristic
+        commuting = candidates[L.n, p]
+        for triple in CANONICAL_TRIPLES:
+            members = [d for d in commuting
+                       if bh.verify_derivation(L, d, *triple, 1, 1)]
+            if triple == (0, 0, 0):
+                commuting = members
+            count = bh.count_members_fp(L, *triple, 1, 1)
+            assert count == len(members), (L, triple)
+            assert count == p ** bh.derivation_space(L, *triple, 1, 1).dim
+
+
+def test_membership_edges():
+    L = l_1_10()
+    assert not bh.verify_derivation(L, Matrix.identity(3, QQ), 1, 1, 1)
+    Lp = bh.reduce_mod_p(L, 3)
+    with pytest.raises(FieldMismatchError):
+        bh.verify_derivation(Lp, Matrix.identity(2, GF(5)), 1, 1, 1)
+    with pytest.raises(ValueError):
+        bh.count_members_fp(L, 1, 1, 1)
 
 
 # --- dense reference solver ------------------------------------------------
