@@ -9,7 +9,9 @@ tabulation (each deviation is re-derived in the test suite).
 import hashlib
 import json
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
+from operator import add, eq, ge, le, mul, ne, sub, truediv
 
 from .algebra import BiHomLieAlgebra
 from .derivations import centroid, derivation_space
@@ -33,7 +35,9 @@ class InadmissibleParameterError(CatalogError):
 # term   := factor (('*'|'/') factor)*
 # factor := '-' factor | atom ('^' factor)?
 # atom   := INT | NAME | '(' expr ')'
-# Exponents must evaluate to non-negative integers.
+# Exponents must evaluate to non-negative integers. Each string is parsed
+# once, to postfix code in the order of a one-pass evaluating parser; a
+# syntax error ends it with a "fail" step, raised where that parser would.
 
 def _tokenize(src):
     toks = []
@@ -46,7 +50,7 @@ def _tokenize(src):
             j = i
             while j < len(src) and src[j].isdigit():
                 j += 1
-            toks.append(("num", int(src[i:j])))
+            toks.append(("num", Fraction(int(src[i:j]))))
             i = j
         elif ch.isalpha():
             j = i
@@ -65,13 +69,10 @@ def _tokenize(src):
 
 class _Parser:
 
-    __slots__ = ("src", "toks", "pos", "env")
+    __slots__ = ("src", "toks", "pos", "code")
 
-    def __init__(self, src, env):
-        self.src = src
-        self.toks = _tokenize(src)
-        self.pos = 0
-        self.env = env
+    def __init__(self, src, toks):
+        self.src, self.toks, self.pos, self.code = src, toks, 0, []
 
     def _peek(self):
         return self.toks[self.pos][0]
@@ -81,82 +82,89 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self):
-        val = self._expr()
-        if self._peek() != "end":
-            raise CatalogError("trailing input in expression %r" % self.src)
-        return val
+    def _then(self, op, operand):
+        """Take an operator token, parse its right operand, emit op."""
+        self._take()
+        operand()
+        self.code.append((op, None))
+
+    def _chain(self, ops, operand):
+        operand()
+        while self._peek() in ops:
+            self._then(self._peek(), operand)
 
     def _expr(self):
-        val = self._term()
-        while self._peek() in ("+", "-"):
-            op = self._take()[0]
-            rhs = self._term()
-            val = val + rhs if op == "+" else val - rhs
-        return val
+        self._chain(("+", "-"), self._term)
 
     def _term(self):
-        val = self._factor()
-        while self._peek() in ("*", "/"):
-            op = self._take()[0]
-            rhs = self._factor()
-            if op == "*":
-                val = val * rhs
-            else:
-                if rhs == 0:
-                    raise CatalogError("division by zero in %r" % self.src)
-                val = val / rhs
-        return val
+        self._chain(("*", "/"), self._factor)
 
     def _factor(self):
         if self._peek() == "-":
-            self._take()
-            return -self._factor()
-        base = self._atom()
+            return self._then("neg", self._factor)
+        self._atom()
         if self._peek() == "^":
-            self._take()
-            exp = self._factor()
-            if exp.denominator != 1 or exp < 0:
-                raise CatalogError(
-                    "exponent %s in %r is not a non-negative integer"
-                    % (exp, self.src))
-            return base ** int(exp)
-        return base
+            self._then("^", self._factor)
 
     def _atom(self):
         kind, val = self._take()
-        if kind == "num":
-            return Fraction(val)
-        if kind == "name":
-            if val not in self.env:
-                raise CatalogError(
-                    "unknown symbol %r in expression %r" % (val, self.src))
-            return self.env[val]
-        if kind == "(":
-            inner = self._expr()
+        if kind in ("num", "name"):
+            self.code.append((kind, val))
+        elif kind == "(":
+            self._expr()
             if self._take()[0] != ")":
                 raise CatalogError("unbalanced parentheses in %r" % self.src)
-            return inner
-        raise CatalogError("unexpected token in expression %r" % self.src)
+        else:
+            raise CatalogError("unexpected token in expression %r" % self.src)
+
+
+@lru_cache(maxsize=1024)
+def _parse(src):
+    """The postfix code of an expression string; a bad character raises
+    here, before anything is evaluated."""
+    parser = _Parser(src, _tokenize(src))
+    try:
+        parser._expr()
+        if parser._peek() != "end":
+            raise CatalogError("trailing input in expression %r" % src)
+    except CatalogError as err:
+        parser.code.append(("fail", str(err)))
+    return tuple(parser.code)
+
+
+_BINARY = {"+": add, "-": sub, "*": mul, "/": truediv,
+           "^": lambda base, exp: base ** int(exp)}
 
 
 def eval_expr(src, env):
     """Evaluate an expression string to a Fraction over the given symbols."""
-    return _Parser(src, env).parse()
-
-
-def _expr_names(src):
-    return {tok[1] for tok in _tokenize(src) if tok[0] == "name"}
+    stack = []
+    for op, arg in _parse(src):
+        if op == "num":
+            stack.append(arg)
+        elif op == "name":
+            if arg not in env:
+                raise CatalogError(
+                    "unknown symbol %r in expression %r" % (arg, src))
+            stack.append(env[arg])
+        elif op == "neg":
+            stack[-1] = -stack[-1]
+        elif op == "fail":
+            raise CatalogError(arg)
+        else:
+            rhs = stack.pop()
+            if op == "/" and rhs == 0:
+                raise CatalogError("division by zero in %r" % src)
+            if op == "^" and (rhs.denominator != 1 or rhs < 0):
+                raise CatalogError("exponent %s in %r is not a non-negative "
+                                   "integer" % (rhs, src))
+            stack[-1] = _BINARY[op](stack[-1], rhs)
+    return stack[0]
 
 
 # --- guards ----------------------------------------------------------------
 
-_OPS = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "ge": lambda a, b: a >= b,
-    "le": lambda a, b: a <= b,
-}
+_OPS = {"eq": eq, "ne": ne, "ge": ge, "le": le}
 
 
 def guard_matches(guard, env):
@@ -183,7 +191,8 @@ def pattern_space(pattern, env, field=QQ):
     n = len(pattern)
     slots = sorted({name
                     for row in pattern for cell in row
-                    for name in _expr_names(cell) if name in _SLOT_NAMES})
+                    for op, name in _parse(cell)
+                    if op == "name" and name in _SLOT_NAMES})
     zero_env = dict(env)
     for s in _SLOT_NAMES:
         zero_env[s] = Fraction(0)

@@ -20,12 +20,14 @@ bracket, independently of the blocks, in the membership kernel _is_member.
 That kernel computes on plain scalars (Fractions, or int residues over
 F_p); the F_p census count_members_fp runs every candidate through it too.
 
-Each algebra keeps one context, built by _solver on its first solve and
-kept in its _solver slot; every public solve goes through derivation_space,
-so the commutant and the blocks are computed once per algebra. Solved
+Each algebra keeps one context, built by _solver on first use and kept in
+its _solver slot. It holds the plain table and twists, one twist_power per
+(k, l) for both the blocks and the membership kernel, and the commutant,
+solved on the first solve and never for a membership check. Solved
 spaces are not kept: every call solves and re-verifies its own triple.
 """
 
+from functools import cached_property
 from itertools import product
 
 from .algebra import _constants, _row_support, _table_bracket
@@ -62,10 +64,6 @@ def twist_power(L, k, l):
     """Matrix of alpha^k composed with beta^l."""
     if k < 0 or l < 0:
         raise ValueError("twist exponents must be non-negative")
-    if not k:
-        return L.beta ** l
-    if not l:
-        return L.alpha ** k
     return (L.alpha ** k) * (L.beta ** l)
 
 
@@ -117,7 +115,7 @@ def _commutes(d, m, is_zero):
 
 def _plain(field, rows):
     """Entry rows of a matrix (or planes of a table) as plain scalars."""
-    return [list(map(field.plain, row)) for row in rows]
+    return [tuple(map(field.plain, row)) for row in rows]
 
 
 def verify_derivation(L, d, lam, mu, gamma, k=0, l=0):
@@ -128,18 +126,7 @@ def verify_derivation(L, d, lam, mu, gamma, k=0, l=0):
         raise FieldMismatchError(
             "mixed fields %r and %r" % (d.field, L.field))
     return _is_member(_plain(L.field, d.entries),
-                      *_plain_problem(L, lam, mu, gamma, k, l))
-
-
-def _plain_problem(L, lam, mu, gamma, k, l):
-    """The arguments of _is_member after d, in plain scalars."""
-    field = L.field
-    plain = field.plain
-    return ([_plain(field, plane) for plane in L.structure],
-            _plain(field, L.alpha.entries), _plain(field, L.beta.entries),
-            _plain(field, twist_power(L, k, l).entries),
-            plain(field.coerce(lam)), plain(field.coerce(mu)),
-            plain(field.coerce(gamma)), field.is_zero)
+                      *_solver(L).problem(lam, mu, gamma, k, l))
 
 
 def _is_member(d, table, alpha, beta, m, lam, mu, gamma, is_zero):
@@ -171,15 +158,38 @@ def _is_member(d, table, alpha, beta, m, lam, mu, gamma, is_zero):
 
 
 class SolveContext:
-    """Solver state that depends on the algebra alone: the nonzero structure
-    constants, the twist commutant and, per (k, l), the three residual
-    blocks. Built only by _solver, once per algebra."""
+    """Solver and membership state fixed per algebra, built once by _solver:
+    the nonzero structure constants, the plain table and twists, per (k, l)
+    the twist power (as a Matrix and as plain rows) and the three residual
+    blocks, and the twist commutant, solved on first use."""
 
     def __init__(self, L):
         self.L = L
         self.constants = _constants(L.structure)
-        self.commutant = intertwiners(L, L)
+        self.plain = ([_plain(L.field, plane) for plane in L.structure],
+                      _plain(L.field, L.alpha.entries),
+                      _plain(L.field, L.beta.entries))
+        self._powers = {}
         self._blocks = {}
+
+    @cached_property
+    def commutant(self):
+        """The twist commutant, solved on first use."""
+        return intertwiners(self.L, self.L)
+
+    def _power(self, k, l):
+        """twist_power(L, k, l) and its plain rows, built once per (k, l)."""
+        if (k, l) not in self._powers:
+            m = twist_power(self.L, k, l)
+            self._powers[k, l] = m, _plain(self.L.field, m.entries)
+        return self._powers[k, l]
+
+    def problem(self, lam, mu, gamma, k, l):
+        """The arguments of _is_member after d, in plain scalars."""
+        field = self.L.field
+        return (*self.plain, self._power(k, l)[1],
+                *(field.plain(field.coerce(x)) for x in (lam, mu, gamma)),
+                field.is_zero)
 
     def _residual_blocks(self, m):
         """The lam, mu and gamma blocks at twist power m: per commutant
@@ -214,12 +224,10 @@ class SolveContext:
         is re-verified by verify_derivation."""
         L = self.L
         n, field = L.n, L.field
-        lam = field.coerce(lam)
-        mu = field.coerce(mu)
-        gamma = field.coerce(gamma)
+        lam, mu, gamma = map(field.coerce, (lam, mu, gamma))
         zero = field.zero()
         if (k, l) not in self._blocks:
-            self._blocks[k, l] = self._residual_blocks(twist_power(L, k, l))
+            self._blocks[k, l] = self._residual_blocks(self._power(k, l)[0])
         basis = self.commutant.basis
         rows = {}
         for coeff, block in zip((lam, -mu, -gamma), self._blocks[k, l]):
@@ -343,15 +351,14 @@ def count_members_fp(L, lam, mu, gamma, k=0, l=0):
 
     Enumerates every n x n matrix over F_p (p^(n^2) candidates) lazily, as
     n-tuples of int residue rows, and counts those the membership kernel
-    of verify_derivation accepts; its other inputs are converted once, so
-    no candidate builds a Matrix or an FpElement. Intended for p in {2,3}
-    and n = 2, where the scan is 16 or 81 candidates.
+    of verify_derivation accepts; its other inputs come from the algebra's
+    context, so no candidate builds a Matrix or an FpElement. Meant for
+    small scans: n = 2 over F_3 (81 candidates), n = 3 over F_2 (512).
     """
-    field = L.field
-    p = field.characteristic
+    p = L.field.characteristic
     if not p:
         raise ValueError("exhaustive enumeration needs a prime field")
-    problem = _plain_problem(L, lam, mu, gamma, k, l)
+    problem = _solver(L).problem(lam, mu, gamma, k, l)
     rows = product(range(p), repeat=L.n)
     return sum(1 for d in product(rows, repeat=L.n)
                if _is_member(d, *problem))

@@ -10,6 +10,8 @@ spanning set but compared through the reduced row echelon form of the spanning
 vectors, which is unique. Span equality is therefore structural equality.
 """
 
+from operator import add, mul
+
 from .fields import FieldMismatchError, field_of_scalar
 
 
@@ -65,28 +67,27 @@ class Matrix:
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return Matrix([[self.entries[i][j] + other.entries[i][j]
-                        for j in range(self.cols)]
-                       for i in range(self.rows)], self.field)
+        return _matrix([map(add, r, s)
+                        for r, s in zip(self.entries, other.entries)],
+                       self.field)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix([[-x for x in r] for r in self.entries], self.field)
+        return _matrix([[-x for x in r] for r in self.entries], self.field)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check_field(other)
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            return Matrix(
-                [[sum((self.entries[i][t] * other.entries[t][j]
-                       for t in range(self.cols)), self.field.zero())
-                  for j in range(other.cols)]
-                 for i in range(self.rows)], self.field)
+            zero = self.field.zero()
+            cols = list(zip(*other.entries))
+            return _matrix([[sum(map(mul, r, c), zero) for c in cols]
+                            for r in self.entries], self.field)
         x = self.field.coerce(other)
-        return Matrix([[e * x for e in r] for r in self.entries], self.field)
+        return _matrix([[e * x for e in r] for r in self.entries], self.field)
 
     def __rmul__(self, other):
         return self * other
@@ -117,7 +118,7 @@ class Matrix:
                      for row in self.entries)
 
     def transpose(self):
-        return Matrix([self.col(j) for j in range(self.cols)], self.field)
+        return _matrix(zip(*self.entries), self.field)
 
     def is_zero(self):
         return not any(x for r in self.entries for x in r)
@@ -142,6 +143,14 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%r)" % (list(list(r) for r in self.entries),)
+
+
+def _matrix(entries, field):
+    """A Matrix of rows already in field (arithmetic results): no checks."""
+    m = object.__new__(Matrix)
+    m.entries = tuple(map(tuple, entries))
+    m.rows, m.cols, m.field = len(m.entries), len(m.entries[0]), field
+    return m
 
 
 def matrix_from_vector(vec, n, field):
@@ -181,7 +190,7 @@ def rref(m):
         pr += 1
         if pr == m.rows:
             break
-    return Matrix(work, field), pivots
+    return _matrix(work, field), pivots
 
 
 def rank(m):
@@ -217,7 +226,7 @@ def invert(m):
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return Matrix([red.entries[i][n:] for i in range(n)], m.field)
+    return _matrix([red.entries[i][n:] for i in range(n)], m.field)
 
 
 def char_poly(m):
@@ -282,7 +291,7 @@ class VectorSubspace:
             if len(v) != ambient_dim:
                 raise ValueError("vector length mismatch")
         if vecs:
-            red, pivots = rref(Matrix(vecs, field))
+            red, pivots = rref(_matrix(vecs, field))
             self.basis = tuple(red.entries[i] for i in range(len(pivots)))
         else:
             self.basis = ()

@@ -52,6 +52,79 @@ def test_eval_expr_rejects_division_by_zero():
         eval_expr("1/x", {"x": F(0)})
 
 
+def _catalog_expressions():
+    """Every expression string of the shipped data file."""
+    out = set()
+    for fam in catalog.load_catalog().values():
+        out.update(rec["value"] for rec in fam.brackets)
+        shapes = [fam.alpha, fam.beta]
+        for row in fam.rows:
+            shapes += [row.centroid, row.der]
+            for clause in row.guard:
+                out.update((clause["lhs"], clause["rhs"]))
+        out.update(cell for shape in shapes for r in shape for cell in r)
+    return sorted(out)
+
+
+def _outcome(src, env):
+    try:
+        return eval_expr(src, env)
+    except CatalogError as err:
+        return str(err)
+
+
+def test_parse_memo_keeps_structure_not_values():
+    strings = _catalog_expressions()
+    assert len(strings) == 25
+    envs = []
+    for fid in family_ids():
+        for params in pinned_samples(fid):
+            for k in range(3):
+                for l in range(3):
+                    env = dict(params, k=F(k), l=F(l))
+                    env.update((s, F(2 + i))
+                               for i, s in enumerate(catalog._SLOT_NAMES))
+                    envs.append(env)
+    # cold: every string parsed afresh for each env
+    cold = []
+    for env in envs:
+        catalog._parse.cache_clear()
+        cold.append([_outcome(s, env) for s in strings])
+    catalog._parse.cache_clear()
+    warm = [[_outcome(s, env) for s in strings] for env in envs]
+    again = [[_outcome(s, env) for s in strings] for env in envs]
+    assert warm == cold and again == cold
+    assert catalog._parse.cache_info().misses == len(strings)
+
+
+@pytest.mark.parametrize("src, env, message", [
+    ("q+1", {"a": F(1)}, "unknown symbol 'q' in expression 'q+1'"),
+    ("1/x", {"x": F(0)}, "division by zero in '1/x'"),
+    ("2$x", {"x": F(1)}, "bad character '$' in expression '2$x'"),
+    ("x y", {"x": F(1), "y": F(1)}, "trailing input in expression 'x y'"),
+    ("x^y", {"x": F(2), "y": Fraction(1, 2)},
+     "exponent 1/2 in 'x^y' is not a non-negative integer"),
+    # an input with two faults reports the one met first, left to right
+    ("q+", {}, "unknown symbol 'q' in expression 'q+'"),
+    ("1/x)", {"x": F(0)}, "division by zero in '1/x)'"),
+    ("x+(", {"x": F(1)}, "unexpected token in expression 'x+('"),
+])
+def test_parse_memo_repeats_errors(src, env, message):
+    catalog._parse.cache_clear()
+    for _ in range(2):
+        with pytest.raises(CatalogError) as err:
+            eval_expr(src, env)
+        assert str(err.value) == message
+
+
+def test_parse_memo_recovers_after_an_error():
+    # the memo keeps the parse, not the failed evaluation
+    catalog._parse.cache_clear()
+    with pytest.raises(CatalogError):
+        eval_expr("1/x", {"x": F(0)})
+    assert eval_expr("1/x", {"x": F(2)}) == Fraction(1, 2)
+
+
 def test_guard_matches_exponent_arithmetic():
     guard = [{"lhs": "k+l", "op": "ge", "rhs": "1"}]
     assert not guard_matches(guard, {"k": F(0), "l": F(0)})

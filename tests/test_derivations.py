@@ -550,6 +550,54 @@ def test_dropped_gamma_block_is_caught(monkeypatch):
         bh.derivation_space(heisenberg(1, 12, 27, [2], [3]), 1, 1, 1, 1, 1)
 
 
+def test_wrong_cached_twist_power_is_caught(monkeypatch):
+    # blocks and re-verification read the same cached power, so a wrong
+    # power passes re-verification; only the independent reference, which
+    # forms alpha^k beta^l by repeated products, can catch it
+    power = derivations.SolveContext._power
+    monkeypatch.setattr(derivations.SolveContext, "_power",
+                        lambda self, k, l: power(self, l, k))
+
+    def differs(L):
+        want = _reference_spaces(L, 2, 1)
+        return any(bh.derivation_space(L, *triple, 2, 1).space != want[triple]
+                   for triple in CANONICAL_TRIPLES)
+
+    assert any(differs(L) for L in _reference_algebras())
+
+
+def test_twist_powers_built_once_and_commutant_lazy(monkeypatch):
+    calls = {"intertwiners": 0, "twist_power": []}
+    intertwiners = derivations.intertwiners
+    twist_power = derivations.twist_power
+
+    def counting_intertwiners(L, L2):
+        calls["intertwiners"] += 1
+        return intertwiners(L, L2)
+
+    def counting_twist_power(L, k, l):
+        calls["twist_power"].append((L, k, l))
+        return twist_power(L, k, l)
+
+    monkeypatch.setattr(derivations, "intertwiners", counting_intertwiners)
+    monkeypatch.setattr(derivations, "twist_power", counting_twist_power)
+    L, Lp = l_1_17(), bh.reduce_mod_p(l_1_17(), 3)
+    assert bh.verify_derivation(L, Matrix.identity(2, QQ), 1, 1, 0)
+    assert bh.count_members_fp(Lp, 1, 1, 0, 1, 1) == 3
+    assert calls["intertwiners"] == 0
+    for k in range(3):
+        for l in range(3):
+            bh.centroid(L, k, l)
+            bh.derivation_space(L, 1, 1, 1, k, l)
+    bh.is_characteristically_nilpotent(L)
+    bh.is_small_centroid(L)
+    powers = calls["twist_power"]
+    assert len(powers) == len(set(powers)) == 1 + 9
+    assert set(powers) == {(Lp, 1, 1)} | {
+        (L, k, l) for k in range(3) for l in range(3)}
+    assert calls["intertwiners"] == 1
+
+
 def test_one_algebra_keeps_one_solve_context(monkeypatch):
     built = []
     init = derivations.SolveContext.__init__

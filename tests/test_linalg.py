@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from bihomlie.fields import GF, QQ
+from bihomlie.fields import GF, QQ, FpElement
 from bihomlie.linalg import (Matrix, MatrixSubspace, SingularMatrixError,
                              VectorSubspace, char_poly, invert, is_invertible,
-                             nullspace_basis, rank, rref)
+                             matrix_from_vector, nullspace_basis, rank, rref)
 
 
 def mat(rows, field=QQ):
@@ -176,6 +176,35 @@ def test_matrix_power_refuses_non_square_and_negative():
         mat([[1, 2]]) ** 0
     with pytest.raises(ValueError):
         mat([[1, 0], [0, 1]]) ** -1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_uncoerced_results_hold_field_elements(field):
+    # arithmetic results skip coercion; FpElement equals its int residue
+    # but hashes differently, so a leaked int would break subspace equality
+    a = Matrix([[1, 2], [0, 1]], field)
+    b = Matrix([[2, 0], [1, 1]], field)
+    results = [a + b, a - b, -a, a * b, a * 2, 2 * a, a * Fraction(1, 2),
+               a ** 0, a ** 3, a.transpose(), rref(b)[0], invert(a),
+               Matrix.identity(2, field),
+               matrix_from_vector([1, 2, 0, 1], 2, field)]
+    space = MatrixSubspace(2, results[:4], field)
+    for m in results + list(space.basis):
+        assert m.field == field
+        for x in m.vectorize():
+            if field == QQ:
+                assert type(x) is Fraction
+            else:
+                assert type(x) is FpElement and x.p == 3
+    coerced = [Matrix([[field.plain(x) for x in r] for r in m.entries], field)
+               for m in results]
+    assert results == coerced
+    assert [hash(m) for m in results] == [hash(m) for m in coerced]
+    for ms, cs in ((results, coerced), (results[:4], coerced[:4]),
+                   (results[1:2], coerced[1:2])):
+        built = MatrixSubspace(2, ms, field)
+        reference = MatrixSubspace(2, cs, field)
+        assert built == reference and hash(built) == hash(reference)
 
 
 def test_apply_uses_columns_as_images():
