@@ -21,10 +21,11 @@ That kernel computes on plain scalars (Fractions, or int residues over
 F_p); the F_p census count_members_fp runs every candidate through it too.
 
 Each algebra keeps one context, built by _solver on first use and kept in
-its _solver slot. It holds the plain table and twists, one twist_power per
-(k, l) for both the blocks and the membership kernel, and the commutant,
-solved on the first solve and never for a membership check. Solved
-spaces are not kept: every call solves and re-verifies its own triple.
+its _solver slot. It keeps each value once: the plain table and twists
+(over Q the algebra's own rows), per (k, l) only the plain rows of one
+twist_power, which the blocks and the membership kernel both read, and the
+commutant, solved on the first solve and never for a membership check.
+Solved spaces are not kept: every call solves and re-verifies its triple.
 """
 
 from functools import cached_property
@@ -113,11 +114,6 @@ def _commutes(d, m, is_zero):
     return True
 
 
-def _plain(field, rows):
-    """Entry rows of a matrix (or planes of a table) as plain scalars."""
-    return [tuple(map(field.plain, row)) for row in rows]
-
-
 def verify_derivation(L, d, lam, mu, gamma, k=0, l=0):
     """Independent membership check on all basis pairs (no linear system)."""
     if d.rows != L.n or d.cols != L.n:
@@ -125,7 +121,7 @@ def verify_derivation(L, d, lam, mu, gamma, k=0, l=0):
     if d.field != L.field:
         raise FieldMismatchError(
             "mixed fields %r and %r" % (d.field, L.field))
-    return _is_member(_plain(L.field, d.entries),
+    return _is_member(L.field.plain_rows(d.entries),
                       *_solver(L).problem(lam, mu, gamma, k, l))
 
 
@@ -160,15 +156,15 @@ def _is_member(d, table, alpha, beta, m, lam, mu, gamma, is_zero):
 class SolveContext:
     """Solver and membership state fixed per algebra, built once by _solver:
     the nonzero structure constants, the plain table and twists, per (k, l)
-    the twist power (as a Matrix and as plain rows) and the three residual
-    blocks, and the twist commutant, solved on first use."""
+    the plain rows of the twist power and the three residual blocks, and
+    the twist commutant, solved on first use."""
 
     def __init__(self, L):
         self.L = L
         self.constants = _constants(L.structure)
-        self.plain = ([_plain(L.field, plane) for plane in L.structure],
-                      _plain(L.field, L.alpha.entries),
-                      _plain(L.field, L.beta.entries))
+        plain_rows = L.field.plain_rows
+        self.plain = (tuple(map(plain_rows, L.structure)),
+                      plain_rows(L.alpha.entries), plain_rows(L.beta.entries))
         self._powers = {}
         self._blocks = {}
 
@@ -178,27 +174,27 @@ class SolveContext:
         return intertwiners(self.L, self.L)
 
     def _power(self, k, l):
-        """twist_power(L, k, l) and its plain rows, built once per (k, l)."""
+        """The plain rows of twist_power(L, k, l), built once per (k, l)."""
         if (k, l) not in self._powers:
-            m = twist_power(self.L, k, l)
-            self._powers[k, l] = m, _plain(self.L.field, m.entries)
+            self._powers[k, l] = self.L.field.plain_rows(
+                twist_power(self.L, k, l).entries)
         return self._powers[k, l]
 
     def problem(self, lam, mu, gamma, k, l):
         """The arguments of _is_member after d, in plain scalars."""
         field = self.L.field
-        return (*self.plain, self._power(k, l)[1],
+        return (*self.plain, self._power(k, l),
                 *(field.plain(field.coerce(x)) for x in (lam, mu, gamma)),
                 field.is_zero)
 
     def _residual_blocks(self, m):
-        """The lam, mu and gamma blocks at twist power m: per commutant
-        basis member B_r, a map from (i, j, s) to coordinate s of
-        d([e_i,e_j]), [d(e_i), m(e_j)] and [m(e_i), d(e_j)] at d = B_r.
-        A missing key is zero."""
+        """The lam, mu and gamma blocks at a twist power m, given by its
+        plain rows: per commutant basis member B_r, a map from (i, j, s) to
+        coordinate s of d([e_i,e_j]), [d(e_i), m(e_j)] and [m(e_i), d(e_j)]
+        at d = B_r. A missing key is zero."""
         zero = self.L.field.zero()
         blocks = ([], [], [])
-        m_rows = _row_support(m.entries)
+        m_rows = _row_support(m)
         for b in self.commutant.basis:
             lam, mu, gamma = {}, {}, {}
             b_rows = _row_support(b.entries)
@@ -227,7 +223,7 @@ class SolveContext:
         lam, mu, gamma = map(field.coerce, (lam, mu, gamma))
         zero = field.zero()
         if (k, l) not in self._blocks:
-            self._blocks[k, l] = self._residual_blocks(self._power(k, l)[0])
+            self._blocks[k, l] = self._residual_blocks(self._power(k, l))
         basis = self.commutant.basis
         rows = {}
         for coeff, block in zip((lam, -mu, -gamma), self._blocks[k, l]):

@@ -4,8 +4,9 @@ Every public value is either a ``fractions.Fraction`` (kept in lowest terms
 with positive denominator by the stdlib) or an ``FpElement``. A field
 descriptor (``QQ`` or ``GF(p)``) builds, parses and formats its scalars;
 matrices and algebras carry one and refuse to mix fields. Hot kernels
-compute on the descriptor's ``plain`` view instead (the Fraction itself,
-or the int residue) and its ``is_zero`` test, which takes unreduced sums.
+compute on the descriptor's plain view instead, ``plain`` for a scalar and
+``plain_rows`` for entry rows (over Q the stored rows, not a copy; over F_p
+new tuples of int residues), and its ``is_zero`` test on unreduced sums.
 """
 
 import math
@@ -144,6 +145,9 @@ class RationalField:
     def plain(self, x):
         return x
 
+    def plain_rows(self, rows):
+        return rows
+
     def is_zero(self, x):
         return not x
 
@@ -193,6 +197,9 @@ class PrimeField:
 
     def plain(self, x):
         return x.value
+
+    def plain_rows(self, rows):
+        return tuple(tuple(x.value for x in row) for row in rows)
 
     def is_zero(self, x):
         return x % self.p == 0

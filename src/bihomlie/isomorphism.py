@@ -217,8 +217,8 @@ def brute_force_iso(L, L2, p):
     n = L.n
     vecs = [b.vectorize() for b in space.basis]
     # per entry of a candidate, the basis members nonzero there
-    entries = [[(r, v[t].value) for r, v in enumerate(vecs) if v[t]]
-               for t in range(n * n)]
+    entries = [[(r, Lp.field.plain(v[t])) for r, v in enumerate(vecs)
+                if v[t]] for t in range(n * n)]
     pivot_rows = [next(t for t, x in enumerate(v) if x) // n for v in vecs]
 
     def row(coeffs, i):

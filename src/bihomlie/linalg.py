@@ -230,52 +230,23 @@ def invert(m):
 
 
 def char_poly(m):
-    """Coefficients of det(t I - m), highest degree first. Division-free."""
+    """Coefficients of det(t I - m), highest degree first, by Berkowitz's
+    division-free recurrence (1984): from the polynomial p of a leading
+    block M, that of [[M, C], [R, a]] is q_i = sum_j c_(i-j) p_j with
+    c = (1, -a, -R C, -R M C, ..., -R M^(r-1) C), r = size of M."""
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
-    n = m.rows
-    field = m.field
-    zero, one = field.zero(), field.one()
-
-    def pmul(p, q):
-        out = [zero] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            if a == zero:
-                continue
-            for j, b in enumerate(q):
-                out[i + j] = out[i + j] + a * b
-        return out
-
-    def padd(p, q):
-        if len(p) < len(q):
-            p, q = q, p
-        out = list(p)
-        for i, b in enumerate(q):
-            out[i] = out[i] + b
-        return out
-
-    # entry polynomials of t*I - m, constant term first
-    ent = [[[-m.entries[i][j]] + ([one] if i == j else [])
-            for j in range(n)] for i in range(n)]
-    # Leibniz determinant by column-wise subset DP: state = rows used so far,
-    # sign of adding row r = parity of rows already used that sit below r.
-    memo = {0: [one]}
-    for col in range(n):
-        new_memo = {}
-        for used, val in memo.items():
-            for r in range(n):
-                if used >> r & 1:
-                    continue
-                term = pmul(ent[r][col], val)
-                if bin(used >> (r + 1)).count("1") % 2 == 1:
-                    term = [-c for c in term]
-                key = used | 1 << r
-                new_memo[key] = (padd(new_memo[key], term)
-                                 if key in new_memo else term)
-        memo = new_memo
-    poly = memo[(1 << n) - 1]
-    poly = list(poly) + [zero] * (n + 1 - len(poly))
-    return tuple(reversed(poly))
+    a, zero, one = m.entries, m.field.zero(), m.field.one()
+    poly = [one]
+    for r in range(m.rows):
+        vec = [a[i][r] for i in range(r)]
+        col = [one, -a[r][r]]
+        for _ in range(r):
+            col.append(-sum(map(mul, a[r][:r], vec), zero))
+            vec = [sum(map(mul, a[i][:r], vec), zero) for i in range(r)]
+        poly = [sum((col[i - j] * p for j, p in enumerate(poly[:i + 1])),
+                    zero) for i in range(r + 2)]
+    return tuple(poly)
 
 
 class VectorSubspace:
@@ -329,18 +300,16 @@ class VectorSubspace:
         self._check(other)
         if not self.basis or not other.basis:
             return VectorSubspace.zero(self.ambient_dim, self.field)
-        # solve a^T u = b^T v: nullspace of [basisA^T | -basisB^T]
-        a = Matrix(self.basis, self.field).transpose()
-        b = Matrix(other.basis, self.field).transpose()
-        stacked = Matrix(
-            [list(a.entries[i]) + [-x for x in b.entries[i]]
-             for i in range(self.ambient_dim)], self.field)
-        vecs = []
-        ka = len(self.basis)
-        for sol in nullspace_basis(stacked):
-            u = sol[:ka]
-            vecs.append(a.apply(u))
-        return VectorSubspace(self.ambient_dim, vecs, self.field)
+        # Zassenhaus: the rref of the rows (a | a) and (b | 0) has zero left
+        # half exactly in the rows whose right halves span the intersection
+        n = self.ambient_dim
+        zeros = (self.field.zero(),) * n
+        red, pivots = rref(_matrix([a + a for a in self.basis]
+                                   + [b + zeros for b in other.basis],
+                                   self.field))
+        return VectorSubspace(n, [red.entries[i][n:]
+                                  for i, c in enumerate(pivots) if c >= n],
+                              self.field)
 
     def _check(self, other):
         if (self.ambient_dim != other.ambient_dim

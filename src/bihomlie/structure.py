@@ -295,7 +295,10 @@ def decompose_2dim(L):
     each candidate.
 
     Also evaluates whether L equals derived-subalgebra plus center as a
-    direct sum, and reports whether that split agrees with the outcome.
+    direct sum; agrees says whether split and pair are both present or both
+    absent. They are different notions: agrees is False on the abelian
+    algebra with alpha a Jordan block, where L = 0 + Z(L) splits but only
+    one line is twist-invariant.
     Rational twist spectra are required over the rationals; anything else
     raises UnsupportedFieldError rather than guessing.
     """

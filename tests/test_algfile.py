@@ -225,7 +225,7 @@ def test_truncated_and_mistyped_documents_are_refused():
             for path in rng.sample(leaves, rng.randint(2, 4)):
                 mutated = _replaced(mutated, path, rng.choice(MISTYPED))
             texts.append(json.dumps(mutated))
-    assert len(texts) == 4845
+    assert len(texts) == 6753
     for text in texts:
         with pytest.raises(AlgebraFileError):
             loads(text)

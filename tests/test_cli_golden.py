@@ -3,12 +3,16 @@
 Each case runs one subcommand with ``--output records`` and compares the
 whole of standard output with ``tests/golden/<case>.txt``. The fixtures are
 the catalog's L_1^10 over the rationals and a 3-dimensional twisted
-Heisenberg algebra reduced mod 3, on every subcommand; and three
+Heisenberg algebra reduced mod 3, on every subcommand; a 5-dimensional
+twisted Heisenberg algebra over the rationals, with pairwise distinct twist
+eigenvalues, under ``structure`` and ``fingerprint``; and three
 non-algebras under ``check`` alone, each failing one axiom first (skew,
 Jacobi, multiplicativity), which pins the indices of the first violation.
 After a deliberate output change, rewrite the expected files with
 
-    PYTHONPATH=src python3 tests/test_cli_golden.py
+    PYTHONPATH=src python3 tests/test_cli_golden.py [CASE ...]
+
+which rewrites only the named cases, or every case when none is named.
 """
 
 import contextlib
@@ -39,6 +43,9 @@ def _per_fixture(tag, path):
 
 CASES = [case for tag, name in FIXTURES.items()
          for case in _per_fixture(tag, os.path.join(GOLDEN, name))]
+CASES.extend(("h5_%s" % command,
+              [command, os.path.join(GOLDEN, "twisted_heis5.json")], 0)
+             for command in ("structure", "fingerprint"))
 CASES.append(("catalog_l_1_13", ["catalog", "--entry", "L_1^13"], 0))
 CASES.extend(("%s_check" % name,
               ["check", os.path.join(GOLDEN, name + ".json")], 1)
@@ -63,7 +70,13 @@ def test_records_output_is_byte_identical(name, argv, expected_code):
 
 
 if __name__ == "__main__":
+    names = set(sys.argv[1:])
+    unknown = names - {case[0] for case in CASES}
+    if unknown:
+        sys.exit("unknown cases: %s" % ", ".join(sorted(unknown)))
     for name, argv, _ in CASES:
+        if names and name not in names:
+            continue
         code, out = _run(argv)
         with open(os.path.join(GOLDEN, name + ".txt"), "w",
                   encoding="utf-8", newline="") as fh:

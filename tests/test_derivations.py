@@ -598,6 +598,29 @@ def test_twist_powers_built_once_and_commutant_lazy(monkeypatch):
     assert calls["intertwiners"] == 1
 
 
+def test_context_keeps_one_copy_of_each_value():
+    # over Q the plain view is the algebra's own rows; a kept twist power
+    # is its plain rows alone, with no Matrix beside them
+    L = l_1_17()
+    Lp = bh.reduce_mod_p(L, 3)
+    for A, scalar in ((L, Fraction), (Lp, int)):
+        bh.derivation_space(A, 1, 1, 1, 2, 1)
+        context = derivations._solver(A)
+        table, alpha, beta = context.plain
+        power = context._powers[2, 1]
+        assert power == tuple(
+            tuple(map(A.field.plain, row))
+            for row in derivations.twist_power(A, 2, 1).entries)
+        for rows in (*table, alpha, beta, power):
+            assert type(rows) is tuple and len(rows) == 2
+            for row in rows:
+                assert type(row) is tuple
+                assert all(type(x) is scalar for x in row)
+    table, alpha, beta = derivations._solver(L).plain
+    assert alpha is L.alpha.entries and beta is L.beta.entries
+    assert all(rows is plane for rows, plane in zip(table, L.structure))
+
+
 def test_one_algebra_keeps_one_solve_context(monkeypatch):
     built = []
     init = derivations.SolveContext.__init__

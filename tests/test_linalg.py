@@ -152,6 +152,43 @@ def test_char_poly_f3():
     assert char_poly(m) == (F3(1), F3(0), F3(1))
 
 
+def _leibniz_char_poly(m):
+    """Reference: det(t I - m) as the sum over permutations, highest
+    degree first."""
+    n, field = m.rows, m.field
+    one, zero = field.one(), field.zero()
+    total = [zero] * (n + 1)  # constant term first
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in itertools.combinations(range(n), 2))
+        term = [-one if inversions % 2 else one]
+        for i, j in enumerate(perm):
+            factor = [-m.entries[i][j]] + ([one] if i == j else [])
+            product = [zero] * (len(term) + len(factor) - 1)
+            for a, x in enumerate(term):
+                for b, y in enumerate(factor):
+                    product[a + b] += x * y
+            term = product
+        for a, x in enumerate(term):
+            total[a] += x
+    return tuple(reversed(total))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=repr)
+def test_char_poly_matches_leibniz(field):
+    rng = random.Random(1984)
+    scalar = type(field.one())
+    for n in range(1, 6):
+        for _ in range(12):
+            den = rng.choice((1, 2, 3)) if field == QQ else 1
+            m = mat([[Fraction(rng.randrange(-4, 5), den)
+                      if rng.random() < 0.7 else 0 for _ in range(n)]
+                     for _ in range(n)], field)
+            got = char_poly(m)
+            assert got == _leibniz_char_poly(m), m
+            assert all(type(x) is scalar for x in got)
+
+
 # --- matrix algebra -------------------------------------------------------
 
 def test_matrix_power():
@@ -249,14 +286,14 @@ def test_subspace_sum_and_intersection():
 
 def test_intersection_random_consistency():
     rng = random.Random(55)
-    for _ in range(20):
+    for field, _ in itertools.product((QQ, GF(3)), range(20)):
         n = 4
         a = VectorSubspace(n, [tuple(Fraction(rng.randrange(-2, 3))
                                      for _ in range(n))
-                               for _ in range(rng.randrange(0, 4))], QQ)
+                               for _ in range(rng.randrange(0, 4))], field)
         b = VectorSubspace(n, [tuple(Fraction(rng.randrange(-2, 3))
                                      for _ in range(n))
-                               for _ in range(rng.randrange(0, 4))], QQ)
+                               for _ in range(rng.randrange(0, 4))], field)
         meet = a.intersection(b)
         join = a.sum(b)
         assert meet.dim + join.dim == a.dim + b.dim

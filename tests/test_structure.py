@@ -338,6 +338,17 @@ def test_decompose_transported_direct_sums():
         assert a.sum(b).dim == 2
 
 
+def test_decompose_split_without_ideal_pair():
+    # abelian, alpha a Jordan block: span{e1} is the only twist-invariant
+    # line, so there is no ideal pair, while L^2 = 0 and Z(L) = L split
+    L = BiHomLieAlgebra.from_brackets(2, {}, [[1, 1], [0, 1]], IDENT)
+    assert L.check_all().passed
+    res = bh.decompose_2dim(L)
+    assert res.pair is None
+    assert res.split_holds
+    assert not res.agrees
+
+
 def test_decompose_l_1_9():
     res = bh.decompose_2dim(l_1_9())
     assert res.pair is not None
