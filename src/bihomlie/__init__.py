@@ -13,9 +13,8 @@ from .derivations import (DerivationSpace, MembershipError,
                           count_members_fp, derivation_grid, derivation_space,
                           jordan_product, normalize_params, quasi_centroid,
                           twist_commutant, twist_power, verify_derivation)
-from .structure import (ClosureError, Decomposition2, SeriesReport,
-                        UnsupportedFieldError, center, centralizer,
-                        decompose_2dim, derived_series, derived_subalgebra,
+from .structure import (ClosureError, SeriesReport, center, centralizer,
+                        decompose, derived_series, derived_subalgebra,
                         is_characteristically_nilpotent, is_ideal,
                         is_nilpotent, is_small_centroid, is_solvable,
                         ker_alpha_plus_ker_beta, lower_central_series,

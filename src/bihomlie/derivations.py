@@ -33,7 +33,7 @@ from itertools import product
 
 from .algebra import _constants, _row_support, _table_bracket
 from .fields import FieldMismatchError, QQ
-from .linalg import Matrix, MatrixSubspace, matrix_from_vector, nullspace_basis
+from .linalg import MatrixSubspace, VectorSubspace, _matrix, nullspace_basis
 
 
 class MembershipError(AssertionError):
@@ -87,9 +87,8 @@ def intertwiners(L, L2):
                     if m2[i][t]:
                         row[t * n + j] = row[t * n + j] - m2[i][t]
                 rows.append(row)
-    sols = nullspace_basis(Matrix(rows, field))
-    return MatrixSubspace(
-        n, [matrix_from_vector(v, n, field) for v in sols], field)
+    sols = nullspace_basis(_matrix(rows, field))
+    return MatrixSubspace._of(n, VectorSubspace(n * n, sols, field))
 
 
 def twist_commutant(L):
@@ -237,12 +236,11 @@ class SolveContext:
         space = self.commutant
         if system:
             vecs = [b.vectorize() for b in basis]
-            members = []
-            for x in nullspace_basis(Matrix(system, field)):
-                d = [sum((xr * vec[t] for xr, vec in zip(x, vecs) if xr), zero)
-                     for t in range(n * n)]
-                members.append(matrix_from_vector(d, n, field))
-            space = MatrixSubspace(n, members, field)
+            members = [[sum((xr * vec[t] for xr, vec in zip(x, vecs) if xr),
+                            zero) for t in range(n * n)]
+                       for x in nullspace_basis(_matrix(system, field))]
+            space = MatrixSubspace._of(n, VectorSubspace(n * n, members,
+                                                         field))
         for d in space.basis:
             if not verify_derivation(L, d, lam, mu, gamma, k, l):
                 raise MembershipError(

@@ -35,60 +35,61 @@ class FpElement:
         self.value = value % p
         self.p = p
 
-    def _coerce(self, other):
+    def _residue(self, other):
+        """other as a plain int to combine with self.value: the residue of
+        an FpElement of the same modulus or a plain int as it is; None for
+        any other type, so the operator returns NotImplemented."""
         if isinstance(other, FpElement):
             if other.p != self.p:
                 raise FieldMismatchError(
                     "mixed moduli %d and %d" % (self.p, other.p))
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.p)
-        return None
+            return other.value
+        return other if isinstance(other, int) else None
 
     def __add__(self, other):
-        if type(other) is not FpElement or other.p != self.p:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return FpElement(self.value + other.value, self.p)
+        v = (other.value if type(other) is FpElement and other.p == self.p
+             else self._residue(other))
+        if v is None:
+            return NotImplemented
+        return FpElement(self.value + v, self.p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not FpElement or other.p != self.p:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return FpElement(self.value - other.value, self.p)
+        v = (other.value if type(other) is FpElement and other.p == self.p
+             else self._residue(other))
+        if v is None:
+            return NotImplemented
+        return FpElement(self.value - v, self.p)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        v = self._residue(other)
+        if v is None:
             return NotImplemented
-        return other - self
+        return FpElement(v - self.value, self.p)
 
     def __mul__(self, other):
-        if type(other) is not FpElement or other.p != self.p:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return FpElement(self.value * other.value, self.p)
+        v = (other.value if type(other) is FpElement and other.p == self.p
+             else self._residue(other))
+        if v is None:
+            return NotImplemented
+        return FpElement(self.value * v, self.p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        v = self._residue(other)
+        if v is None:
             return NotImplemented
-        if other.value == 0:
+        if v % self.p == 0:
             raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return self * other.inverse()
+        return FpElement(self.value * pow(v, self.p - 2, self.p), self.p)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        v = self._residue(other)
+        if v is None:
             return NotImplemented
-        return other / self
+        return FpElement(v * self.inverse().value, self.p)
 
     def __neg__(self):
         return FpElement(-self.value, self.p)

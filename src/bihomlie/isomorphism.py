@@ -14,8 +14,8 @@ from .algebra import BiHomLieAlgebra, _conjugate
 from .derivations import derivation_space, intertwiners
 from .fields import GF, ReductionError, _is_prime
 from .linalg import Matrix, char_poly, invert, is_invertible, rank
-from .structure import (center, derived_series, derived_subalgebra,
-                        lower_central_series)
+from .structure import (MAX_SEARCH_CANDIDATES, center, derived_series,
+                        derived_subalgebra, lower_central_series)
 
 # one representative per coefficient-triple class, the scan grid for
 # fingerprint derivation dimensions
@@ -23,9 +23,6 @@ CANONICAL_TRIPLES = (
     (0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1),
     (0, 1, 0), (0, 1, 1), (1, 1, -1), (0, 1, -1),
 )
-
-# most candidates brute_force_iso scans; checked before the scan starts
-MAX_SEARCH_CANDIDATES = 10 ** 5
 
 
 def _as_witness(f, L):

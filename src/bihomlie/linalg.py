@@ -153,14 +153,6 @@ def _matrix(entries, field):
     return m
 
 
-def matrix_from_vector(vec, n, field):
-    """Inverse of Matrix.vectorize for n x n operators."""
-    if len(vec) != n * n:
-        raise ValueError("vector length is not n^2")
-    return Matrix([[vec[i * n + j] for j in range(n)] for i in range(n)],
-                  field)
-
-
 def rref(m):
     """Reduced row echelon form. Returns (rref matrix, pivot column list)."""
     field = m.field
@@ -335,17 +327,27 @@ class MatrixSubspace:
     __slots__ = ("dim_ambient", "field", "basis", "_vs")
 
     def __init__(self, dim_ambient, matrices, field):
-        self.dim_ambient = dim_ambient
-        self.field = field
         for m in matrices:
             if m.rows != dim_ambient or m.cols != dim_ambient:
                 raise ValueError("matrix shape mismatch")
             if m.field != field:
                 raise FieldMismatchError("matrix field mismatch")
-        self._vs = VectorSubspace(dim_ambient * dim_ambient,
-                                  [m.vectorize() for m in matrices], field)
-        self.basis = tuple(
-            matrix_from_vector(v, dim_ambient, field) for v in self._vs.basis)
+        self._set(dim_ambient, VectorSubspace(
+            dim_ambient * dim_ambient, [m.vectorize() for m in matrices],
+            field))
+
+    @classmethod
+    def _of(cls, n, vs):
+        """The space of n x n operators whose vectorizations span vs, which
+        is canonical already: nothing is coerced or reduced again."""
+        space = object.__new__(cls)
+        space._set(n, vs)
+        return space
+
+    def _set(self, n, vs):
+        self.dim_ambient, self.field, self._vs = n, vs.field, vs
+        self.basis = tuple(_matrix([v[i * n:(i + 1) * n] for i in range(n)],
+                                   vs.field) for v in vs.basis)
 
     @property
     def dim(self):
@@ -358,14 +360,11 @@ class MatrixSubspace:
         return all(self.contains(m) for m in other.basis)
 
     def sum(self, other):
-        return MatrixSubspace(self.dim_ambient,
-                              list(self.basis) + list(other.basis), self.field)
+        return MatrixSubspace._of(self.dim_ambient, self._vs.sum(other._vs))
 
     def intersection(self, other):
-        inter = self._vs.intersection(other._vs)
-        mats = [matrix_from_vector(v, self.dim_ambient, self.field)
-                for v in inter.basis]
-        return MatrixSubspace(self.dim_ambient, mats, self.field)
+        return MatrixSubspace._of(self.dim_ambient,
+                                  self._vs.intersection(other._vs))
 
     def __eq__(self, other):
         return isinstance(other, MatrixSubspace) and self._vs == other._vs

@@ -1,25 +1,28 @@
-"""Structural invariants: centers, series, ideals, nilpotency-type flags.
+"""Structural invariants: centers, series, ideals, nilpotency-type flags,
+and the direct-sum decomposition.
 
 All subspace computations go through the canonicalized VectorSubspace /
 MatrixSubspace types, so equality assertions in reports are structural.
 """
 
-import math
-from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import mul
 
-from .algebra import _unit
-from .linalg import Matrix, MatrixSubspace, VectorSubspace, nullspace_basis
+from .algebra import BiHomLieAlgebra, _unit
+from .linalg import (Matrix, MatrixSubspace, VectorSubspace, char_poly,
+                     nullspace_basis, rank)
 from .derivations import (central_derivations, centroid, commutator,
                           derivation_space)
+
+# most candidates a bounded scan tries (the witness search, the idempotent
+# scan and the rational root test of decompose); checked before it starts
+MAX_SEARCH_CANDIDATES = 10 ** 5
 
 
 class ClosureError(ValueError):
     """A computed operator space is not commutator-closed, so treating it
     as a matrix Lie algebra would silently lie; raised instead."""
-
-
-class UnsupportedFieldError(ValueError):
-    """The answer would require eigenvalues outside the base field."""
 
 
 class SeriesReport:
@@ -143,7 +146,9 @@ def ker_alpha_plus_ker_beta(L):
 
 def is_characteristically_nilpotent(L):
     """Whether the (1,1,1) derivation space at exponents (0,0) is a
-    nilpotent matrix Lie algebra.
+    nilpotent matrix Lie algebra. This is not the classical notion
+    (Dixmier and Lister), which asks that every derivation act nilpotently
+    on L; the two differ on 8 of the 25 catalog families.
 
     Commutator closure of the computed span is verified first; a non-closed
     span raises ClosureError rather than running the series on a non-algebra.
@@ -179,15 +184,10 @@ def _strictly_central_maps(L, gamma00):
 
 
 def _annihilator(S, n, field):
-    """Functionals vanishing exactly on S: rows of a matrix with kernel S."""
-    if S.dim == n:
-        return []
-    if S.dim == 0:
-        return [list(r) for r in Matrix.identity(n, field).entries]
-    # w works as a functional vanishing on S iff w is orthogonal to each
-    # basis row, i.e. w lies in the nullspace of the stacked basis
-    basis_matrix = Matrix([list(v) for v in S.basis], field)
-    return [list(v) for v in nullspace_basis(basis_matrix)]
+    """Functionals vanishing exactly on S: rows of a matrix with kernel S.
+    w vanishes on S iff it is orthogonal to each basis row, so these span
+    the nullspace of the stacked basis (of a zero row when S = 0)."""
+    return nullspace_basis(Matrix(S.basis or [[field.zero()] * n], field))
 
 
 def is_small_centroid(L, mode="strict"):
@@ -214,103 +214,102 @@ def is_small_centroid(L, mode="strict"):
     return span.contains_subspace(gamma00)
 
 
-class Decomposition2:
+def decompose(L):
+    """Split L into twist-invariant ideals as far as its two-sided centroid
+    C2 shows: (summands, complete), the summands VectorSubspaces sorted by
+    their canonical bases. See the README for the derivation.
 
-    __slots__ = ("pair", "split_holds", "agrees")
-
-    def __init__(self, pair, split_holds):
-        self.pair = pair
-        self.split_holds = split_holds
-        self.agrees = (pair is not None) == split_holds
-
-    def __repr__(self):
-        return "Decomposition2(pair=%r, split_holds=%s)" % (
-            self.pair, self.split_holds)
-
-
-def _rational_sqrt(x):
-    x = Fraction(x)
-    if x < 0:
-        return None
-    rn, rd = _int_sqrt(x.numerator), _int_sqrt(x.denominator)
-    return None if rn is None or rd is None else Fraction(rn, rd)
-
-
-def _int_sqrt(v):
-    r = math.isqrt(v)
-    return r if r * r == v else None
-
-
-def _rational_eigenvalues(m):
-    """Distinct rational eigenvalues of a 2x2 matrix, ascending."""
-    (a, b), (c, d) = m.entries
-    tr, det = a + d, a * d - b * c
-    root = _rational_sqrt(tr * tr - 4 * det)
-    if root is None:
-        return []
-    return sorted({(tr - root) / 2, (tr + root) / 2})
-
-
-def _check_rational_spectrum(m):
-    """2x2 only: raise unless the eigenvalues lie in the rationals."""
-    if not _rational_eigenvalues(m):
-        raise UnsupportedFieldError(
-            "twist map has eigenvalues outside the rationals")
-
-
-def _candidate_lines(L):
-    """Lines that could be ideals (2-dim only), as spanning vectors.
-
-    An ideal line is an eigenline of alpha, of beta and of every bracket
-    map x -> [x, e_j], x -> [e_j, x]. Over Q the candidates are therefore
-    the eigenlines of the first non-scalar map among these; when all are
-    scalar, every line is an ideal and the two coordinate lines suffice.
-    Over a prime field all p+1 lines are listed.
+    A piece is split at the Fitting pieces ker (c-r)^n and im (c-r)^n of
+    the first basis member c of its C2 and eigenvalue r in the field that
+    give two nonzero ideals, and each piece is decomposed again as an
+    algebra of its own. A piece that does not split is certified
+    indecomposable, over Q when the trace form of its C2 has rank 1, over
+    F_p when a scan of its C2 finds no idempotent other than 0 and 1.
+    complete is False when some piece is neither split nor certified.
     """
     field = L.field
-    zero, one = field.zero(), field.one()
+    summands, complete = [], True
+    pieces = [VectorSubspace.full(L.n, field)]
+    while pieces:
+        W = pieces.pop()
+        split, certified = _split(_restrict(L, W))
+        if split is None:
+            summands.append(W)
+            complete = complete and certified
+            continue
+        embed = Matrix(list(zip(*W.basis)), field)
+        pieces += [VectorSubspace(L.n, map(embed.apply, S.basis), field)
+                   for S in split]
+    summands.sort(key=lambda S: [list(map(field.plain, v)) for v in S.basis])
+    return summands, complete
+
+
+def _restrict(L, W):
+    """L on the twist-invariant ideal W, in the coordinates of W's reduced
+    row echelon basis: those of a vector of W sit at its pivot columns."""
+    pivots = [next(i for i, x in enumerate(w) if x) for w in W.basis]
+
+    def coords(v):
+        return [v[i] for i in pivots]
+
+    table = [[coords(L.bracket(u, w)) for w in W.basis] for u in W.basis]
+    alpha, beta = (zip(*[coords(t.apply(w)) for w in W.basis])
+                   for t in (L.alpha, L.beta))
+    return BiHomLieAlgebra(table, alpha, beta, L.field)
+
+
+def _split(L):
+    """(the Fitting pieces of a split of L, True), or (None, whether L is
+    certified indecomposable)."""
+    n, field, p = L.n, L.field, L.field.characteristic
+    c2 = centroid(L, 0, 0).space.intersection(
+        derivation_space(L, 1, 0, 1).space)
+    one = Matrix.identity(n, field)
+    for c in c2.basis:
+        for r in _eigenvalues(c):
+            split = _fitting(c - one * r)
+            if split:
+                return split, True
+    if not p:
+        gram = [[sum((a * b).entries[i][i] for i in range(n))
+                 for b in c2.basis] for a in c2.basis]
+        return None, rank(Matrix(gram, field)) == 1
+    if p ** c2.dim > MAX_SEARCH_CANDIDATES:
+        return None, False
+    for xs in product(range(p), repeat=c2.dim):
+        e = sum(map(mul, c2.basis, xs), Matrix.zero(n, n, field))
+        split = _fitting(e) if e * e == e else None
+        if split:
+            return split, True
+    return None, True
+
+
+def _fitting(f):
+    """(ker f^n, im f^n) when both are nonzero, else None."""
+    g = f ** f.rows
+    ker = nullspace_basis(g)
+    if not ker or len(ker) == f.rows:
+        return None
+    return (VectorSubspace(f.rows, ker, f.field),
+            VectorSubspace(f.rows, g.transpose().entries, f.field))
+
+
+def _eigenvalues(c):
+    """The roots of c's characteristic polynomial in its field, among every
+    residue over F_p; over Q among 0 and +-u/v, u dividing the lowest
+    nonzero coefficient m and v the leading one den of the polynomial in
+    integers, tried only when den * m <= MAX_SEARCH_CANDIDATES."""
+    field, poly = c.field, char_poly(c)
     if field.characteristic:
-        return [(one, zero)] + [(field(t), one)
-                                for t in range(field.characteristic)]
-    maps = [L.alpha.entries, L.beta.entries]
-    for j in range(2):
-        maps.extend(_bracket_maps(L, j))
-    for rows in maps:
-        (a, b), (c, d) = rows
-        if b != zero or c != zero or a != d:
-            m = Matrix(rows, field)
-            return [v for lam in _rational_eigenvalues(m)
-                    for v in nullspace_basis(
-                        m - Matrix.identity(2, field) * lam)]
-    return [(one, zero), (zero, one)]
-
-
-def decompose_2dim(L):
-    """Split into two 1-dimensional ideals when possible (2-dim only).
-
-    The pair is the first two ideal lines found. Over Q the candidates are
-    the rational eigenlines of the first non-scalar map among alpha, beta
-    and the bracket maps x -> [x, e_j], x -> [e_j, x] (the coordinate lines
-    when all are scalar); over F_p they are all p+1 lines. is_ideal decides
-    each candidate.
-
-    Also evaluates whether L equals derived-subalgebra plus center as a
-    direct sum; agrees says whether split and pair are both present or both
-    absent. They are different notions: agrees is False on the abelian
-    algebra with alpha a Jordan block, where L = 0 + Z(L) splits but only
-    one line is twist-invariant.
-    Rational twist spectra are required over the rationals; anything else
-    raises UnsupportedFieldError rather than guessing.
-    """
-    if L.n != 2:
-        raise ValueError("only 2-dimensional algebras are supported")
-    if not L.field.characteristic:
-        _check_rational_spectrum(L.alpha)
-        _check_rational_spectrum(L.beta)
-    lines = [VectorSubspace(2, [v], L.field) for v in _candidate_lines(L)]
-    ideal_lines = [s for s in lines if is_ideal(L, s)]
-    pair = tuple(ideal_lines[:2]) if len(ideal_lines) >= 2 else None
-    l2 = derived_subalgebra(L)
-    c = center(L)
-    split_holds = l2.intersection(c).dim == 0 and l2.sum(c).dim == 2
-    return Decomposition2(pair, split_holds)
+        candidates = map(field, range(field.characteristic))
+    else:
+        candidates, den = [field(0)], 1
+        for a in poly:
+            den *= (a * den).denominator
+        m = abs(next(a for a in reversed(poly) if a) * den).numerator
+        if den * m <= MAX_SEARCH_CANDIDATES:
+            candidates += sorted({field(s * u, v) for u in range(1, m + 1)
+                                  if m % u == 0 for v in range(1, den + 1)
+                                  if den % v == 0 for s in (1, -1)})
+    return [r for r in candidates
+            if not reduce(lambda v, a: v * r + a, poly, field.zero())]

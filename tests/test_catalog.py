@@ -75,7 +75,7 @@ def _outcome(src, env):
 
 def test_parse_memo_keeps_structure_not_values():
     strings = _catalog_expressions()
-    assert len(strings) == 25
+    assert len(strings) == 26
     envs = []
     for fid in family_ids():
         for params in pinned_samples(fid):
@@ -180,7 +180,7 @@ def test_pattern_space_over_prime_fields(p):
                     assert space.field == field
                     assert space.dim <= q_dim, (fid, params, pattern)
                     built += 1
-    assert built + refused == 334
+    assert built + refused == 346
     assert pattern_space([["c1", "0"], ["0", "c1"]], {}, field=field).dim == 1
     with pytest.raises(ReductionError):
         pattern_space([["c1/%d" % p, "0"], ["0", "c1"]], {}, field=field)
@@ -278,7 +278,7 @@ def test_all_builders_pass_axioms_at_pinned_samples():
 def test_expected_rows_shapes():
     assert len(expected_rows("L_1^1")) == 3
     rows = expected_rows("L_1^8")
-    assert len(rows) == 1
+    assert len(rows) == 3
     assert rows[0].centroid[1][1] == "c1/(a^k*x^l)"
     rows = expected_rows("L_1^13")
     z1_guards = [c for row in rows for c in row.guard if c["lhs"] == "z1"]

@@ -8,13 +8,16 @@ templates so the reduction shares no code path with the rational solve.
 
 from fractions import Fraction
 
+import pytest
+
 from bihomlie import catalog
 from bihomlie.algebra import BiHomLieAlgebra
-from bihomlie.catalog import build, eval_expr
+from bihomlie.catalog import build, eval_expr, verify_family
 from bihomlie.derivations import count_members_fp, derivation_space
 from bihomlie.fields import GF
 from bihomlie.linalg import Matrix
-from bihomlie.structure import is_small_centroid
+from bihomlie.structure import (is_characteristically_nilpotent,
+                                is_small_centroid)
 
 
 def build_fp(family_id, params, p):
@@ -140,8 +143,8 @@ def test_smallness_flag_consistent_across_shared_profile():
 
 def test_cross_bracket_family_twisted_cells_track_first_parameter():
     # the solved space at k >= 1 depends on b^k alone; x is inert there.
-    # the shipped guards split on x instead, so the pinned samples must
-    # keep clear of the region where the two disagree.
+    # the shipped guards split on b^k (an errata record holds the original
+    # split on x), and the pinned samples still keep clear of b^k = 1.
     L = build("L_1^7", {"b": 2, "x": 1})
     der = derivation_space(L, 1, 1, 1, 1, 0)
     assert der.dim == 1
@@ -162,6 +165,51 @@ def test_cross_bracket_family_counts_mod_3():
     # b = 2 = -1 mod 3, so b^2 = 1 frees the first diagonal slot at k = 2
     assert count_members_fp(Lp, 1, 1, 1, 1, 0) == 3
     assert count_members_fp(Lp, 1, 1, 1, 2, 0) == 9
+
+
+@pytest.mark.parametrize("b, x", [(1, 2), (2, 1), (-1, Fraction(1, 2))])
+def test_cross_bracket_family_rows_follow_b_power(b, x):
+    # for k >= 1, m = diag(0, b^k) and the pair (e2, e1) gives d1 = b^k d1
+    params = {"b": b, "x": x}
+    assert all(v.ok for v in verify_family("L_1^7", params))
+    L = build("L_1^7", params)
+    for k in (1, 2):
+        der = derivation_space(L, 1, 1, 1, k, 0)
+        assert der.space.contains(E(1, 1))
+        assert der.space.contains(E(0, 0)) == (b ** k == 1)
+
+
+def test_cross_bracket_family_b_power_counts_mod_3():
+    # (b, x) = (1, 2), (2, 1) and (-1, 1/2) reduce to b = 1, 2 and 2
+    assert count_members_fp(build_fp("L_1^7", {"b": 1, "x": 2}, 3),
+                            1, 1, 1, 1, 0) == 9
+    assert count_members_fp(build_fp("L_1^7", {"b": 2, "x": 1}, 3),
+                            1, 1, 1, 1, 0) == 3
+    Lp = build_fp("L_1^7", {"b": -1, "x": Fraction(1, 2)}, 3)
+    assert count_members_fp(Lp, 1, 1, 1, 1, 0) == 3
+    assert count_members_fp(Lp, 1, 1, 1, 2, 0) == 9
+
+
+# --- twisted non-abelian family: identity twists at a = x = 1 ---------------
+
+def test_twisted_nonabelian_family_identity_point():
+    # a = x = 1 is the non-abelian Lie algebra [e1,e2] = e1: its derivations
+    # are the inner ones, ad(e2) = -E11 and ad(e1) = E12, at every (k, l)
+    assert all(v.ok for v in verify_family("L_1^8", {"a": 1, "x": 1}))
+    L = build("L_1^8", {"a": 1, "x": 1})
+    for k, l in ((0, 0), (1, 0), (1, 1)):
+        der = derivation_space(L, 1, 1, 1, k, l)
+        assert der.dim == 2
+        assert der.space.contains(E(0, 0)) and der.space.contains(E(0, 1))
+        assert derivation_space(L, 1, 1, 0, k, l).dim == 1
+    assert is_small_centroid(L)
+    assert not is_characteristically_nilpotent(L)
+
+
+def test_twisted_nonabelian_family_identity_point_counts_mod_3():
+    Lp = build_fp("L_1^8", {"a": 1, "x": 1}, 3)
+    assert count_members_fp(Lp, 1, 1, 1, 0, 0) == 9
+    assert count_members_fp(Lp, 1, 1, 0, 0, 0) == 3
 
 
 def test_field_reduction_of_fractional_parameters():

@@ -7,8 +7,7 @@ import pytest
 import bihomlie as bh
 from bihomlie import BiHomLieAlgebra, catalog, derivations, heisenberg
 from bihomlie.fields import GF, QQ, FieldMismatchError, ReductionError
-from bihomlie.linalg import (Matrix, MatrixSubspace, matrix_from_vector,
-                             nullspace_basis)
+from bihomlie.linalg import Matrix, MatrixSubspace, nullspace_basis
 
 
 IDENT = [[1, 0], [0, 1]]
@@ -372,9 +371,9 @@ def test_count_members_matches_dimension_f2_f3():
 
 
 def _all_matrices(n, field):
-    """Every n x n matrix over F_p, each built by matrix_from_vector."""
+    """Every n x n matrix over F_p, each built from its row-major digits."""
     p = field.characteristic
-    return [matrix_from_vector(digits, n, field)
+    return [Matrix([digits[i * n:i * n + n] for i in range(n)], field)
             for digits in itertools.product(range(p), repeat=n * n)]
 
 
@@ -501,7 +500,8 @@ def _reference_spaces(L, k, l):
         rows = [row for row in rows if any(row)] or [[zero] * (L.n * L.n)]
         sols = nullspace_basis(Matrix(rows, f))
         spaces[triple] = MatrixSubspace(
-            L.n, [matrix_from_vector(v, L.n, f) for v in sols], f)
+            L.n, [Matrix([v[i * L.n:i * L.n + L.n] for i in range(L.n)], f)
+                  for v in sols], f)
     return spaces
 
 

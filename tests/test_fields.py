@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from bihomlie.fields import (GF, QQ, FpElement, ReductionError, format_scalar,
-                             parse_scalar, reduce_fraction_mod)
+from bihomlie.fields import (GF, QQ, FieldMismatchError, FpElement,
+                             ReductionError, format_scalar, parse_scalar,
+                             reduce_fraction_mod)
 
 
 def test_rational_coerce():
@@ -23,6 +24,29 @@ def test_fp_arithmetic():
     assert (a / b).value == (3 * pow(4, 3, 5)) % 5
     assert a ** -1 == F5(2)   # 3*2 = 6 = 1 mod 5
     assert -a == F5(2)
+
+
+def test_fp_int_operands_reduce_without_a_wrapper(monkeypatch):
+    F3 = GF(3)
+    x = F3(2)
+    built = []
+    init = FpElement.__init__
+
+    def counting(self, value, p):
+        built.append(value)
+        init(self, value, p)
+
+    monkeypatch.setattr(FpElement, "__init__", counting)
+    y = x * 5
+    assert len(built) == 1
+    assert y == F3(1)
+    assert (x + 2, x - 4, 7 - x, 5 * x) == (F3(1), F3(1), F3(2), F3(1))
+    assert (x / 2, 1 / x) == (F3(1), F3(2))
+    assert x.__mul__(1.5) is NotImplemented
+    with pytest.raises(ZeroDivisionError):
+        x / 3
+    with pytest.raises(FieldMismatchError):
+        x * GF(5)(1)
 
 
 def test_fp_pow_and_bool():

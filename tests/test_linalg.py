@@ -7,7 +7,7 @@ import pytest
 from bihomlie.fields import GF, QQ, FpElement
 from bihomlie.linalg import (Matrix, MatrixSubspace, SingularMatrixError,
                              VectorSubspace, char_poly, invert, is_invertible,
-                             matrix_from_vector, nullspace_basis, rank, rref)
+                             nullspace_basis, rank, rref)
 
 
 def mat(rows, field=QQ):
@@ -223,8 +223,7 @@ def test_uncoerced_results_hold_field_elements(field):
     b = Matrix([[2, 0], [1, 1]], field)
     results = [a + b, a - b, -a, a * b, a * 2, 2 * a, a * Fraction(1, 2),
                a ** 0, a ** 3, a.transpose(), rref(b)[0], invert(a),
-               Matrix.identity(2, field),
-               matrix_from_vector([1, 2, 0, 1], 2, field)]
+               Matrix.identity(2, field)]
     space = MatrixSubspace(2, results[:4], field)
     for m in results + list(space.basis):
         assert m.field == field
@@ -242,6 +241,30 @@ def test_uncoerced_results_hold_field_elements(field):
         built = MatrixSubspace(2, ms, field)
         reference = MatrixSubspace(2, cs, field)
         assert built == reference and hash(built) == hash(reference)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_matrix_subspaces_build_no_coercing_matrix(field, monkeypatch):
+    # the basis, sums and intersections wrap canonical vectors directly
+    a = Matrix([[1, 2], [0, 1]], field)
+    b = Matrix([[2, 0], [1, 1]], field)
+    c = Matrix([[0, 1], [1, 0]], field)
+    built = []
+    init = Matrix.__init__
+
+    def counting(self, entries, field=None):
+        built.append(entries)
+        init(self, entries, field)
+
+    monkeypatch.setattr(Matrix, "__init__", counting)
+    s = MatrixSubspace(2, [a, b], field)
+    t = MatrixSubspace(2, [b, c], field)
+    join, meet = s.sum(t), s.intersection(t)
+    assert built == []
+    assert (s.dim, t.dim, join.dim, meet.dim) == (2, 2, 3, 1)
+    assert meet.contains(b)
+    for space in (s, t, join, meet):
+        assert all(m.field == field for m in space.basis)
 
 
 def test_apply_uses_columns_as_images():

@@ -7,6 +7,7 @@ import pytest
 import bihomlie as bh
 from bihomlie import BiHomLieAlgebra, Matrix, VectorSubspace, heisenberg
 from bihomlie.fields import GF, QQ
+from bihomlie.structure import _eigenvalues
 
 
 IDENT = [[1, 0], [0, 1]]
@@ -275,19 +276,26 @@ def test_small_modes_disagree_on_l_3_1():
 
 # --- decomposability ------------------------------------------------------
 
+def decomposed(L):
+    """decompose(L) as (summand count, complete), after checking that every
+    summand is a nonzero ideal and that together they span L directly."""
+    summands, complete = bh.decompose(L)
+    total = VectorSubspace.zero(L.n, L.field)
+    for S in summands:
+        assert S.dim and bh.is_ideal(L, S)
+        total = total.sum(S)
+    assert total.dim == sum(S.dim for S in summands) == L.n
+    return len(summands), complete
+
+
 def test_decompose_l_3_1():
-    res = bh.decompose_2dim(l_3_1())
-    assert res.pair is not None
-    a, b = res.pair
-    assert a.sum(b).dim == 2
-    assert res.split_holds and res.agrees
+    L = l_3_1()
+    assert bh.decompose(L) == ([span(L, (0, 1)), span(L, (1, 0))], True)
+    assert decomposed(L) == (2, True)
 
 
 def test_decompose_l_1_10_none():
-    res = bh.decompose_2dim(l_1_10())
-    assert res.pair is None
-    assert not res.split_holds
-    assert res.agrees
+    assert decomposed(l_1_10()) == (1, True)
 
 
 @pytest.mark.parametrize("alpha, expected", [
@@ -297,15 +305,12 @@ def test_decompose_l_1_10_none():
 ], ids=["identity", "eigenlines"])
 def test_decompose_abelian(alpha, expected):
     L = BiHomLieAlgebra.from_brackets(2, {}, alpha, IDENT)
-    res = bh.decompose_2dim(L)
-    assert res.pair is not None
-    a, b = res.pair
+    assert decomposed(L) == (2, True)
+    summands, _ = bh.decompose(L)
     if expected is None:
-        assert a.contains((1, 0)) or a.contains((0, 1))
+        assert set(summands) == {span(L, (1, 0)), span(L, (0, 1))}
     else:
-        assert set(res.pair) == {span(L, v) for v in expected}
-        assert res.agrees
-    assert a.sum(b).dim == 2
+        assert set(summands) == {span(L, v) for v in expected}
 
 
 def _one_dim(rng):
@@ -320,51 +325,48 @@ def _one_dim(rng):
                                          [[a]], [[b]])
 
 
+def _invertible(rng, n, entries):
+    while True:
+        f = Matrix([[rng.choice(entries) for _ in range(n)]
+                    for _ in range(n)], QQ)
+        if bh.rank(f) == n:
+            return f
+
+
 def test_decompose_transported_direct_sums():
     rng = random.Random(2024)
     for _ in range(50):
         L = bh.direct_sum(_one_dim(rng), _one_dim(rng))
-        while True:
-            f = Matrix([[rng.randint(-3, 3) for _ in range(2)]
-                        for _ in range(2)], QQ)
-            if bh.rank(f) == 2:
-                break
-        M = bh.transport(L, f)
+        M = bh.transport(L, _invertible(rng, 2, range(-3, 4)))
         assert M.check_all().passed
-        res = bh.decompose_2dim(M)
-        assert res.pair is not None
-        a, b = res.pair
-        assert bh.is_ideal(M, a) and bh.is_ideal(M, b)
-        assert a.sum(b).dim == 2
+        assert decomposed(M) == (2, True)
 
 
 def test_decompose_split_without_ideal_pair():
     # abelian, alpha a Jordan block: span{e1} is the only twist-invariant
-    # line, so there is no ideal pair, while L^2 = 0 and Z(L) = L split
+    # line, so there is no ideal pair, although L^2 = 0 and Z(L) = L split.
+    # The two-sided centroid is span{I, N}, N nilpotent: a local algebra
+    # whose trace form has rank 1, so L is one certified summand
     L = BiHomLieAlgebra.from_brackets(2, {}, [[1, 1], [0, 1]], IDENT)
     assert L.check_all().passed
-    res = bh.decompose_2dim(L)
-    assert res.pair is None
-    assert res.split_holds
-    assert not res.agrees
+    assert decomposed(L) == (1, True)
+    assert decomposed(bh.reduce_mod_p(L, 3)) == (1, True)
 
 
 def test_decompose_l_1_9():
-    res = bh.decompose_2dim(l_1_9())
-    assert res.pair is not None
-    assert res.split_holds
+    assert decomposed(l_1_9()) == (2, True)
 
 
-def test_decompose_irrational_spectrum_rejected():
+def test_decompose_irrational_spectrum_incomplete():
+    # the two-sided centroid is span{I, alpha} = Q(sqrt 2): no rational
+    # eigenvalue splits L, and the trace form has rank 2, not 1
     L = BiHomLieAlgebra.from_brackets(2, {}, [[0, 2], [1, 0]], IDENT)
-    with pytest.raises(bh.UnsupportedFieldError):
-        bh.decompose_2dim(L)
+    assert L.check_all().passed
+    assert decomposed(L) == (1, False)
 
 
-def test_decompose_requires_dim_2():
-    H = heisenberg(1, 4, 9, [2], [3])
-    with pytest.raises(ValueError):
-        bh.decompose_2dim(H)
+def test_decompose_heisenberg_one_summand():
+    assert decomposed(heisenberg(1, 4, 9, [2], [3])) == (1, True)
 
 
 def test_decompose_over_f3():
@@ -372,5 +374,99 @@ def test_decompose_over_f3():
     L = BiHomLieAlgebra.from_brackets(2, {(1, 1, 1): 1, (2, 2, 2): 1},
                                       [[1, 0], [0, 0]], [[0, 0], [0, 1]],
                                       field=F3)
-    res = bh.decompose_2dim(L)
-    assert res.pair is not None
+    assert decomposed(L) == (2, True)
+
+
+def test_decompose_eigenvalue_candidates_are_bounded():
+    assert _eigenvalues(Matrix([[2, 0], [0, Fraction(1, 3)]], QQ)) == [
+        Fraction(1, 3), 2]
+    assert _eigenvalues(Matrix([[0, 2], [1, 0]], QQ)) == []
+    assert _eigenvalues(Matrix([[2, 0], [0, 3]], GF(5))) == [GF(5)(2),
+                                                             GF(5)(3)]
+    # t^2 - 648 t + 317 * 331: 317 * 331 > 10^5, so no divisor is tried
+    assert _eigenvalues(Matrix([[317, 0], [0, 331]], QQ)) == []
+    assert _eigenvalues(Matrix([[0, 0], [0, 331]], QQ)) == [0, 331]
+
+
+# the pinned instances that split into two lines
+SPLIT_PINNED = {"L_3^1": 3, "L_1^2": 3, "L_1^5": 3, "L_1^9": 1}
+
+
+def _pinned():
+    return [(fid, bh.build(fid, params)) for fid in bh.family_ids()
+            for params in bh.pinned_samples(fid)]
+
+
+def _mod_3(L):
+    try:
+        return bh.reduce_mod_p(L, 3)
+    except bh.ReductionError:
+        return None
+
+
+def test_decompose_pinned_instances():
+    pinned = _pinned()
+    assert len(pinned) == 69
+    split = {}
+    for fid, L in pinned:
+        count, complete = decomposed(L)
+        assert complete, fid
+        if count == 2:
+            split[fid] = split.get(fid, 0) + 1
+        else:
+            assert count == 1, fid
+    assert split == SPLIT_PINNED
+
+
+def test_decompose_pinned_instances_mod_3():
+    # over F_3 a 2-dim algebra splits exactly when two of the 4 lines of
+    # F_3^2 are ideals; that scan shares no code with decompose
+    F3 = GF(3)
+    lines = [VectorSubspace(2, [v], F3)
+             for v in ((1, 0), (0, 1), (1, 1), (1, 2))]
+    reduced = [M for M in map(_mod_3, (L for _, L in _pinned())) if M]
+    assert len(reduced) == 68
+    for M in reduced:
+        ideal_lines = sum(bh.is_ideal(M, S) for S in lines)
+        assert decomposed(M) == (2 if ideal_lines >= 2 else 1, True)
+
+
+def _block_sums():
+    """Seeded block direct sums of pinned instances, with the indices of
+    their parts: two-fold (n = 4), three-fold (n = 6), and two-fold ones
+    transported along maps with entries in {-1, 0, 1}."""
+    pinned = [L for _, L in _pinned()]
+    rng = random.Random(16)
+    sums = []
+    for size, count in ((2, 12), (3, 6), (2, 6)):
+        for _ in range(count):
+            parts = [rng.randrange(len(pinned)) for _ in range(size)]
+            L = pinned[parts[0]]
+            for i in parts[1:]:
+                L = bh.direct_sum(L, pinned[i])
+            sums.append((L, parts))
+    for i in range(-6, 0):
+        L, parts = sums[i]
+        sums[i] = bh.transport(L, _invertible(rng, L.n, (-1, 0, 1))), parts
+    return pinned, sums
+
+
+def test_decompose_block_direct_sums():
+    # Krull-Schmidt: the summand count of a sum is the sum of the counts
+    pinned, sums = _block_sums()
+    counts = [decomposed(L) for L in pinned]
+    for L, parts in sums:
+        assert decomposed(L) == (sum(counts[i][0] for i in parts), True)
+
+
+def test_decompose_block_direct_sums_mod_3():
+    pinned, sums = _block_sums()
+    counts = [decomposed(M) if M else None for M in map(_mod_3, pinned)]
+    checked = 0
+    for L, parts in sums:
+        M = _mod_3(L)
+        if M is None or any(counts[i] is None for i in parts):
+            continue
+        assert decomposed(M) == (sum(counts[i][0] for i in parts), True)
+        checked += 1
+    assert checked >= 20
