@@ -8,11 +8,11 @@ from .algebra import (AxiomReport, BiHomLieAlgebra, CrossCheckError,
                       NotLieError, TwistError, derivation_extension,
                       direct_sum, heisenberg, induced_lie, structure_table,
                       yau_twist)
-from .derivations import (DerivationSpace, MembershipError,
-                          central_derivations, centroid, commutator,
-                          count_members_fp, derivation_grid, derivation_space,
-                          jordan_product, normalize_params, quasi_centroid,
-                          twist_commutant, twist_power, verify_derivation)
+from .derivations import (MembershipError, central_derivations, centroid,
+                          commutator, count_members_fp, derivation_grid,
+                          derivation_space, jordan_product, normalize_params,
+                          quasi_centroid, twist_commutant, twist_power,
+                          verify_derivation)
 from .structure import (ClosureError, SeriesReport, center, centralizer,
                         decompose, derived_series, derived_subalgebra,
                         is_characteristically_nilpotent, is_ideal,
@@ -21,9 +21,8 @@ from .structure import (ClosureError, SeriesReport, center, centralizer,
                         product_subspace)
 from .catalog import (CatalogError, CatalogFamily, ExpectedRow,
                       InadmissibleParameterError, RowVerdict, build,
-                      expected_rows, family_ids, get_family,
-                      iter_default_verifications, pinned_samples,
-                      verify_entry, verify_family)
+                      family_ids, get_family, iter_default_verifications,
+                      pinned_samples, verify_entry, verify_family)
 from .isomorphism import (Fingerprint, brute_force_iso, compare_fingerprints,
                           fingerprint, reduce_mod_p,
                           smallest_admissible_prime, transport,

@@ -40,27 +40,6 @@ class MembershipError(AssertionError):
     """Solver output failed the independent identity check; a bug."""
 
 
-class DerivationSpace:
-    """A solved space: its parameters and basis."""
-
-    __slots__ = ("params", "space")
-
-    def __init__(self, params, space):
-        self.params = params
-        self.space = space
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    @property
-    def basis(self):
-        return self.space.basis
-
-    def __repr__(self):
-        return "DerivationSpace(params=%r, dim=%d)" % (self.params, self.dim)
-
-
 def twist_power(L, k, l):
     """Matrix of alpha^k composed with beta^l."""
     if k < 0 or l < 0:
@@ -215,8 +194,8 @@ class SolveContext:
         return blocks
 
     def solve(self, lam, mu, gamma, k=0, l=0):
-        """The space at one triple and exponent pair; every basis member
-        is re-verified by verify_derivation."""
+        """The MatrixSubspace at one triple and exponent pair; every basis
+        member is re-verified by verify_derivation."""
         L = self.L
         n, field = L.n, L.field
         lam, mu, gamma = map(field.coerce, (lam, mu, gamma))
@@ -246,7 +225,7 @@ class SolveContext:
                 raise MembershipError(
                     "solver produced a non-member at params %r"
                     % ((lam, mu, gamma, k, l),))
-        return DerivationSpace((lam, mu, gamma, k, l), space)
+        return space
 
 
 def _solver(L):
@@ -274,9 +253,7 @@ def quasi_centroid(L, k=0, l=0):
 def central_derivations(L, k=0, l=0):
     """Intersection of the (1,0,0) and (0,1,0) spaces."""
     kill = derivation_space(L, 1, 0, 0, k, l)
-    absorb = derivation_space(L, 0, 1, 0, k, l)
-    space = kill.space.intersection(absorb.space)
-    return DerivationSpace(("central", k, l), space)
+    return kill.intersection(derivation_space(L, 0, 1, 0, k, l))
 
 
 def normalize_params(lam, mu, gamma, field=None):
@@ -333,9 +310,8 @@ def derivation_grid(L, lam, mu, gamma, k_max=3, l_max=3):
     mats = []
     for k in range(k_max + 1):
         for l in range(l_max + 1):
-            sp = derivation_space(L, lam, mu, gamma, k, l)
-            spaces[(k, l)] = sp
-            mats.extend(sp.space.basis)
+            spaces[k, l] = derivation_space(L, lam, mu, gamma, k, l)
+            mats.extend(spaces[k, l].basis)
     union = MatrixSubspace(L.n, mats, L.field)
     return spaces, union
 

@@ -260,6 +260,14 @@ class VectorSubspace:
             self.basis = ()
 
     @classmethod
+    def _of(cls, n, basis, field):
+        """The subspace spanned by basis, rows over field in reduced row
+        echelon form already: nothing is coerced or reduced again."""
+        space = object.__new__(cls)
+        space.ambient_dim, space.field, space.basis = n, field, tuple(basis)
+        return space
+
+    @classmethod
     def full(cls, n, field):
         return cls(n, Matrix.identity(n, field).entries, field)
 
@@ -293,15 +301,17 @@ class VectorSubspace:
         if not self.basis or not other.basis:
             return VectorSubspace.zero(self.ambient_dim, self.field)
         # Zassenhaus: the rref of the rows (a | a) and (b | 0) has zero left
-        # half exactly in the rows whose right halves span the intersection
+        # half exactly in the rows whose right halves span the intersection;
+        # those rows have their pivots at n or later, so their right halves
+        # are in reduced row echelon form already
         n = self.ambient_dim
         zeros = (self.field.zero(),) * n
         red, pivots = rref(_matrix([a + a for a in self.basis]
                                    + [b + zeros for b in other.basis],
                                    self.field))
-        return VectorSubspace(n, [red.entries[i][n:]
-                                  for i, c in enumerate(pivots) if c >= n],
-                              self.field)
+        return VectorSubspace._of(n, (red.entries[i][n:]
+                                      for i, c in enumerate(pivots) if c >= n),
+                                  self.field)
 
     def _check(self, other):
         if (self.ambient_dim != other.ambient_dim

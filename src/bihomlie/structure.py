@@ -12,8 +12,7 @@ from operator import mul
 from .algebra import BiHomLieAlgebra, _unit
 from .linalg import (Matrix, MatrixSubspace, VectorSubspace, char_poly,
                      nullspace_basis, rank)
-from .derivations import (central_derivations, centroid, commutator,
-                          derivation_space)
+from .derivations import centroid, commutator, derivation_space
 
 # most candidates a bounded scan tries (the witness search, the idempotent
 # scan and the rational root test of decompose); checked before it starts
@@ -153,7 +152,7 @@ def is_characteristically_nilpotent(L):
     Commutator closure of the computed span is verified first; a non-closed
     span raises ClosureError rather than running the series on a non-algebra.
     """
-    space = derivation_space(L, 1, 1, 1, 0, 0).space
+    space = derivation_space(L, 1, 1, 1, 0, 0)
     for a in space.basis:
         for b in space.basis:
             if not space.contains(commutator(a, b)):
@@ -172,7 +171,7 @@ def _strictly_central_maps(L, gamma00):
     The maps with that image and kernel are spanned by t w^T, with t in
     the intersection of the center and L^2 and w in the annihilator of L^2.
     """
-    der00 = derivation_space(L, 1, 1, 1, 0, 0).space
+    der00 = derivation_space(L, 1, 1, 1, 0, 0)
     pool = gamma00.intersection(der00)
     if pool.dim == 0:
         return pool
@@ -190,27 +189,16 @@ def _annihilator(S, n, field):
     return nullspace_basis(Matrix(S.basis or [[field.zero()] * n], field))
 
 
-def is_small_centroid(L, mode="strict"):
-    """Whether the centroid at exponents (0,0) is generated by central
-    derivations together with the scalars.
-
-    mode "strict": central derivations are taken in the strong sense of
-    maps in both the centroid and the derivation space whose image lies in
-    the central part of the derived subalgebra and which kill the derived
-    subalgebra. mode "cder_span": the weaker span test against the
-    intersection-style central derivation space; kept because the two
-    disagree on some algebras and callers may want both verdicts.
+def is_small_centroid(L):
+    """Whether the centroid at exponents (0,0) is generated by the scalars
+    together with central derivations in the strong sense: maps in both
+    the centroid and the derivation space whose image lies in the central
+    part of the derived subalgebra and which kill the derived subalgebra.
     """
-    gamma00 = centroid(L, 0, 0).space
-    if mode == "strict":
-        k = _strictly_central_maps(L, gamma00)
-        gens = [Matrix.identity(L.n, L.field)] + list(k.basis)
-    elif mode == "cder_span":
-        cder = central_derivations(L, 0, 0).space
-        gens = [Matrix.identity(L.n, L.field)] + list(cder.basis)
-    else:
-        raise ValueError("unknown mode %r" % (mode,))
-    span = MatrixSubspace(L.n, gens, L.field)
+    gamma00 = centroid(L, 0, 0)
+    k = _strictly_central_maps(L, gamma00)
+    span = MatrixSubspace(L.n, [Matrix.identity(L.n, L.field), *k.basis],
+                          L.field)
     return span.contains_subspace(gamma00)
 
 
@@ -262,8 +250,7 @@ def _split(L):
     """(the Fitting pieces of a split of L, True), or (None, whether L is
     certified indecomposable)."""
     n, field, p = L.n, L.field, L.field.characteristic
-    c2 = centroid(L, 0, 0).space.intersection(
-        derivation_space(L, 1, 0, 1).space)
+    c2 = centroid(L, 0, 0).intersection(derivation_space(L, 1, 0, 1))
     one = Matrix.identity(n, field)
     for c in c2.basis:
         for r in _eigenvalues(c):

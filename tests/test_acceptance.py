@@ -121,7 +121,7 @@ def _heisenberg_closed_form_problems(a, b, x, y):
                 mats += off_diagonal
             space = derivation_space(H, lam, mu, gam, k, l)
             want = MatrixSubspace(3, list(mats), QQ)
-            if space.dim != want.dim or want != space.space:
+            if space.dim != want.dim or want != space:
                 problems.append(
                     "(%s,%s,%s) at k=%d l=%d: dim %d, closed form has %d"
                     % (lam, mu, gam, k, l, space.dim, want.dim))
@@ -215,7 +215,7 @@ def test_criterion_4_normalized_triples_solve_the_same_spaces():
             for k, l in ((0, 0), (1, 1)):
                 raw = derivation_space(L, lam, mu, gam, k, l)
                 canon = derivation_space(L, norm[0], norm[1], norm[2], k, l)
-                if raw.space != canon.space:
+                if raw != canon:
                     problems.append("%s %s at (%s,%s,%s) k=%d l=%d"
                                     % (fid, _fmt_params(params),
                                        lam, mu, gam, k, l))

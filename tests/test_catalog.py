@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,15 @@ from bihomlie.catalog import (
     InadmissibleParameterError,
     build,
     eval_expr,
-    expected_rows,
     family_ids,
+    get_family,
     guard_matches,
     pattern_space,
     pinned_samples,
     verify_entry,
     verify_family,
 )
+from bihomlie.cli import _random_samples
 from bihomlie.derivations import derivation_space
 from bihomlie.fields import GF, QQ, ReductionError
 from bihomlie.linalg import Matrix
@@ -166,7 +168,7 @@ def test_pattern_space_over_prime_fields(p):
     field = GF(p)
     built = refused = 0
     for fid in family_ids():
-        rows = expected_rows(fid)
+        rows = get_family(fid).rows
         for params in pinned_samples(fid):
             env = dict(params, k=F(0), l=F(0))
             for row in rows:
@@ -229,6 +231,42 @@ def test_guards_cover_and_rarely_overlap():
                     assert params["z1"] == 0
 
 
+def test_flagged_rows_match_at_the_origin_cell():
+    # verify_entry checks the structure flags in cell (0,0) only; nothing
+    # is lost because every row carrying a flag that matches some grid cell
+    # of an instance also matches its (0,0) cell
+    rng = random.Random(17)
+    off_origin = 0
+    for fid in family_ids():
+        fam = get_family(fid)
+        flagged = [row for row in fam.rows
+                   if row.cn is not None or row.small is not None]
+        samples = pinned_samples(fid) + _random_samples(fam, rng, 20)
+        for params in samples:
+            env = catalog.coerce_params(fid, params)
+            for row in flagged:
+                matches = {(k, l) for k in range(3) for l in range(3)
+                           if guard_matches(row.guard, dict(
+                               env, k=F(k), l=F(l)))}
+                assert not matches or (0, 0) in matches, (fid, params)
+                off_origin += len(matches - {(0, 0)})
+    assert off_origin > 0
+
+
+def test_replay_checks_each_instance_flag_once(monkeypatch):
+    calls = {"cn": [], "small": []}
+    for name, key in (("is_characteristically_nilpotent", "cn"),
+                      ("is_small_centroid", "small")):
+        def counting(L, _flag=getattr(catalog, name), _key=key):
+            calls[_key].append(L)
+            return _flag(L)
+        monkeypatch.setattr(catalog, name, counting)
+    assert all(v.ok for v in catalog.iter_default_verifications())
+    assert (len(calls["cn"]), len(calls["small"])) == (66, 69)
+    for algebras in calls.values():
+        assert len(set(map(id, algebras))) == len(algebras)
+
+
 # --- builders --------------------------------------------------------------
 
 def test_build_identity_twist_family():
@@ -276,11 +314,11 @@ def test_all_builders_pass_axioms_at_pinned_samples():
 # --- expected rows ---------------------------------------------------------
 
 def test_expected_rows_shapes():
-    assert len(expected_rows("L_1^1")) == 3
-    rows = expected_rows("L_1^8")
+    assert len(get_family("L_1^1").rows) == 3
+    rows = get_family("L_1^8").rows
     assert len(rows) == 3
     assert rows[0].centroid[1][1] == "c1/(a^k*x^l)"
-    rows = expected_rows("L_1^13")
+    rows = get_family("L_1^13").rows
     z1_guards = [c for row in rows for c in row.guard if c["lhs"] == "z1"]
     assert {(c["op"], c["rhs"]) for c in z1_guards} == {
         ("eq", "-1"), ("eq", "0"), ("ne", "-1")}

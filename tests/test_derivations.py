@@ -71,21 +71,21 @@ def test_commutant_heisenberg_block():
 def test_centroid_l_1_1_z0():
     space = bh.derivation_space(l_1_1(), 1, 1, 0)
     assert space.dim == 2
-    assert space.space.contains(mat2([[1, 0], [0, 0]]))
-    assert space.space.contains(mat2([[0, 0], [0, 1]]))
+    assert space.contains(mat2([[1, 0], [0, 0]]))
+    assert space.contains(mat2([[0, 0], [0, 1]]))
 
 
 def test_params_zero_gives_commutant():
     for L in (l_1_10(), l_1_1(), l_1_8()):
         space = bh.derivation_space(L, 0, 0, 0)
-        assert space.space == bh.twist_commutant(L)
+        assert space == bh.twist_commutant(L)
 
 
 def test_der_l_1_10_full_params():
     space = bh.derivation_space(l_1_10(), 1, 1, 1)
     assert space.dim == 2
-    assert space.space.contains(mat2([[1, 0], [1, 0]]))
-    assert space.space.contains(mat2([[0, 1], [0, 1]]))
+    assert space.contains(mat2([[1, 0], [1, 0]]))
+    assert space.contains(mat2([[0, 1], [0, 1]]))
 
 
 def test_verify_derivation_identity_in_centroid():
@@ -110,14 +110,14 @@ def test_verify_derivation_rejects_non_member():
 def test_centroid_l_1_8_exponent_11():
     space = bh.centroid(l_1_8(), 1, 1)
     assert space.dim == 1
-    assert space.space.contains(mat2([[1, 0], [0, Fraction(1, 6)]]))
+    assert space.contains(mat2([[1, 0], [0, Fraction(1, 6)]]))
 
 
 def test_centroid_l_1_17_exponent_11():
     space = bh.centroid(l_1_17(z=2), 1, 1)
     assert space.dim == 1
     # c1 (identity + (k + l z) E12) with k = l = 1, z = 2
-    assert space.space.contains(mat2([[1, 3], [0, 1]]))
+    assert space.contains(mat2([[1, 3], [0, 1]]))
 
 
 def test_quasi_centroid_heisenberg():
@@ -125,13 +125,13 @@ def test_quasi_centroid_heisenberg():
     qc = bh.quasi_centroid(H, 1, 1)
     assert qc.dim == 2
     one = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
-    assert qc.space.contains(Matrix(one, QQ))
-    assert qc.space.contains(Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]], QQ))
+    assert qc.contains(Matrix(one, QQ))
+    assert qc.contains(Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]], QQ))
 
 
 def test_quasi_centroid_abelian_is_commutant():
     L = BiHomLieAlgebra.from_brackets(2, {}, [[1, 1], [0, 1]], IDENT)
-    assert bh.quasi_centroid(L).space == bh.twist_commutant(L)
+    assert bh.quasi_centroid(L) == bh.twist_commutant(L)
 
 
 def test_central_derivation_not_always_quasi_central():
@@ -141,7 +141,7 @@ def test_central_derivation_not_always_quasi_central():
     L = l_1_1(z1=0)
     e22 = mat2([[0, 0], [0, 1]])
     cder = bh.central_derivations(L, 0, 0)
-    assert cder.space.contains(e22)
+    assert cder.contains(e22)
     assert not bh.verify_derivation(L, e22, 0, 1, -1)
 
 
@@ -151,7 +151,7 @@ def test_two_sided_kill_is_quasi_central():
     for L in (l_1_1(), l_1_8(), l_1_10(), l_1_17()):
         a = bh.derivation_space(L, 1, 0, 0)
         b = bh.derivation_space(L, 1, 1, -1)
-        both = a.space.intersection(b.space)
+        both = a.intersection(b)
         for d in both.basis:
             assert bh.verify_derivation(L, d, 0, 1, -1)
 
@@ -184,7 +184,7 @@ def test_der_100_kills_derived_subalgebra():
                    if all(all(x == L.field.zero() for x in d.apply(v))
                           for v in l2.basis)]
         for d in members:
-            assert space.space.contains(d)
+            assert space.contains(d)
         for d in space.basis:
             assert all(all(x == L.field.zero() for x in d.apply(v))
                        for v in l2.basis)
@@ -248,7 +248,7 @@ def test_normalized_span_matches_original_on_regular():
         (nl, nm, ng), _tag = bh.normalize_params(lam, mu, ga)
         a = bh.derivation_space(L, lam, mu, ga)
         b = bh.derivation_space(L, nl, nm, ng)
-        assert a.space == b.space
+        assert a == b
 
 
 # --- commutator and Jordan product ---------------------------------------
@@ -321,11 +321,11 @@ def test_grid_l_4_1():
                                       [[0, 0], [0, 2]])
     grid, union = bh.derivation_grid(L, 1, 1, 1, k_max=1, l_max=1)
     assert grid[(0, 0)].dim == 1
-    assert grid[(0, 0)].space.contains(mat2([[1, 0], [0, 0]]))
+    assert grid[(0, 0)].contains(mat2([[1, 0], [0, 0]]))
     assert grid[(1, 1)].dim == 2
-    assert grid[(1, 1)].space.contains(mat2([[0, 0], [0, 1]]))
+    assert grid[(1, 1)].contains(mat2([[0, 0], [0, 1]]))
     assert grid[(1, 0)].dim == 1
-    assert grid[(1, 0)].space.contains(mat2([[0, 0], [0, 1]]))
+    assert grid[(1, 0)].contains(mat2([[0, 0], [0, 1]]))
     assert union.dim == 2
 
 
@@ -335,7 +335,7 @@ def test_grid_abelian_everywhere_commutant():
     om = bh.twist_commutant(L)
     assert len(grid) == 9
     for space in grid.values():
-        assert space.space == om
+        assert space == om
     assert union == om
 
 
@@ -352,7 +352,7 @@ def test_grid_heisenberg_closed_forms():
             Matrix([[1, 0, 0], [0, q, 0], [0, 0, 0]], QQ),
             Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]], QQ),
         ], QQ)
-        assert space.space == expected
+        assert space == expected
 
 
 # --- exhaustive prime-field oracle ---------------------------------------
@@ -530,10 +530,10 @@ def test_commutant_coordinates_match_dense_reference():
             want = _reference_spaces(L, k, l)
             for triple in CANONICAL_TRIPLES:
                 got = bh.derivation_space(L, *triple, k, l)
-                assert got.space == want[triple], (L, triple, k, l)
+                assert got == want[triple], (L, triple, k, l)
             # a repeated solve on the algebra's kept context
             got = bh.derivation_space(L, 1, 1, 1, k, l)
-            assert got.space == want[(1, 1, 1)], (L, k, l)
+            assert got == want[(1, 1, 1)], (L, k, l)
 
 
 def test_dropped_gamma_block_is_caught(monkeypatch):
@@ -560,7 +560,7 @@ def test_wrong_cached_twist_power_is_caught(monkeypatch):
 
     def differs(L):
         want = _reference_spaces(L, 2, 1)
-        return any(bh.derivation_space(L, *triple, 2, 1).space != want[triple]
+        return any(bh.derivation_space(L, *triple, 2, 1) != want[triple]
                    for triple in CANONICAL_TRIPLES)
 
     assert any(differs(L) for L in _reference_algebras())

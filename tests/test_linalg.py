@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bihomlie import linalg
 from bihomlie.fields import GF, QQ, FpElement
 from bihomlie.linalg import (Matrix, MatrixSubspace, SingularMatrixError,
                              VectorSubspace, char_poly, invert, is_invertible,
@@ -322,6 +323,37 @@ def test_intersection_random_consistency():
         assert meet.dim + join.dim == a.dim + b.dim
         for v in meet.basis:
             assert a.contains(v) and b.contains(v)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_intersection_is_one_row_reduction(field, monkeypatch):
+    # the Zassenhaus right halves are wrapped as the basis directly: they
+    # are canonical already, and the meet costs exactly one rref
+    rng = random.Random(23)
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return rref(m)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    nonzero = 0
+    for _ in range(40):
+        n = rng.randrange(2, 6)
+        a, b = (VectorSubspace(n, [[rng.randrange(-3, 4) for _ in range(n)]
+                                   for _ in range(rng.randrange(1, n + 1))],
+                               field) for _ in range(2))
+        if not (a.dim and b.dim):
+            continue
+        del calls[:]
+        meet = a.intersection(b)
+        assert len(calls) == 1
+        again = VectorSubspace(n, meet.basis, field)
+        assert meet == again and hash(meet) == hash(again)
+        assert meet.dim + a.sum(b).dim == a.dim + b.dim
+        assert all(a.contains(v) and b.contains(v) for v in meet.basis)
+        nonzero += meet.dim > 0
+    assert nonzero
 
 
 def test_matrix_subspace():

@@ -267,11 +267,15 @@ def test_small_scalar_centroid():
     assert bh.is_small_centroid(L)
 
 
-def test_small_modes_disagree_on_l_3_1():
-    # the weak span test accepts the diagonal centroid because E22 happens
-    # to be a central derivation; the strict test refuses it
-    assert bh.is_small_centroid(l_3_1(), mode="cder_span")
-    assert not bh.is_small_centroid(l_3_1(), mode="strict")
+def test_small_notions_disagree_on_l_3_1():
+    # the weak span test, against the intersection-style central
+    # derivations, accepts the diagonal centroid because E22 happens to be
+    # a central derivation; is_small_centroid, in the strict sense, refuses
+    L = l_3_1()
+    cder = bh.central_derivations(L, 0, 0)
+    span = bh.MatrixSubspace(2, [Matrix.identity(2, QQ), *cder.basis], QQ)
+    assert span.contains_subspace(bh.centroid(L, 0, 0))
+    assert not bh.is_small_centroid(L)
 
 
 # --- decomposability ------------------------------------------------------
