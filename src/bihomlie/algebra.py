@@ -14,8 +14,6 @@ they ever disagree; the redundancy exists because the index bookkeeping of
 the twisted Jacobi sum is easy to get wrong in exactly one of the two forms.
 """
 
-from collections import defaultdict
-
 from .fields import QQ, FieldMismatchError
 from .linalg import Matrix, invert, is_invertible
 
@@ -61,12 +59,19 @@ class AxiomReport:
 
 def structure_table(n, entries, field):
     """Dense n^3 table from a sparse dict {(i,j,k): value}, 1-based keys."""
-    zero = field.zero()
-    table = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    sparse = {}
     for (i, j, k), value in entries.items():
         if not (1 <= i <= n and 1 <= j <= n and 1 <= k <= n):
             raise ValueError("bracket index out of range: %r" % ((i, j, k),))
-        table[i - 1][j - 1][k - 1] = field.coerce(value)
+        sparse[i - 1, j - 1, k - 1] = field.coerce(value)
+    return _dense(n, sparse, field.zero())
+
+
+def _dense(n, entries, zero):
+    """The n^3 table of a sparse {(i, j, s): value} dict, 0-based keys."""
+    table = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, s), value in entries.items():
+        table[i][j][s] = value
     return tuple(tuple(tuple(r) for r in plane) for plane in table)
 
 
@@ -99,15 +104,40 @@ def _table_bracket(table, x, y, zero):
 
 
 def _constants(table):
-    """The nonzero structure constants as (p, q, s, c_pq^s)."""
-    return [(p, q, s, c) for p, plane in enumerate(table)
+    """The nonzero structure constants as {(p, q, s): c_pq^s}."""
+    return {(p, q, s): c for p, plane in enumerate(table)
             for q, row in enumerate(plane)
-            for s, c in enumerate(row) if c]
+            for s, c in enumerate(row) if c}
 
 
 def _row_support(m):
     """Per row p of matrix entries m, the nonzero (i, m_pi)."""
     return [[(i, x) for i, x in enumerate(row) if x] for row in m]
+
+
+def _pullback(constants, a, b, zero):
+    """{(i, j, s): sum_{p,q} a_pi b_qj c_pq^s}, coordinate s of [a(e_i),
+    b(e_j)] for matrix entries a, b (columns hold basis images), summed
+    over the nonzero constants and entries only. A missing key is zero."""
+    a_rows, b_rows = _row_support(a), _row_support(b)
+    out = {}
+    for (p, q, s), c in constants.items():
+        for i, x in a_rows[p]:
+            for j, y in b_rows[q]:
+                out[i, j, s] = out.get((i, j, s), zero) + c * x * y
+    return out
+
+
+def _pushforward(constants, d, zero):
+    """{(i, j, t): sum_s d_ts c_ij^s}, coordinate t of d([e_i, e_j]) for
+    matrix entries d, summed over the nonzero constants and entries only.
+    A missing key is zero."""
+    d_cols = _row_support(zip(*d))
+    out = {}
+    for (i, j, s), c in constants.items():
+        for t, x in d_cols[s]:
+            out[i, j, t] = out.get((i, j, t), zero) + c * x
+    return out
 
 
 def _first_violation(kind, totals):
@@ -123,34 +153,47 @@ def _cyclic_keys(i, j, k, r):
     return ((i, j, k, r), (k, i, j, r), (j, k, i, r))
 
 
-def _conjugate(table, a, b, zero):
-    """Table of [x, y]' = [a x, b y] for matrix entries a, b (columns hold
-    basis images): cell (i,j) is sum_{p,q} a_{pi} b_{qj} table[p][q]."""
-    n = len(table)
-    new = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    a_rows, b_rows = _row_support(a), _row_support(b)
-    for p, q, s, c in _constants(table):
-        for i, x in a_rows[p]:
-            for j, y in b_rows[q]:
-                new[i][j][s] = new[i][j][s] + x * y * c
-    return tuple(tuple(tuple(r) for r in plane) for plane in new)
+def _skew_violation(constants, alpha, beta, zero):
+    """First ("skew", 1-based (i,j,s), total) with a nonzero total
+    sum_{p,q} (b_pi a_qj + b_pj a_qi) c_pq^s, or None; alpha and beta are
+    Matrices."""
+    totals = {}
+    for (i, j, s), v in _pullback(constants, beta.entries, alpha.entries,
+                                  zero).items():
+        for key in ((i, j, s), (j, i, s)):
+            totals[key] = totals.get(key, zero) + v
+    return _first_violation("skew", totals)
 
 
-def _morphism_violation(table, m, zero, kind):
+def _jacobi_violation(constants, alpha, beta, zero):
+    """First ("jacobi", 1-based (i,j,k,r), total) with a nonzero twisted
+    Jacobi total, or None; alpha and beta are Matrices."""
+    n = alpha.rows
+    b2_rows = _row_support((beta * beta).entries)
+    # inner(j,k,l) = sum_{q,s} b_qj a_sk c_qs^l, then the outer sum
+    # O(i,j,k,r) = sum_{p,l} beta2_pi inner(j,k,l) c_pl^r; the Jacobi
+    # total at (i,j,k,r) is O there plus its two cyclic shifts of (i,j,k)
+    inner = _pullback(constants, beta.entries, alpha.entries, zero)
+    by_middle = [[] for _ in range(n)]
+    for (p, l, r), c in constants.items():
+        by_middle[l].append((p, r, c))
+    totals = {}
+    for (j, k, l), w in inner.items():
+        for p, r, c in by_middle[l]:
+            for i, x in b2_rows[p]:
+                term = x * w * c
+                for key in _cyclic_keys(i, j, k, r):
+                    totals[key] = totals.get(key, zero) + term
+    return _first_violation("jacobi", totals)
+
+
+def _morphism_violation(constants, m, zero, kind):
     """First (kind, 1-based (i,j,s), residual) with m([e_i,e_j]) != [m e_i,
-    m e_j] under the table, m given by its entries, or None. The residual
-    is sum_k c_ij^k m_sk - sum_{p,q} m_pi m_qj c_pq^s."""
-    constants = _constants(table)
-    rows = _row_support(m)
-    cols = _row_support(tuple(zip(*m)))
-    totals = defaultdict(lambda: zero)
-    for i, j, k, c in constants:
-        for s, x in cols[k]:
-            totals[i, j, s] += c * x
-    for p, q, s, c in constants:
-        for i, x in rows[p]:
-            for j, y in rows[q]:
-                totals[i, j, s] -= x * y * c
+    m e_j], m given by its entries, or None. The residual is
+    sum_k c_ij^k m_sk - sum_{p,q} m_pi m_qj c_pq^s."""
+    totals = _pushforward(constants, m, zero)
+    for key, v in _pullback(constants, m, m, zero).items():
+        totals[key] = totals.get(key, zero) - v
     return _first_violation(kind, totals)
 
 
@@ -216,17 +259,8 @@ class BiHomLieAlgebra:
     def check_skew_symmetry(self):
         """Twisted skew-symmetry. Returns (ok, first_violation)."""
         n, zero = self.n, self.field.zero()
-        # sum_{p,q} (b_pi a_qj + b_pj a_qi) c_pq^s for every (i, j, s)
-        a_rows = _row_support(self.alpha.entries)
-        b_rows = _row_support(self.beta.entries)
-        totals = defaultdict(lambda: zero)
-        for p, q, s, c in _constants(self.structure):
-            for i, x in b_rows[p]:
-                for j, y in a_rows[q]:
-                    term = x * y * c
-                    totals[i, j, s] += term
-                    totals[j, i, s] += term
-        table_first = _first_violation("skew", totals)
+        table_first = _skew_violation(_constants(self.structure),
+                                      self.alpha, self.beta, zero)
         table_verdict = table_first is None
         basis_verdict = True
         units = [_unit(n, i, self.field) for i in range(n)]
@@ -245,29 +279,8 @@ class BiHomLieAlgebra:
     def check_bihom_jacobi(self):
         """Twisted Jacobi identity. Returns (ok, first_violation)."""
         n, zero = self.n, self.field.zero()
-        constants = _constants(self.structure)
-        a_rows = _row_support(self.alpha.entries)
-        b_rows = _row_support(self.beta.entries)
-        b2_rows = _row_support((self.beta * self.beta).entries)
-        # inner(j,k,l) = sum_{q,s} b_qj a_sk c_qs^l, then the outer sum
-        # O(i,j,k,r) = sum_{p,l} beta2_pi inner(j,k,l) c_pl^r; the Jacobi
-        # total at (i,j,k,r) is O there plus its two cyclic shifts of (i,j,k)
-        inner = defaultdict(lambda: zero)
-        for q, s, l, c in constants:
-            for j, x in b_rows[q]:
-                for k, y in a_rows[s]:
-                    inner[j, k, l] += x * y * c
-        by_middle = [[] for _ in range(n)]
-        for p, l, r, c in constants:
-            by_middle[l].append((p, r, c))
-        totals = defaultdict(lambda: zero)
-        for (j, k, l), w in inner.items():
-            for p, r, c in by_middle[l]:
-                for i, x in b2_rows[p]:
-                    term = x * w * c
-                    for key in _cyclic_keys(i, j, k, r):
-                        totals[key] += term
-        table_first = _first_violation("jacobi", totals)
+        table_first = _jacobi_violation(_constants(self.structure),
+                                        self.alpha, self.beta, zero)
         table_verdict = table_first is None
         basis_verdict = True
         units = [_unit(n, i, self.field) for i in range(n)]
@@ -290,8 +303,9 @@ class BiHomLieAlgebra:
     def check_multiplicative(self):
         """Both twists are bracket endomorphisms. Returns (ok, first)."""
         n, zero = self.n, self.field.zero()
+        constants = _constants(self.structure)
         for name, m in (("alpha", self.alpha), ("beta", self.beta)):
-            table_first = _morphism_violation(self.structure, m.entries, zero,
+            table_first = _morphism_violation(constants, m.entries, zero,
                                               "multiplicative-" + name)
             if table_first is not None:
                 break
@@ -341,23 +355,12 @@ class BiHomLieAlgebra:
 # --- classical Lie helpers (inputs/outputs of the twist constructions) ------
 
 def classical_lie_check(table, field):
-    """(skew_ok, jacobi_ok) for a plain Lie structure table."""
-    n = len(table)
-    zero = field.zero()
-    skew = all(
-        table[i][j][s] + table[j][i][s] == zero
-        for i in range(n) for j in range(n) for s in range(n))
-    jacobi = True
-    units = [_unit(n, i, field) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                terms = [_table_bracket(table, units[x], _table_bracket(
-                             table, units[y], units[z], zero), zero)
-                         for x, y, z in ((i, j, k), (j, k, i), (k, i, j))]
-                if any(a + b + c != zero for a, b, c in zip(*terms)):
-                    jacobi = False
-    return skew, jacobi
+    """(skew_ok, jacobi_ok) for a plain Lie structure table: the twisted
+    table routes at identity twists."""
+    constants, zero = _constants(table), field.zero()
+    one = Matrix.identity(len(table), field)
+    return (_skew_violation(constants, one, one, zero) is None,
+            _jacobi_violation(constants, one, one, zero) is None)
 
 
 def yau_twist(table, alpha, beta, field=QQ):
@@ -378,20 +381,23 @@ def yau_twist(table, alpha, beta, field=QQ):
                           "(skew=%s, jacobi=%s)" % (skew, jacobi))
     if alpha * beta != beta * alpha:
         raise TwistError("twist maps do not commute")
-    zero = field.zero()
+    constants, zero = _constants(table), field.zero()
     for name, m in (("alpha", alpha), ("beta", beta)):
-        if _morphism_violation(table, m.entries, zero, name) is not None:
+        if _morphism_violation(constants, m.entries, zero, name) is not None:
             raise TwistError("%s is not a morphism of the input bracket" % name)
-    twisted = _conjugate(table, alpha.entries, beta.entries, zero)
-    return BiHomLieAlgebra(twisted, alpha, beta, field)
+    twisted = _pullback(constants, alpha.entries, beta.entries, zero)
+    return BiHomLieAlgebra(_dense(len(table), twisted, zero), alpha, beta,
+                           field)
 
 
 def induced_lie(L):
     """Classical structure table [x,y]' = [alpha^-1 x, beta^-1 y]; regular only."""
     if not L.is_regular():
         raise TwistError("induced Lie bracket needs bijective twist maps")
-    return _conjugate(L.structure, invert(L.alpha).entries,
-                      invert(L.beta).entries, L.field.zero())
+    zero = L.field.zero()
+    return _dense(L.n, _pullback(_constants(L.structure),
+                                 invert(L.alpha).entries,
+                                 invert(L.beta).entries, zero), zero)
 
 
 def heisenberg(m, a, x, b_list, y_list, field=QQ):
@@ -413,18 +419,17 @@ def heisenberg(m, a, x, b_list, y_list, field=QQ):
     if a == zero or x == zero or any(v == zero for v in b_list + y_list):
         raise ValueError("all twist parameters must be nonzero")
     n = 2 * m + 1
-    one = field.one()
-    table = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(m):
-        table[i][m + i][n - 1] = one
-        table[m + i][i][n - 1] = -one
+    entries = {}
+    for i in range(1, m + 1):
+        entries[i, m + i, n] = 1
+        entries[m + i, i, n] = -1
     diag = b_list + [a / b for b in b_list] + [a]
     alpha = Matrix([[diag[i] if i == j else zero for j in range(n)]
                     for i in range(n)], field)
     diag = y_list + [x / y for y in y_list] + [x]
     beta = Matrix([[diag[i] if i == j else zero for j in range(n)]
                    for i in range(n)], field)
-    return yau_twist(table, alpha, beta, field)
+    return yau_twist(structure_table(n, entries, field), alpha, beta, field)
 
 
 def derivation_extension(table, D, a, b, field=QQ):
@@ -447,35 +452,31 @@ def derivation_extension(table, D, a, b, field=QQ):
     skew, jacobi = classical_lie_check(table, field)
     if not (skew and jacobi):
         raise NotLieError("input table is not a Lie algebra")
-    units = [_unit(n, i, field) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = tuple(b * v for v in D.apply(table[i][j]))
-            rhs = tuple(a * (u + v) for u, v in zip(
-                _table_bracket(table, D.apply(units[i]), units[j], zero),
-                _table_bracket(table, units[i], D.apply(units[j]), zero)))
-            if lhs != rhs:
-                raise ValueError(
-                    "D is not a scaled derivation: fails at basis pair "
-                    "(%d, %d)" % (i + 1, j + 1))
+    # b*D([e_i,e_j]) - a*[D(e_i), e_j] - a*[e_i, D(e_j)] at every (i, j, s)
+    constants, ident = _constants(table), Matrix.identity(n, field).entries
+    totals = {key: b * v for key, v
+              in _pushforward(constants, D.entries, zero).items()}
+    for pulled in (_pullback(constants, D.entries, ident, zero),
+                   _pullback(constants, ident, D.entries, zero)):
+        for key, v in pulled.items():
+            totals[key] = totals.get(key, zero) - a * v
+    first = _first_violation("scaled", totals)
+    if first is not None:
+        raise ValueError("D is not a scaled derivation: fails at basis pair "
+                         "(%d, %d)" % first[1][:2])
+    for s, row in enumerate(D.entries):
+        for i, x in enumerate(row):
+            if x:
+                constants[i, n, s] = -b * x
+                constants[n, i, s] = a * x
     ntot = n + 1
-    new = [[[zero] * ntot for _ in range(ntot)] for _ in range(ntot)]
-    for i in range(n):
-        for j in range(n):
-            for s in range(n):
-                new[i][j][s] = table[i][j][s]
-    for i in range(n):
-        di = D.apply(units[i])
-        for s in range(n):
-            new[i][n][s] = -b * di[s]
-            new[n][i][s] = a * di[s]
     one = field.one()
     alpha = [[one if i == j else zero for j in range(ntot)] for i in range(ntot)]
     beta = [[one if i == j else zero for j in range(ntot)] for i in range(ntot)]
     alpha[n][n] = a
     beta[n][n] = b
-    return BiHomLieAlgebra(new, Matrix(alpha, field), Matrix(beta, field),
-                           field)
+    return BiHomLieAlgebra(_dense(ntot, constants, zero), Matrix(alpha, field),
+                           Matrix(beta, field), field)
 
 
 def direct_sum(A, B):
@@ -485,15 +486,9 @@ def direct_sum(A, B):
     field = A.field
     zero = field.zero()
     n = A.n + B.n
-    new = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(A.n):
-        for j in range(A.n):
-            for s in range(A.n):
-                new[i][j][s] = A.structure[i][j][s]
-    for i in range(B.n):
-        for j in range(B.n):
-            for s in range(B.n):
-                new[A.n + i][A.n + j][A.n + s] = B.structure[i][j][s]
+    entries = _constants(A.structure)
+    entries.update(((A.n + i, A.n + j, A.n + s), c)
+                   for (i, j, s), c in _constants(B.structure).items())
 
     def block(m1, m2):
         out = [[zero] * n for _ in range(n)]
@@ -505,5 +500,5 @@ def direct_sum(A, B):
                 out[A.n + i][A.n + j] = m2.entries[i][j]
         return Matrix(out, field)
 
-    return BiHomLieAlgebra(new, block(A.alpha, B.alpha),
+    return BiHomLieAlgebra(_dense(n, entries, zero), block(A.alpha, B.alpha),
                            block(A.beta, B.beta), field)

@@ -71,9 +71,7 @@ _VIOLATION_INDEX_NAMES = {3: ("i", "j", "s"), 4: ("i", "j", "k", "r")}
 
 def _violation_text(first):
     kind, indices, _residual = first
-    names = _VIOLATION_INDEX_NAMES.get(len(indices),
-                                       tuple("i%d" % (t + 1)
-                                             for t in range(len(indices))))
+    names = _VIOLATION_INDEX_NAMES.get(len(indices), ())
     inner = ",".join("%s=%d" % (name, value)
                      for name, value in zip(names, indices))
     return "%s (%s)" % (kind, inner) if inner else kind
@@ -192,6 +190,8 @@ def _catalog_jobs(args):
 
 
 def cmd_catalog(args):
+    if args.kmax < 0 or args.lmax < 0:
+        raise CliError("--kmax and --lmax must be non-negative")
     failures = 0
     for family_id, params in _catalog_jobs(args):
         env = catalog.coerce_params(family_id, params)

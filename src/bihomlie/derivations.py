@@ -31,7 +31,7 @@ Solved spaces are not kept: every call solves and re-verifies its triple.
 from functools import cached_property
 from itertools import product
 
-from .algebra import _constants, _row_support, _table_bracket
+from .algebra import _constants, _pullback, _pushforward, _table_bracket
 from .fields import FieldMismatchError, QQ
 from .linalg import MatrixSubspace, VectorSubspace, _matrix, nullspace_basis
 
@@ -170,28 +170,11 @@ class SolveContext:
         plain rows: per commutant basis member B_r, a map from (i, j, s) to
         coordinate s of d([e_i,e_j]), [d(e_i), m(e_j)] and [m(e_i), d(e_j)]
         at d = B_r. A missing key is zero."""
-        zero = self.L.field.zero()
-        blocks = ([], [], [])
-        m_rows = _row_support(m)
-        for b in self.commutant.basis:
-            lam, mu, gamma = {}, {}, {}
-            b_rows = _row_support(b.entries)
-            b_cols = _row_support(zip(*b.entries))
-            for p, q, s, v in self.constants:
-                # d([e_p,e_q])_t = sum_s d_ts c_pq^s
-                for t, w in b_cols[s]:
-                    lam[p, q, t] = lam.get((p, q, t), zero) + v * w
-                # [d(e_i), m(e_j)]_s = sum_pq d_pi m_qj c_pq^s
-                for i, x in b_rows[p]:
-                    for j, y in m_rows[q]:
-                        mu[i, j, s] = mu.get((i, j, s), zero) + v * x * y
-                # [m(e_i), d(e_j)]_s = sum_pq m_pi d_qj c_pq^s
-                for i, x in m_rows[p]:
-                    for j, y in b_rows[q]:
-                        gamma[i, j, s] = gamma.get((i, j, s), zero) + v * x * y
-            for block, residuals in zip(blocks, (lam, mu, gamma)):
-                block.append(residuals)
-        return blocks
+        constants, zero = self.constants, self.L.field.zero()
+        basis = [b.entries for b in self.commutant.basis]
+        return ([_pushforward(constants, d, zero) for d in basis],
+                [_pullback(constants, d, m, zero) for d in basis],
+                [_pullback(constants, m, d, zero) for d in basis])
 
     def solve(self, lam, mu, gamma, k=0, l=0):
         """The MatrixSubspace at one triple and exponent pair; every basis

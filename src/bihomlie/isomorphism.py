@@ -10,7 +10,8 @@ intertwiner space, which holds every witness: p^d members, not p^(n^2).
 
 from itertools import product as cartesian
 
-from .algebra import BiHomLieAlgebra, _conjugate
+from .algebra import (BiHomLieAlgebra, _constants, _dense, _pullback,
+                      _pushforward)
 from .derivations import derivation_space, intertwiners
 from .fields import GF, ReductionError, _is_prime
 from .linalg import Matrix, char_poly, invert, is_invertible, rank
@@ -64,9 +65,10 @@ def transport(L, f):
     """
     f = _as_witness(f, L)
     finv = invert(f)
-    pulled = _conjugate(L.structure, finv.entries, finv.entries,
-                        L.field.zero())
-    table = [[f.apply(cell) for cell in plane] for plane in pulled]
+    zero = L.field.zero()
+    pulled = _pullback(_constants(L.structure), finv.entries, finv.entries,
+                       zero)
+    table = _dense(L.n, _pushforward(pulled, f.entries, zero), zero)
     return BiHomLieAlgebra(table, f * L.alpha * finv, f * L.beta * finv,
                            L.field)
 

@@ -8,7 +8,7 @@ from bihomlie import (BiHomLieAlgebra, CrossCheckError, NotLieError,
                       TwistError, derivation_extension, direct_sum,
                       heisenberg, induced_lie, structure_table, yau_twist)
 from bihomlie import algebra as algebra_module
-from bihomlie.algebra import _conjugate
+from bihomlie.algebra import classical_lie_check
 from bihomlie.fields import GF, QQ
 from bihomlie.linalg import Matrix
 
@@ -386,15 +386,17 @@ def dense_jacobi(L):
 def dense_morphism_violation(table, m, zero):
     """First ((i,j,s), m([e_i,e_j]) - [m e_i, m e_j] at s), or None."""
     n = len(table)
-    image = _conjugate(table, m, m, zero)
     for i in range(n):
         for j in range(n):
             for s in range(n):
-                lhs = zero
+                lhs = rhs = zero
                 for k in range(n):
                     lhs = lhs + table[i][j][k] * m[s][k]
-                if lhs != image[i][j][s]:
-                    return (i, j, s), lhs - image[i][j][s]
+                for p in range(n):
+                    for q in range(n):
+                        rhs = rhs + m[p][i] * m[q][j] * table[p][q][s]
+                if lhs != rhs:
+                    return (i, j, s), lhs - rhs
     return None
 
 
@@ -407,6 +409,25 @@ def dense_multiplicative(L):
             return False, ("multiplicative-" + name, (i + 1, j + 1, s + 1),
                            residual)
     return True, None
+
+
+def test_classical_lie_check_matches_dense_references_at_identity_twists():
+    verdicts = set()
+    for L in _random_algebras(seed=2020, count=30):
+        ident = Matrix.identity(L.n, L.field)
+        plain = BiHomLieAlgebra(L.structure, ident, ident, L.field)
+        expected = (dense_skew(plain)[0], dense_jacobi(plain)[0])
+        assert classical_lie_check(L.structure, L.field) == expected, L
+        verdicts.add(expected)
+    # every combination of the two verdicts occurs
+    assert len(verdicts) == 4
+    # [e1,e2] = e3, [e2,e3] = e2: skew, but the Jacobi sum on (e1,e2,e3)
+    # is [e1,e2] = e3
+    table = structure_table(3, {(1, 2, 3): 1, (2, 1, 3): -1,
+                                (2, 3, 2): 1, (3, 2, 2): -1}, QQ)
+    ident3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(NotLieError, match="skew=True, jacobi=False"):
+        yau_twist(table, ident3, ident3)
 
 
 def _random_algebra(rng, n, field):

@@ -220,6 +220,14 @@ def test_catalog_seeded_extra_samples(monkeypatch, capsys):
     assert first != second  # the seed steers the drawn samples
 
 
+@pytest.mark.parametrize("cap", ["--kmax", "--lmax"])
+def test_catalog_rejects_negative_cap(cap, capsys):
+    assert main(["catalog", "--entry", "L_1^10", cap, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "must be non-negative" in captured.err
+    assert captured.out == ""
+
+
 def test_catalog_bad_seed(monkeypatch, capsys):
     monkeypatch.setenv("BIHOM_SAMPLE_SEED", "many")
     assert main(["catalog", "--entry", "L_1^10"]) == 2
