@@ -14,6 +14,8 @@ they ever disagree; the redundancy exists because the index bookkeeping of
 the twisted Jacobi sum is easy to get wrong in exactly one of the two forms.
 """
 
+from itertools import product
+
 from .fields import QQ, FieldMismatchError
 from .linalg import Matrix, invert, is_invertible
 
@@ -73,12 +75,6 @@ def _dense(n, entries, zero):
     for (i, j, s), value in entries.items():
         table[i][j][s] = value
     return tuple(tuple(tuple(r) for r in plane) for plane in table)
-
-
-def _unit(n, i, field):
-    v = [field.zero()] * n
-    v[i] = field.one()
-    return tuple(v)
 
 
 def _coerce_table(table, field):
@@ -197,6 +193,22 @@ def _morphism_violation(constants, m, zero, kind):
     return _first_violation(kind, totals)
 
 
+def _unit_images(L, *maps):
+    """Per map, the images of the unit vectors under Matrix.apply."""
+    one, zero, r = L.field.one(), L.field.zero(), range(L.n)
+    units = [[one if i == j else zero for j in r] for i in r]
+    return [[m.apply(u) for u in units] for m in maps]
+
+
+def _routes_agree(axiom, table_first, basis_ok):
+    """(ok, first violation) of an axiom, once the table route's first
+    violation (None when it finds none) and the basis route's verdict
+    agree; CrossCheckError when they do not."""
+    if (table_first is None) != basis_ok:
+        raise CrossCheckError("%s routes disagree" % axiom)
+    return basis_ok, table_first
+
+
 class BiHomLieAlgebra:
 
     __slots__ = ("n", "field", "structure", "alpha", "beta", "_solver")
@@ -258,70 +270,37 @@ class BiHomLieAlgebra:
 
     def check_skew_symmetry(self):
         """Twisted skew-symmetry. Returns (ok, first_violation)."""
-        n, zero = self.n, self.field.zero()
-        table_first = _skew_violation(_constants(self.structure),
-                                      self.alpha, self.beta, zero)
-        table_verdict = table_first is None
-        basis_verdict = True
-        units = [_unit(n, i, self.field) for i in range(n)]
-        bu = [self.beta.apply(u) for u in units]
-        au = [self.alpha.apply(u) for u in units]
-        for i in range(n):
-            for j in range(i, n):
-                lhs = self.bracket(bu[i], au[j])
-                rhs = self.bracket(bu[j], au[i])
-                if any(u + v != zero for u, v in zip(lhs, rhs)):
-                    basis_verdict = False
-        if table_verdict != basis_verdict:
-            raise CrossCheckError("skew-symmetry routes disagree")
-        return table_verdict, table_first
+        n, zero, br = self.n, self.field.zero(), self.bracket
+        bu, au = _unit_images(self, self.beta, self.alpha)
+        return _routes_agree("skew-symmetry", _skew_violation(
+            _constants(self.structure), self.alpha, self.beta, zero), all(
+                u + v == zero for i in range(n) for j in range(i, n)
+                for u, v in zip(br(bu[i], au[j]), br(bu[j], au[i]))))
 
     def check_bihom_jacobi(self):
         """Twisted Jacobi identity. Returns (ok, first_violation)."""
-        n, zero = self.n, self.field.zero()
-        table_first = _jacobi_violation(_constants(self.structure),
-                                        self.alpha, self.beta, zero)
-        table_verdict = table_first is None
-        basis_verdict = True
-        units = [_unit(n, i, self.field) for i in range(n)]
-        beta2 = self.beta * self.beta
-        b2 = [beta2.apply(u) for u in units]
-        bu = [self.beta.apply(u) for u in units]
-        au = [self.alpha.apply(u) for u in units]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    t1 = self.bracket(b2[i], self.bracket(bu[j], au[k]))
-                    t2 = self.bracket(b2[j], self.bracket(bu[k], au[i]))
-                    t3 = self.bracket(b2[k], self.bracket(bu[i], au[j]))
-                    if any(u + v + w != zero for u, v, w in zip(t1, t2, t3)):
-                        basis_verdict = False
-        if table_verdict != basis_verdict:
-            raise CrossCheckError("BiHom-Jacobi routes disagree")
-        return table_verdict, table_first
+        n, zero, br = self.n, self.field.zero(), self.bracket
+        b2, bu, au = _unit_images(self, self.beta * self.beta, self.beta,
+                                  self.alpha)
+        return _routes_agree("BiHom-Jacobi", _jacobi_violation(
+            _constants(self.structure), self.alpha, self.beta, zero), all(
+                u + v + w == zero for i, j, k in product(range(n), repeat=3)
+                for u, v, w in zip(br(b2[i], br(bu[j], au[k])),
+                                   br(b2[j], br(bu[k], au[i])),
+                                   br(b2[k], br(bu[i], au[j])))))
 
     def check_multiplicative(self):
         """Both twists are bracket endomorphisms. Returns (ok, first)."""
-        n, zero = self.n, self.field.zero()
-        constants = _constants(self.structure)
-        for name, m in (("alpha", self.alpha), ("beta", self.beta)):
-            table_first = _morphism_violation(constants, m.entries, zero,
-                                              "multiplicative-" + name)
-            if table_first is not None:
-                break
-        table_verdict = table_first is None
-        basis_verdict = True
-        units = [_unit(n, i, self.field) for i in range(n)]
-        for m in (self.alpha, self.beta):
-            for i in range(n):
-                for j in range(n):
-                    lhs = m.apply(self.bracket_basis(i, j))
-                    rhs = self.bracket(m.apply(units[i]), m.apply(units[j]))
-                    if lhs != rhs:
-                        basis_verdict = False
-        if table_verdict != basis_verdict:
-            raise CrossCheckError("multiplicativity routes disagree")
-        return table_verdict, table_first
+        constants, zero = _constants(self.structure), self.field.zero()
+        first = (_morphism_violation(constants, self.alpha.entries, zero,
+                                     "multiplicative-alpha")
+                 or _morphism_violation(constants, self.beta.entries, zero,
+                                        "multiplicative-beta"))
+        images = _unit_images(self, self.alpha, self.beta)
+        return _routes_agree("multiplicativity", first, all(
+            m.apply(self.bracket_basis(i, j)) == self.bracket(mu[i], mu[j])
+            for m, mu in zip((self.alpha, self.beta), images)
+            for i, j in product(range(self.n), repeat=2)))
 
     def check_all(self):
         commuting = self.check_commuting()
@@ -449,6 +428,8 @@ def derivation_extension(table, D, a, b, field=QQ):
     table = _coerce_table(table, field)
     if not isinstance(D, Matrix):
         D = Matrix(D, field)
+    if (D.rows, D.cols) != (n, n):
+        raise ValueError("D is not %d x %d" % (n, n))
     skew, jacobi = classical_lie_check(table, field)
     if not (skew and jacobi):
         raise NotLieError("input table is not a Lie algebra")
@@ -469,14 +450,10 @@ def derivation_extension(table, D, a, b, field=QQ):
             if x:
                 constants[i, n, s] = -b * x
                 constants[n, i, s] = a * x
-    ntot = n + 1
-    one = field.one()
-    alpha = [[one if i == j else zero for j in range(ntot)] for i in range(ntot)]
-    beta = [[one if i == j else zero for j in range(ntot)] for i in range(ntot)]
-    alpha[n][n] = a
-    beta[n][n] = b
-    return BiHomLieAlgebra(_dense(ntot, constants, zero), Matrix(alpha, field),
-                           Matrix(beta, field), field)
+    alpha, beta = ([[(x if i == n else field.one()) if i == j else zero
+                     for j in range(n + 1)] for i in range(n + 1)]
+                   for x in (a, b))
+    return BiHomLieAlgebra(_dense(n + 1, constants, zero), alpha, beta, field)
 
 
 def direct_sum(A, B):

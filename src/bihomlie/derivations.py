@@ -7,24 +7,26 @@ interest is every operator d that commutes with both twist maps and satisfies
 
 Every such d lies in the twist commutant. A SolveContext solves the
 commutant of one algebra once, with basis B_1..B_c, and writes
-d = sum_r x_r B_r. The identity is linear in (lam, mu, gamma), so per (k, l)
-the context builds three residual blocks: the coordinates of d([e_i,e_j]),
+d = sum_r x_r B_r. The identity is linear in (lam, mu, gamma), so the
+context builds three residual blocks: the coordinates of d([e_i,e_j]),
 [d(e_i), m(e_j)] and [m(e_i), d(e_j)] at d = B_r, read off the nonzero
-structure constants only. A triple combines the blocks into a system in the
-c unknowns x_r, and its nullspace, mapped back through the B_r, spans the
-space. Spaces are MatrixSubspaces, stored by the reduced row echelon form of
-their vectorized basis; that canonical basis, not the commutant basis or the
-row order, is what keeps the output stable. Every basis member is
-re-verified by verify_derivation, which evaluates the identity bracket by
-bracket, independently of the blocks, in the membership kernel _is_member.
-That kernel computes on plain scalars (Fractions, or int residues over
-F_p); the F_p census count_members_fp runs every candidate through it too.
+structure constants only, the first once and the other two per (k, l). A
+triple combines the blocks into a system in the c unknowns x_r, and its
+nullspace, mapped back through the B_r, spans the space. Spaces are
+MatrixSubspaces, stored by the reduced row echelon form of their vectorized
+basis; that canonical basis, not the commutant basis or the row order, is
+what keeps the output stable. Every basis member is re-verified by
+verify_derivation, which evaluates the identity bracket by bracket,
+independently of the blocks, in the membership kernel _is_member. That
+kernel computes on plain scalars (Fractions, or int residues over F_p); the
+F_p census count_members_fp runs every candidate through it too.
 
 Each algebra keeps one context, built by _solver on first use and kept in
 its _solver slot. It keeps each value once: the plain table and twists
 (over Q the algebra's own rows), per (k, l) only the plain rows of one
-twist_power, which the blocks and the membership kernel both read, and the
-commutant, solved on the first solve and never for a membership check.
+twist_power, which the blocks and the membership kernel both read, the lam
+block, which no power enters, and the commutant, solved on the first solve
+and never for a membership check.
 Solved spaces are not kept: every call solves and re-verifies its triple.
 """
 
@@ -133,9 +135,9 @@ def _is_member(d, table, alpha, beta, m, lam, mu, gamma, is_zero):
 
 class SolveContext:
     """Solver and membership state fixed per algebra, built once by _solver:
-    the nonzero structure constants, the plain table and twists, per (k, l)
-    the plain rows of the twist power and the three residual blocks, and
-    the twist commutant, solved on first use."""
+    the nonzero structure constants, the plain table and twists, the lam
+    block, per (k, l) the plain rows of the twist power and the mu and
+    gamma blocks, and the twist commutant, solved on first use."""
 
     def __init__(self, L):
         self.L = L
@@ -165,14 +167,20 @@ class SolveContext:
                 *(field.plain(field.coerce(x)) for x in (lam, mu, gamma)),
                 field.is_zero)
 
+    @cached_property
+    def _lam_block(self):
+        """The lam block, built once: it does not depend on the power."""
+        return [_pushforward(self.constants, b.entries, self.L.field.zero())
+                for b in self.commutant.basis]
+
     def _residual_blocks(self, m):
         """The lam, mu and gamma blocks at a twist power m, given by its
         plain rows: per commutant basis member B_r, a map from (i, j, s) to
         coordinate s of d([e_i,e_j]), [d(e_i), m(e_j)] and [m(e_i), d(e_j)]
-        at d = B_r. A missing key is zero."""
+        at d = B_r. A missing key is zero. Only mu and gamma depend on m."""
         constants, zero = self.constants, self.L.field.zero()
         basis = [b.entries for b in self.commutant.basis]
-        return ([_pushforward(constants, d, zero) for d in basis],
+        return (self._lam_block,
                 [_pullback(constants, d, m, zero) for d in basis],
                 [_pullback(constants, m, d, zero) for d in basis])
 
@@ -289,6 +297,8 @@ def derivation_grid(L, lam, mu, gamma, k_max=3, l_max=3):
     any fixed algebra eventually repeat in effect but no termination test is
     attempted here, so the caps are an explicit, documented truncation.
     """
+    if k_max < 0 or l_max < 0:
+        raise ValueError("exponent caps must be non-negative")
     spaces = {}
     mats = []
     for k in range(k_max + 1):

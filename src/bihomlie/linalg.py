@@ -280,16 +280,17 @@ class VectorSubspace:
         return len(self.basis)
 
     def contains(self, vec):
-        vec = tuple(self.field.coerce(x) for x in vec)
-        if not any(vec):
-            return True
-        if not self.basis:
-            return False
-        stacked = Matrix(list(self.basis) + [vec], self.field)
-        return rank(stacked) == self.dim
+        return self._holds([vec])
 
     def contains_subspace(self, other):
-        return all(self.contains(v) for v in other.basis)
+        self._check(other)
+        return self._holds(other.basis)
+
+    def _holds(self, vectors):
+        """Whether every one of vectors lies in the space: the inclusion
+        test, one rank of the basis stacked on the vectors."""
+        return not vectors or rank(Matrix([*self.basis, *vectors],
+                                          self.field)) == self.dim
 
     def sum(self, other):
         self._check(other)
@@ -367,7 +368,7 @@ class MatrixSubspace:
         return self._vs.contains(m.vectorize())
 
     def contains_subspace(self, other):
-        return all(self.contains(m) for m in other.basis)
+        return self._vs.contains_subspace(other._vs)
 
     def sum(self, other):
         return MatrixSubspace._of(self.dim_ambient, self._vs.sum(other._vs))

@@ -9,7 +9,7 @@ from functools import reduce
 from itertools import product
 from operator import mul
 
-from .algebra import BiHomLieAlgebra, _unit
+from .algebra import BiHomLieAlgebra, _constants
 from .linalg import (Matrix, MatrixSubspace, VectorSubspace, char_poly,
                      nullspace_basis, rank)
 from .derivations import centroid, commutator, derivation_space
@@ -50,39 +50,38 @@ def derived_subalgebra(L):
     return product_subspace(L, f, f)
 
 
-def _bracket_maps(L, j):
-    """Rows of the matrices of x -> [x, e_j] and x -> [e_j, x], read off
-    the structure table (columns hold images)."""
-    c, r = L.structure, range(L.n)
-    return ([[c[i][j][s] for i in r] for s in r],
-            [[c[j][i][s] for i in r] for s in r])
-
-
 def center(L, two_sided=False):
     """{x : [x, y] = 0 for all y}; the flag also demands [y, x] = 0.
 
     The one-sided version is the default: with twisted skew-symmetry the
     left and right conditions genuinely differ.
     """
-    rows = []
-    for j in range(L.n):
-        right, left = _bracket_maps(L, j)
-        rows += right + (left if two_sided else [])
-    sols = nullspace_basis(Matrix(rows, L.field))
-    return VectorSubspace(L.n, sols, L.field)
+    return _centralizer(L, Matrix.identity(L.n, L.field).entries, two_sided)
 
 
 def centralizer(L, S):
     """{x : [x, s] = 0 for every s in S}."""
-    n = L.n
-    if not S.basis:
-        return VectorSubspace.full(n, L.field)
+    if (S.ambient_dim, S.field) != (L.n, L.field):
+        raise ValueError("S is not a subspace of L")
+    return _centralizer(L, S.basis)
+
+
+def _centralizer(L, vectors, two_sided=False):
+    """The annihilator kernel: {x : [x, s] = 0 for every s in vectors},
+    two_sided also demanding [s, x] = 0. It is the nullspace of the maps
+    x -> [x, s] (and x -> [s, x]), their columns sum_q s_q [e_i, e_q] (and
+    sum_p s_p [e_p, e_i]) read off the nonzero structure constants."""
+    n, zero, constants = L.n, L.field.zero(), _constants(L.structure)
     rows = []
-    for s_vec in S.basis:
-        cols = [L.bracket(_unit(n, i, L.field), s_vec) for i in range(n)]
-        for out_coord in range(n):
-            rows.append([cols[i][out_coord] for i in range(n)])
-    sols = nullspace_basis(Matrix(rows, L.field))
+    for s in vectors:
+        right, left = ([[zero] * n for _ in range(n)] for _ in range(2))
+        for (p, q, t), c in constants.items():
+            if s[q]:
+                right[t][p] += s[q] * c
+            if two_sided and s[p]:
+                left[t][q] += s[p] * c
+        rows += right + (left if two_sided else [])
+    sols = nullspace_basis(Matrix(rows or [[zero] * n], L.field))
     return VectorSubspace(n, sols, L.field)
 
 
@@ -121,20 +120,13 @@ def is_solvable(L):
 
 
 def is_ideal(L, S):
-    """Twist-invariant and bracket-absorbing on both sides."""
-    n = L.n
-    for v in S.basis:
-        if not S.contains(L.alpha.apply(v)):
-            return False
-        if not S.contains(L.beta.apply(v)):
-            return False
-        for j in range(n):
-            ej = _unit(n, j, L.field)
-            if not S.contains(L.bracket(v, ej)):
-                return False
-            if not S.contains(L.bracket(ej, v)):
-                return False
-    return True
+    """Twist-invariant and bracket-absorbing on both sides: one inclusion
+    of alpha(S), beta(S), [S, L] and [L, S] in S."""
+    full = VectorSubspace.full(L.n, L.field)
+    return S.contains_subspace(VectorSubspace(L.n, [
+        *(t.apply(v) for t in (L.alpha, L.beta) for v in S.basis),
+        *product_subspace(L, S, full).basis,
+        *product_subspace(L, full, S).basis], L.field))
 
 
 def ker_alpha_plus_ker_beta(L):
@@ -153,14 +145,15 @@ def is_characteristically_nilpotent(L):
     span raises ClosureError rather than running the series on a non-algebra.
     """
     space = derivation_space(L, 1, 1, 1, 0, 0)
-    for a in space.basis:
-        for b in space.basis:
-            if not space.contains(commutator(a, b)):
-                raise ClosureError(
-                    "derivation space is not closed under commutators")
-    return _descend(space, lambda cur: MatrixSubspace(
-        L.n, [commutator(a, b) for a in space.basis for b in cur.basis],
-        L.field))[1]
+
+    def brackets(cur):
+        return MatrixSubspace(L.n, [commutator(a, b) for a in space.basis
+                                    for b in cur.basis], L.field)
+
+    derived = brackets(space)
+    if not space.contains_subspace(derived):
+        raise ClosureError("derivation space is not closed under commutators")
+    return _descend(derived, brackets)[1]
 
 
 def _strictly_central_maps(L, gamma00):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from bihomlie import (BiHomLieAlgebra, CrossCheckError, NotLieError,
                       TwistError, derivation_extension, direct_sum,
                       heisenberg, induced_lie, structure_table, yau_twist)
 from bihomlie import algebra as algebra_module
+from bihomlie import algfile
 from bihomlie.algebra import classical_lie_check
 from bihomlie.fields import GF, QQ
 from bihomlie.linalg import Matrix
@@ -286,6 +288,15 @@ def test_derivation_extension_rejects_non_derivation():
         derivation_extension(table, D, 1, 1)
 
 
+@pytest.mark.parametrize("D", [[[1]], [[0] * 3 for _ in range(3)]],
+                         ids=["1x1", "3x3"])
+def test_derivation_extension_rejects_wrong_shape(D):
+    # a 1x1 D once raised IndexError, a 3x3 one "not a scaled derivation"
+    table = structure_table(2, {}, QQ)
+    with pytest.raises(ValueError, match="D is not 2 x 2"):
+        derivation_extension(table, D, 1, 1)
+
+
 # --- direct sum ----------------------------------------------------------
 
 def test_direct_sum_abelian():
@@ -530,3 +541,24 @@ def test_differential_catches_a_dropped_cyclic_shift(monkeypatch):
                         lambda i, j, k, r: ((i, j, k, r), (k, i, j, r)))
     _, _, mismatches = _differential(_random_algebras(seed=2020, count=10))
     assert mismatches
+
+
+@pytest.mark.parametrize("name, route, method, axiom", [
+    ("skew_fail", "_skew_violation", "check_skew_symmetry", "skew-symmetry"),
+    ("jacobi_fail", "_jacobi_violation", "check_bihom_jacobi",
+     "BiHom-Jacobi"),
+    ("mult_fail", "_morphism_violation", "check_multiplicative",
+     "multiplicativity"),
+])
+def test_disagreeing_routes_raise(name, route, method, axiom, monkeypatch):
+    # each check refuses a verdict when its table route misses the
+    # violation the basis route finds, or reports one the basis route
+    # does not find
+    L = algfile.load(Path(__file__).parent / "golden"
+                     / (name + ".json")).algebra
+    H = heisenberg(1, 4, 9, [2], [3])
+    assert not getattr(L, method)()[0] and getattr(H, method)()[0]
+    for M, found in ((L, None), (H, ("fake", (1, 1, 1), 1))):
+        monkeypatch.setattr(algebra_module, route, lambda *args: found)
+        with pytest.raises(CrossCheckError, match=axiom + " routes disagree"):
+            getattr(M, method)()

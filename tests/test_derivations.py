@@ -355,6 +355,24 @@ def test_grid_heisenberg_closed_forms():
         assert space == expected
 
 
+@pytest.mark.parametrize("caps", [(-1, 1), (1, -1)], ids=["k", "l"])
+def test_grid_rejects_negative_caps(caps):
+    with pytest.raises(ValueError, match="non-negative"):
+        bh.derivation_grid(l_1_10(), 1, 1, 1, *caps)
+
+
+def test_lam_block_is_built_once_per_context(monkeypatch):
+    # d([e_i,e_j]) does not involve the twist power: one push-forward per
+    # commutant basis member, however many exponent pairs are solved
+    calls = []
+    push = derivations._pushforward
+    monkeypatch.setattr(derivations, "_pushforward",
+                        lambda *args: calls.append(1) or push(*args))
+    L = heisenberg(1, 12, 27, [2], [3])
+    bh.derivation_grid(L, 1, 1, 1, k_max=2, l_max=2)
+    assert len(calls) == bh.twist_commutant(L).dim == 3
+
+
 # --- exhaustive prime-field oracle ---------------------------------------
 
 def test_count_members_matches_dimension_f2_f3():

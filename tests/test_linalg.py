@@ -356,6 +356,29 @@ def test_intersection_is_one_row_reduction(field, monkeypatch):
     assert nonzero
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_contains_subspace_is_one_rank(field, monkeypatch):
+    # the inclusion test stacks both spanning sets once, however many
+    # vectors the contained space has
+    rng = random.Random(19)
+    calls = []
+    monkeypatch.setattr(linalg, "rank", lambda m: calls.append(m) or rank(m))
+    verdicts = set()
+    for _ in range(40):
+        n = rng.randrange(2, 6)
+        a, b = (VectorSubspace(n, [[rng.randrange(-2, 3) for _ in range(n)]
+                                   for _ in range(rng.randrange(1, n + 1))],
+                               field) for _ in range(2))
+        if not b.dim:
+            continue
+        del calls[:]
+        inside = a.contains_subspace(b)
+        assert len(calls) == 1
+        assert inside == (a.sum(b) == a) == all(map(a.contains, b.basis))
+        verdicts.add(inside)
+    assert verdicts == {True, False}
+
+
 def test_matrix_subspace():
     e11 = Matrix.unit(2, 0, 0, QQ)
     e22 = Matrix.unit(2, 1, 1, QQ)

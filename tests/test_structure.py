@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 import bihomlie as bh
-from bihomlie import BiHomLieAlgebra, Matrix, VectorSubspace, heisenberg
+from bihomlie import (BiHomLieAlgebra, Matrix, VectorSubspace, heisenberg,
+                      linalg, structure)
 from bihomlie.fields import GF, QQ
 from bihomlie.structure import _eigenvalues
 
@@ -118,6 +119,15 @@ def test_center_two_sided_differs():
 def test_centralizer_zero_subspace_full():
     L = l_1_10()
     assert bh.centralizer(L, VectorSubspace(2, [], QQ)).dim == 2
+
+
+@pytest.mark.parametrize("S", [VectorSubspace(3, [(1, 0, 0)], QQ),
+                               VectorSubspace(1, [(1,)], QQ),
+                               VectorSubspace(2, [(1, 0)], GF(3))],
+                         ids=["longer", "shorter", "other-field"])
+def test_centralizer_refuses_a_foreign_subspace(S):
+    with pytest.raises(ValueError, match="not a subspace of L"):
+        bh.centralizer(l_1_10(), S)
 
 
 def test_centralizer_of_full_is_center():
@@ -249,6 +259,15 @@ def test_cn_der_basis_l_1_10_not_nilpotent_by_hand():
     assert C == B - A
     assert bh.commutator(A, C) == C
     assert bh.commutator(B, C) == C
+
+
+def test_cn_refuses_a_span_not_closed_under_commutators(monkeypatch):
+    # [E12, E21] = E11 - E22 lies outside span{E12, E21}
+    E12, E21 = Matrix.unit(2, 0, 1, QQ), Matrix.unit(2, 1, 0, QQ)
+    monkeypatch.setattr(structure, "derivation_space", lambda *args:
+                        bh.MatrixSubspace(2, [E12, E21], QQ))
+    with pytest.raises(bh.ClosureError):
+        bh.is_characteristically_nilpotent(l_1_10())
 
 
 # --- small centroid -------------------------------------------------------
@@ -474,3 +493,75 @@ def test_decompose_block_direct_sums_mod_3():
         assert decomposed(M) == (sum(counts[i][0] for i in parts), True)
         checked += 1
     assert checked >= 20
+
+
+# --- F_3 oracle over every subspace ----------------------------------------
+
+def _f3_span(n, vectors):
+    """The elements of the F_3-span of vectors, closed up one vector at a
+    time: {s + c v} over the elements s found so far and c in F_3."""
+    F3 = GF(3)
+    elements = {(F3(0),) * n}
+    for v in vectors:
+        elements = {tuple(a + c * b for a, b in zip(s, v))
+                    for s in elements for c in map(F3, range(3))}
+    return frozenset(elements)
+
+
+def _f3_oracle_cases():
+    """(algebra, F_3^n as a list, every subspace as its set of elements)
+    for the mod-3 reductions of the pinned instances and one 3-dim twisted
+    Heisenberg algebra mod 3."""
+    cases = [M for M in map(_mod_3, (L for _, L in _pinned())) if M]
+    cases.append(bh.reduce_mod_p(heisenberg(1, -1, -2, [2], [2]), 3))
+    out = []
+    for M in cases:
+        space = sorted(_f3_span(M.n, Matrix.identity(M.n, M.field).entries),
+                       key=lambda v: [x.value for x in v])
+        subspaces = {_f3_span(M.n, [])}
+        frontier = list(subspaces)
+        while frontier:
+            grown = {_f3_span(M.n, [*S, v]) for S in frontier
+                     for v in space if v not in S}
+            frontier = list(grown - subspaces)
+            subspaces |= grown
+        out.append((M, space, subspaces))
+    return out
+
+
+def test_structure_matches_f3_oracle_on_every_subspace():
+    # definition level: membership in enumerated element sets only
+    cases = _f3_oracle_cases()
+    assert len(cases) == 69
+    assert [len(subs) for _, _, subs in cases] == [6] * 68 + [28]
+    verdicts = set()
+    for M, space, subspaces in cases:
+        br = {(x, y): M.bracket(x, y) for x in space for y in space}
+        zero = space[0]
+        center = {x for x in space
+                  if all(br[x, y] == br[y, x] == zero for y in space)}
+        assert _f3_span(M.n, bh.center(M, two_sided=True).basis) == center
+        for elements in subspaces:
+            S = VectorSubspace(M.n, elements, M.field)
+            ideal = all(M.alpha.apply(s) in elements
+                        and M.beta.apply(s) in elements
+                        and all(br[s, x] in elements and br[x, s] in elements
+                                for x in space) for s in elements)
+            assert bh.is_ideal(M, S) == ideal, (M, elements)
+            verdicts.add(ideal)
+            cz = {x for x in space if all(br[x, s] == zero for s in elements)}
+            assert _f3_span(M.n, bh.centralizer(M, S).basis) == cz
+    assert verdicts == {True, False}
+
+
+def test_is_ideal_is_one_rank(monkeypatch):
+    calls = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda m: calls.append(m) or rank(m))
+    H = heisenberg(2, 4, 9, [2, 3], [3, 5])
+    for S, expected in ((bh.center(H), True),
+                        (span(H, (1, 0, 0, 0, 0), (0, 1, 0, 0, 0)), False),
+                        (bh.derived_subalgebra(H), True)):
+        del calls[:]
+        assert bh.is_ideal(H, S) == expected
+        assert len(calls) == 1
