@@ -9,15 +9,17 @@ candidate non-algebras can be represented and rejected.
 Every axiom is evaluated by two independent routes: once through the
 structure-constant identities, summed over the nonzero constants and twist
 entries only, and once through direct evaluation on basis tuples via matrix
-application. check_all compares the two verdicts and refuses to return if
-they ever disagree; the redundancy exists because the index bookkeeping of
-the twisted Jacobi sum is easy to get wrong in exactly one of the two forms.
+application. The basis route of the Jacobi identity evaluates each distinct
+bracket once, then stops at the first failing sum. check_all compares the
+two verdicts and refuses to return if they ever disagree; the redundancy
+exists because the index bookkeeping of the twisted Jacobi sum is easy to
+get wrong in exactly one of the two forms.
 """
 
 from itertools import product
 
 from .fields import QQ, FieldMismatchError
-from .linalg import Matrix, invert, is_invertible
+from .linalg import Matrix, _row_support, invert, is_invertible
 
 
 class CrossCheckError(AssertionError):
@@ -106,11 +108,6 @@ def _constants(table):
             for s, c in enumerate(row) if c}
 
 
-def _row_support(m):
-    """Per row p of matrix entries m, the nonzero (i, m_pi)."""
-    return [[(i, x) for i, x in enumerate(row) if x] for row in m]
-
-
 def _pullback(constants, a, b, zero):
     """{(i, j, s): sum_{p,q} a_pi b_qj c_pq^s}, coordinate s of [a(e_i),
     b(e_j)] for matrix entries a, b (columns hold basis images), summed
@@ -161,11 +158,12 @@ def _skew_violation(constants, alpha, beta, zero):
     return _first_violation("skew", totals)
 
 
-def _jacobi_violation(constants, alpha, beta, zero):
+def _jacobi_violation(constants, alpha, beta, beta2, zero):
     """First ("jacobi", 1-based (i,j,k,r), total) with a nonzero twisted
-    Jacobi total, or None; alpha and beta are Matrices."""
+    Jacobi total, or None; alpha, beta and beta2 = beta * beta are
+    Matrices."""
     n = alpha.rows
-    b2_rows = _row_support((beta * beta).entries)
+    b2_rows = _row_support(beta2.entries)
     # inner(j,k,l) = sum_{q,s} b_qj a_sk c_qs^l, then the outer sum
     # O(i,j,k,r) = sum_{p,l} beta2_pi inner(j,k,l) c_pl^r; the Jacobi
     # total at (i,j,k,r) is O there plus its two cyclic shifts of (i,j,k)
@@ -191,6 +189,29 @@ def _morphism_violation(constants, m, zero, kind):
     for key, v in _pullback(constants, m, m, zero).items():
         totals[key] = totals.get(key, zero) - v
     return _first_violation(kind, totals)
+
+
+def _jacobi_holds(table, b2, bu, au, zero):
+    """Whether the twisted Jacobi sum vanishes on every basis triple, from
+    the unit images b2, bu, au under beta^2, beta and alpha. Each distinct
+    inner bracket [bu_j, au_k] and outer bracket [b2_i, inner(j, k)] is
+    evaluated once; a triple's sum is then formed only at the coordinates
+    where one of its three outer brackets is nonzero."""
+    n = len(table)
+    # outer[i][j][k] holds the nonzero coordinates of [b2_i, inner(j, k)]
+    outer = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for j, k in product(range(n), repeat=2):
+        w = _table_bracket(table, bu[j], au[k], zero)
+        if any(w):
+            for i, x in enumerate(b2):
+                outer[i][j][k] = {s: v for s, v in enumerate(
+                    _table_bracket(table, x, w, zero)) if v}
+    for i, j, k in product(range(n), repeat=3):
+        terms = outer[i][j][k], outer[j][k][i], outer[k][i][j]
+        if any(sum((t.get(s, zero) for t in terms), zero)
+               for s in set().union(*terms)):
+            return False
+    return True
 
 
 def _unit_images(L, *maps):
@@ -270,43 +291,53 @@ class BiHomLieAlgebra:
 
     def check_skew_symmetry(self):
         """Twisted skew-symmetry. Returns (ok, first_violation)."""
-        n, zero, br = self.n, self.field.zero(), self.bracket
-        bu, au = _unit_images(self, self.beta, self.alpha)
-        return _routes_agree("skew-symmetry", _skew_violation(
-            _constants(self.structure), self.alpha, self.beta, zero), all(
-                u + v == zero for i in range(n) for j in range(i, n)
-                for u, v in zip(br(bu[i], au[j]), br(bu[j], au[i]))))
+        return self._skew(_constants(self.structure))
 
     def check_bihom_jacobi(self):
         """Twisted Jacobi identity. Returns (ok, first_violation)."""
-        n, zero, br = self.n, self.field.zero(), self.bracket
-        b2, bu, au = _unit_images(self, self.beta * self.beta, self.beta,
-                                  self.alpha)
-        return _routes_agree("BiHom-Jacobi", _jacobi_violation(
-            _constants(self.structure), self.alpha, self.beta, zero), all(
-                u + v + w == zero for i, j, k in product(range(n), repeat=3)
-                for u, v, w in zip(br(b2[i], br(bu[j], au[k])),
-                                   br(b2[j], br(bu[k], au[i])),
-                                   br(b2[k], br(bu[i], au[j])))))
+        return self._jacobi(_constants(self.structure), self.beta * self.beta)
 
     def check_multiplicative(self):
         """Both twists are bracket endomorphisms. Returns (ok, first)."""
-        constants, zero = _constants(self.structure), self.field.zero()
+        return self._multiplicative(_constants(self.structure))
+
+    # each route below takes the nonzero constants of the table route, and
+    # the Jacobi routes beta^2, from the caller, which computes them once
+
+    def _skew(self, constants):
+        n, zero, table = self.n, self.field.zero(), self.structure
+        bu, au = _unit_images(self, self.beta, self.alpha)
+        return _routes_agree("skew-symmetry", _skew_violation(
+            constants, self.alpha, self.beta, zero), all(
+                u + v == zero for i in range(n) for j in range(i, n)
+                for u, v in zip(_table_bracket(table, bu[i], au[j], zero),
+                                _table_bracket(table, bu[j], au[i], zero))))
+
+    def _jacobi(self, constants, beta2):
+        zero = self.field.zero()
+        return _routes_agree("BiHom-Jacobi", _jacobi_violation(
+            constants, self.alpha, self.beta, beta2, zero), _jacobi_holds(
+                self.structure, *_unit_images(self, beta2, self.beta,
+                                              self.alpha), zero))
+
+    def _multiplicative(self, constants):
+        zero, table = self.field.zero(), self.structure
         first = (_morphism_violation(constants, self.alpha.entries, zero,
                                      "multiplicative-alpha")
                  or _morphism_violation(constants, self.beta.entries, zero,
                                         "multiplicative-beta"))
         images = _unit_images(self, self.alpha, self.beta)
         return _routes_agree("multiplicativity", first, all(
-            m.apply(self.bracket_basis(i, j)) == self.bracket(mu[i], mu[j])
+            m.apply(table[i][j]) == _table_bracket(table, mu[i], mu[j], zero)
             for m, mu in zip((self.alpha, self.beta), images)
             for i, j in product(range(self.n), repeat=2)))
 
     def check_all(self):
+        constants = _constants(self.structure)
         commuting = self.check_commuting()
-        skew, skew_first = self.check_skew_symmetry()
-        jacobi, jacobi_first = self.check_bihom_jacobi()
-        mult, mult_first = self.check_multiplicative()
+        skew, skew_first = self._skew(constants)
+        jacobi, jacobi_first = self._jacobi(constants, self.beta * self.beta)
+        mult, mult_first = self._multiplicative(constants)
         first = None
         if not commuting:
             first = ("commuting", (), None)
@@ -336,10 +367,24 @@ class BiHomLieAlgebra:
 def classical_lie_check(table, field):
     """(skew_ok, jacobi_ok) for a plain Lie structure table: the twisted
     table routes at identity twists."""
-    constants, zero = _constants(table), field.zero()
-    one = Matrix.identity(len(table), field)
+    return _classical_lie(_constants(table), len(table), field)
+
+
+def _classical_lie(constants, n, field):
+    zero, one = field.zero(), Matrix.identity(n, field)
     return (_skew_violation(constants, one, one, zero) is None,
-            _jacobi_violation(constants, one, one, zero) is None)
+            _jacobi_violation(constants, one, one, one, zero) is None)
+
+
+def _lie_constants(table, field):
+    """The nonzero constants of a classical Lie structure table, extracted
+    once; NotLieError when the table is not a Lie algebra."""
+    constants = _constants(table)
+    skew, jacobi = _classical_lie(constants, len(table), field)
+    if not (skew and jacobi):
+        raise NotLieError("input table is not a Lie algebra "
+                          "(skew=%s, jacobi=%s)" % (skew, jacobi))
+    return constants
 
 
 def yau_twist(table, alpha, beta, field=QQ):
@@ -354,13 +399,9 @@ def yau_twist(table, alpha, beta, field=QQ):
         alpha = Matrix(alpha, field)
     if not isinstance(beta, Matrix):
         beta = Matrix(beta, field)
-    skew, jacobi = classical_lie_check(table, field)
-    if not (skew and jacobi):
-        raise NotLieError("input table is not a Lie algebra "
-                          "(skew=%s, jacobi=%s)" % (skew, jacobi))
+    constants, zero = _lie_constants(table, field), field.zero()
     if alpha * beta != beta * alpha:
         raise TwistError("twist maps do not commute")
-    constants, zero = _constants(table), field.zero()
     for name, m in (("alpha", alpha), ("beta", beta)):
         if _morphism_violation(constants, m.entries, zero, name) is not None:
             raise TwistError("%s is not a morphism of the input bracket" % name)
@@ -430,11 +471,9 @@ def derivation_extension(table, D, a, b, field=QQ):
         D = Matrix(D, field)
     if (D.rows, D.cols) != (n, n):
         raise ValueError("D is not %d x %d" % (n, n))
-    skew, jacobi = classical_lie_check(table, field)
-    if not (skew and jacobi):
-        raise NotLieError("input table is not a Lie algebra")
+    constants = _lie_constants(table, field)
     # b*D([e_i,e_j]) - a*[D(e_i), e_j] - a*[e_i, D(e_j)] at every (i, j, s)
-    constants, ident = _constants(table), Matrix.identity(n, field).entries
+    ident = Matrix.identity(n, field).entries
     totals = {key: b * v for key, v
               in _pushforward(constants, D.entries, zero).items()}
     for pulled in (_pullback(constants, D.entries, ident, zero),

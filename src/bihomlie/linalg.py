@@ -82,10 +82,18 @@ class Matrix:
             self._check_field(other)
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            zero = self.field.zero()
-            cols = list(zip(*other.entries))
-            return _matrix([[sum(map(mul, r, c), zero) for c in cols]
-                            for r in self.entries], self.field)
+            # row i of the product sums x * (row k of other) over the
+            # nonzero x = self[i][k], reading only other's nonzero entries
+            zero, support = self.field.zero(), _row_support(other.entries)
+            out = []
+            for r in self.entries:
+                acc = [zero] * other.cols
+                for x, row in zip(r, support):
+                    if x:
+                        for j, y in row:
+                            acc[j] = acc[j] + x * y
+                out.append(acc)
+            return _matrix(out, self.field)
         x = self.field.coerce(other)
         return _matrix([[e * x for e in r] for r in self.entries], self.field)
 
@@ -143,6 +151,11 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%r)" % (list(list(r) for r in self.entries),)
+
+
+def _row_support(entries):
+    """Per row of entries, the nonzero (column, entry) pairs."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in entries]
 
 
 def _matrix(entries, field):
@@ -289,6 +302,8 @@ class VectorSubspace:
     def _holds(self, vectors):
         """Whether every one of vectors lies in the space: the inclusion
         test, one rank of the basis stacked on the vectors."""
+        if any(len(v) != self.ambient_dim for v in vectors):
+            raise ValueError("vector length mismatch")
         return not vectors or rank(Matrix([*self.basis, *vectors],
                                           self.field)) == self.dim
 

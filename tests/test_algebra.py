@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from bihomlie import algebra as algebra_module
 from bihomlie import algfile
 from bihomlie.algebra import classical_lie_check
 from bihomlie.fields import GF, QQ
-from bihomlie.linalg import Matrix
+from bihomlie.linalg import Matrix, invert, is_invertible
 
 
 IDENT = [[1, 0], [0, 1]]
@@ -541,6 +542,90 @@ def test_differential_catches_a_dropped_cyclic_shift(monkeypatch):
                         lambda i, j, k, r: ((i, j, k, r), (k, i, j, r)))
     _, _, mismatches = _differential(_random_algebras(seed=2020, count=10))
     assert mismatches
+
+
+def unmemoised_jacobi_route(L):
+    """The BiHom-Jacobi basis route as six calls of L.bracket per basis
+    triple (6 n^3 in all), beta^2 applied as beta twice."""
+    n, zero, br = L.n, L.field.zero(), L.bracket
+    units = Matrix.identity(n, L.field).entries
+    bu, au = ([m.apply(u) for u in units] for m in (L.beta, L.alpha))
+    b2 = [L.beta.apply(v) for v in bu]
+    return all(u + v + w == zero for i, j, k in product(range(n), repeat=3)
+               for u, v, w in zip(br(b2[i], br(bu[j], au[k])),
+                                  br(b2[j], br(bu[k], au[i])),
+                                  br(b2[k], br(bu[i], au[j]))))
+
+
+def _adjoint_yau_twists(rng, field):
+    """Yau twists of sl_2 (basis e, f, h) and gl_2 (basis E11, E12, E21,
+    E22) by alpha = Ad(g), beta = Ad(g + c), seeded g and c: algebras
+    whose twists are not diagonal and whose Jacobi sums have nonzero
+    terms."""
+    gl2 = {}     # [E_ab, E_cd] = (b == c) E_ad - (d == a) E_cb
+    for a, b, c, d in product(range(2), repeat=4):
+        x, y = 2 * a + b + 1, 2 * c + d + 1
+        for s, v in ((2 * a + d + 1, b == c), (2 * c + b + 1, -(d == a))):
+            gl2[x, y, s] = gl2.get((x, y, s), 0) + v
+    sl2 = {(1, 2, 3): 1, (2, 1, 3): -1, (3, 1, 1): 2, (1, 3, 1): -2,
+           (3, 2, 2): -2, (2, 3, 2): 2}
+    # coordinates of a 2 x 2 matrix in each basis (sl_2: traceless only)
+    coords = {3: lambda m: (m[0][1], m[1][0], m[0][0]),
+              4: lambda m: m[0] + m[1]}
+    units = {3: ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]]),
+             4: ([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]],
+                 [[0, 0], [0, 1]])}
+    out = []
+    while len(out) < 4:
+        g = Matrix([[rng.randrange(-3, 4) for _ in range(2)]
+                    for _ in range(2)], field)
+        h = g + Matrix.identity(2, field) * rng.randrange(1, 4)
+        if not (is_invertible(g) and is_invertible(h)):
+            continue
+        n = 3 + len(out) % 2
+        twists = [[coords[n]((x * Matrix(u, field) * invert(x)).entries)
+                   for u in units[n]] for x in (g, h)]
+        alpha, beta = (Matrix(list(zip(*cols)), field) for cols in twists)
+        out.append(yau_twist(structure_table(n, sl2 if n == 3 else gl2,
+                                             field), alpha, beta, field))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_memoised_jacobi_route_matches_six_brackets_per_triple(field):
+    # the basis route evaluates each distinct inner and outer bracket once;
+    # its verdict, and check_all's report, match the route that brackets
+    # six times per triple, on passing algebras and on the same algebras
+    # with one structure constant perturbed so that Jacobi fails
+    rng = random.Random(21)
+    zero, one = field.zero(), field.one()
+    algebras = []
+    for L in _adjoint_yau_twists(rng, field):
+        algebras.append(L)
+        keys = list(product(range(L.n), repeat=3))
+        rng.shuffle(keys)
+        for i, j, s in keys:
+            table = [[list(row) for row in plane] for plane in L.structure]
+            table[i][j][s] += one
+            M = BiHomLieAlgebra(table, L.alpha, L.beta, field)
+            if not unmemoised_jacobi_route(M):
+                algebras.append(M)
+                break
+    assert [L.n for L in algebras] == [3, 3, 4, 4, 3, 3, 4, 4]
+    for position, L in enumerate(algebras):
+        expected = unmemoised_jacobi_route(L)
+        assert expected == (position % 2 == 0)
+        b2, bu, au = ([m.apply(u) for u in Matrix.identity(L.n, field).entries]
+                      for m in (L.beta * L.beta, L.beta, L.alpha))
+        assert algebra_module._jacobi_holds(L.structure, b2, bu, au,
+                                            zero) == expected
+        report = L.check_all()
+        verdicts = [dense_skew(L), dense_jacobi(L), dense_multiplicative(L)]
+        assert report.commuting and L.check_bihom_jacobi() == verdicts[1]
+        assert ((report.skew_symmetric, report.bihom_jacobi,
+                 report.multiplicative) == tuple(v[0] for v in verdicts))
+        assert report.first_violation == next(
+            (v[1] for v in verdicts if not v[0]), None)
 
 
 @pytest.mark.parametrize("name, route, method, axiom", [

@@ -1,11 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from bihomlie import linalg
-from bihomlie.fields import GF, QQ, FpElement
+from bihomlie.fields import GF, QQ, FieldMismatchError, FpElement
 from bihomlie.linalg import (Matrix, MatrixSubspace, SingularMatrixError,
                              VectorSubspace, char_poly, invert, is_invertible,
                              nullspace_basis, rank, rref)
@@ -216,6 +217,42 @@ def test_matrix_power_refuses_non_square_and_negative():
         mat([[1, 0], [0, 1]]) ** -1
 
 
+def _dense_product(a, b, zero):
+    """Every dot product of a row of a with a column of b, zeros included."""
+    return tuple(tuple(sum(map(mul, r, c), zero) for c in zip(*b))
+                 for r in a)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_product_matches_dense_reference(field):
+    # the product reads only the nonzero entries of both factors; seeded
+    # factors have about half their entries zero
+    rng = random.Random(20)
+    values = (1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
+
+    def sparse(rows, cols):
+        return Matrix([[rng.choice(values) if rng.random() < 0.5 else 0
+                        for _ in range(cols)] for _ in range(rows)], field)
+
+    zero = field.zero()
+    for _ in range(40):
+        r, k, c = (rng.randrange(1, 6) for _ in range(3))
+        a, b = sparse(r, k), sparse(k, c)
+        pairs = [(a, b), (Matrix.zero(r, k, field), b),
+                 (a, Matrix.zero(k, c, field)),
+                 (Matrix.identity(r, field), a), (a, Matrix.identity(k, field))]
+        for x, y in pairs:
+            got = x * y
+            assert (got.rows, got.cols, got.field) == (x.rows, y.cols, field)
+            assert got.entries == _dense_product(x.entries, y.entries, zero)
+            assert all(type(v) is type(zero) for v in got.vectorize())
+    with pytest.raises(ValueError, match="shape mismatch in product"):
+        sparse(2, 3) * sparse(2, 3)
+    other = GF(3) if field == QQ else QQ
+    with pytest.raises(FieldMismatchError, match="mixed fields"):
+        sparse(2, 2) * Matrix.identity(2, other)
+
+
 @pytest.mark.parametrize("field", [QQ, GF(3)])
 def test_uncoerced_results_hold_field_elements(field):
     # arithmetic results skip coercion; FpElement equals its int residue
@@ -287,6 +324,15 @@ def test_vector_subspace_membership():
     assert s.dim == 2
     assert s.contains((2, 2, 5))
     assert not s.contains((1, 0, 0))
+
+
+@pytest.mark.parametrize("basis", [[], [(1, 2)]], ids=["zero", "line"])
+def test_membership_refuses_a_vector_of_another_length(basis):
+    space = VectorSubspace(2, basis, QQ)
+    for vec in ((1, 2, 3), (0, 0, 0), (0,)):
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            space.contains(vec)
+    assert space.contains((0, 0)) and space.contains((2, 4)) == bool(basis)
 
 
 def test_vector_subspace_canonical_equality():
