@@ -12,20 +12,23 @@ context builds three residual blocks: the coordinates of d([e_i,e_j]),
 [d(e_i), m(e_j)] and [m(e_i), d(e_j)] at d = B_r, read off the nonzero
 structure constants only, the first once and the other two per (k, l). A
 triple combines the blocks into a system in the c unknowns x_r, and its
-nullspace, mapped back through the B_r, spans the space. Spaces are
-MatrixSubspaces, stored by the reduced row echelon form of their vectorized
-basis; that canonical basis, not the commutant basis or the row order, is
-what keeps the output stable. Every basis member is re-verified by
-verify_derivation, which evaluates the identity bracket by bracket,
-independently of the blocks, in the membership kernel _is_member. That
-kernel computes on plain scalars (Fractions, or int residues over F_p); the
-F_p census count_members_fp runs every candidate through it too.
+nullspace, mapped back through the nonzero entries of the B_r, spans the
+space. Spaces are MatrixSubspaces, stored by the reduced row echelon form of
+their vectorized basis; that canonical basis, not the commutant basis or the
+row order, is what keeps the output stable. Every basis member is
+re-verified by verify_derivation, which evaluates the identity bracket by
+bracket, independently of the blocks, in the membership kernel _is_member.
+That kernel computes on plain scalars (Fractions, or int residues over F_p)
+and reads nonzero entries only; the F_p census count_members_fp runs every
+candidate through it too.
 
 Each algebra keeps one context, built by _solver on first use and kept in
-its _solver slot. It keeps each value once: the plain table and twists
-(over Q the algebra's own rows), per (k, l) only the plain rows of one
-twist_power, which the blocks and the membership kernel both read, the lam
-block, which no power enters, and the commutant, solved on the first solve
+its _solver slot. It keeps each value once: the nonzero structure constants
+for the blocks; sparse views for the kernel, per bracket [e_i, e_j] its
+nonzero constants and per twist the nonzero entries of each row and column
+(over Q the algebra's own Fractions); per (k, l) only the dense plain rows
+of one twist_power, which the blocks and the kernel both read; the lam
+block, which no power enters; and the commutant, solved on the first solve
 and never for a membership check.
 Solved spaces are not kept: every call solves and re-verifies its triple.
 """
@@ -33,9 +36,10 @@ Solved spaces are not kept: every call solves and re-verifies its triple.
 from functools import cached_property
 from itertools import product
 
-from .algebra import _constants, _pullback, _pushforward, _table_bracket
+from .algebra import _constants, _pullback, _pushforward
 from .fields import FieldMismatchError, QQ
-from .linalg import MatrixSubspace, VectorSubspace, _matrix, nullspace_basis
+from .linalg import (MatrixSubspace, VectorSubspace, _matrix, _row_support,
+                     nullspace_basis)
 
 
 class MembershipError(AssertionError):
@@ -77,19 +81,26 @@ def twist_commutant(L):
     return _solver(L).commutant
 
 
-def _commutes(d, m, is_zero):
-    """d*m == m*d on plain entry rows, compared entry by entry up to the
-    first mismatch; products with a zero factor are skipped."""
-    n = range(len(d))
-    for i in n:
-        for j in n:
+def _sparse(rows):
+    """_row_support as nested tuples, which share the empty tuple."""
+    return tuple(map(tuple, _row_support(rows)))
+
+
+def _commutes(d, twist, is_zero):
+    """d*m == m*d for plain entry rows d and a twist m given by the nonzero
+    (index, entry) pairs of its rows and of its columns, compared entry by
+    entry up to the first mismatch; zero entries of d are skipped."""
+    m_rows, m_cols = twist
+    for d_row, m_row in zip(d, m_rows):
+        for j, m_col in enumerate(m_cols):
             left = right = 0
-            for t in n:
-                if d[i][t] and m[t][j]:
-                    left += d[i][t] * m[t][j]
-                if m[i][t] and d[t][j]:
-                    right += m[i][t] * d[t][j]
-            if not is_zero(left - right):
+            for t, x in m_col:
+                if d_row[t]:
+                    left += d_row[t] * x
+            for t, x in m_row:
+                if d[t][j]:
+                    right += x * d[t][j]
+            if (left or right) and not is_zero(left - right):
                 return False
     return True
 
@@ -105,46 +116,56 @@ def verify_derivation(L, d, lam, mu, gamma, k=0, l=0):
                       *_solver(L).problem(lam, mu, gamma, k, l))
 
 
-def _is_member(d, table, alpha, beta, m, lam, mu, gamma, is_zero):
+def _bracket(brackets, x, y):
+    """{s: coordinate s of [x, y]} over the nonzero constants, for x and y
+    given by their nonzero (index, entry) pairs."""
+    out = {}
+    for p, u in x:
+        plane = brackets[p]
+        for q, v in y:
+            for s, c in plane[q]:
+                out[s] = out.get(s, 0) + u * v * c
+    return out
+
+
+def _is_member(d, brackets, alpha, beta, m, lam, mu, gamma, is_zero):
     """The membership kernel: verify_derivation on plain scalars. d and m
-    are entry rows, table, alpha and beta the algebra's, and is_zero is the
-    field's zero test."""
+    are entry rows, brackets, alpha and beta the context's sparse views,
+    and is_zero is the field's zero test."""
     if not (_commutes(d, alpha, is_zero) and _commutes(d, beta, is_zero)):
         return False
-    n = len(d)
     # d(e_i) and m(e_i) are the i-th columns
-    d_cols = list(zip(*d))
-    m_cols = list(zip(*m))
-    for i in range(n):
-        for j in range(n):
-            # d([e_i,e_j]) = sum_b c_ij^b d(e_b) over the nonzero c_ij^b
-            image = [0] * n
-            for b, c in enumerate(table[i][j]):
-                if c:
-                    for s, x in enumerate(d_cols[b]):
-                        if x:
-                            image[s] += c * x
-            t1 = _table_bracket(table, d_cols[i], m_cols[j], 0)
-            t2 = _table_bracket(table, m_cols[i], d_cols[j], 0)
-            for v, a, b in zip(image, t1, t2):
-                if (v or a or b) and not is_zero(
-                        lam * v - mu * a - gamma * b):
+    d_cols, m_cols = _row_support(zip(*d)), _row_support(zip(*m))
+    for i, (d_i, m_i) in enumerate(zip(d_cols, m_cols)):
+        for j, (d_j, m_j) in enumerate(zip(d_cols, m_cols)):
+            # d([e_i,e_j]) = sum_b c_ij^b d(e_b)
+            image = {}
+            for b, c in brackets[i][j]:
+                for s, x in d_cols[b]:
+                    image[s] = image.get(s, 0) + c * x
+            t1, t2 = _bracket(brackets, d_i, m_j), _bracket(brackets, m_i, d_j)
+            for s in image.keys() | t1.keys() | t2.keys():
+                if not is_zero(lam * image.get(s, 0) - mu * t1.get(s, 0)
+                               - gamma * t2.get(s, 0)):
                     return False
     return True
 
 
 class SolveContext:
     """Solver and membership state fixed per algebra, built once by _solver:
-    the nonzero structure constants, the plain table and twists, the lam
-    block, per (k, l) the plain rows of the twist power and the mu and
-    gamma blocks, and the twist commutant, solved on first use."""
+    the nonzero structure constants, the sparse views of the table and
+    twists, the lam block, per (k, l) the plain rows of the twist power and
+    the mu and gamma blocks, and the twist commutant, solved on first use."""
 
     def __init__(self, L):
         self.L = L
         self.constants = _constants(L.structure)
+        # per bracket [e_i, e_j] its nonzero (s, c_ij^s); per twist the
+        # nonzero (index, entry) pairs of each row and of each column
         plain_rows = L.field.plain_rows
-        self.plain = (tuple(map(plain_rows, L.structure)),
-                      plain_rows(L.alpha.entries), plain_rows(L.beta.entries))
+        twists = (plain_rows(t.entries) for t in (L.alpha, L.beta))
+        self.views = (tuple(_sparse(plain_rows(p)) for p in L.structure),
+                      *((_sparse(t), _sparse(zip(*t))) for t in twists))
         self._powers = {}
         self._blocks = {}
 
@@ -163,7 +184,7 @@ class SolveContext:
     def problem(self, lam, mu, gamma, k, l):
         """The arguments of _is_member after d, in plain scalars."""
         field = self.L.field
-        return (*self.plain, self._power(k, l),
+        return (*self.views, self._power(k, l),
                 *(field.plain(field.coerce(x)) for x in (lam, mu, gamma)),
                 field.is_zero)
 
@@ -205,10 +226,11 @@ class SolveContext:
         system = [row for row in rows.values() if any(row)]
         space = self.commutant
         if system:
-            vecs = [b.vectorize() for b in basis]
-            members = [[sum((xr * vec[t] for xr, vec in zip(x, vecs) if xr),
-                            zero) for t in range(n * n)]
-                       for x in nullspace_basis(_matrix(system, field))]
+            # x B for the nullspace vectors x, B the vectorized commutant
+            # basis: the sparse product reads nonzero x_r and B_r entries only
+            x = nullspace_basis(_matrix(system, field))
+            vecs = _matrix([b.vectorize() for b in basis], field)
+            members = (_matrix(x, field) * vecs).entries if x else []
             space = MatrixSubspace._of(n, VectorSubspace(n * n, members,
                                                          field))
         for d in space.basis:

@@ -6,8 +6,10 @@ import pytest
 
 import bihomlie as bh
 from bihomlie import BiHomLieAlgebra, catalog, derivations, heisenberg
+from bihomlie.algebra import _table_bracket
 from bihomlie.fields import GF, QQ, FieldMismatchError, ReductionError
-from bihomlie.linalg import Matrix, MatrixSubspace, nullspace_basis
+from bihomlie.linalg import (Matrix, MatrixSubspace, is_invertible,
+                             nullspace_basis)
 
 
 IDENT = [[1, 0], [0, 1]]
@@ -434,6 +436,148 @@ def test_membership_edges():
         bh.count_members_fp(L, 1, 1, 1)
 
 
+# --- dense reference membership kernel -------------------------------------
+
+def _dense_commutes(d, m, is_zero):
+    """d*m == m*d on plain entry rows, every index read: the dense
+    commutation test the membership kernel used before its sparse views."""
+    n = range(len(d))
+    for i in n:
+        for j in n:
+            left = right = 0
+            for t in n:
+                if d[i][t] and m[t][j]:
+                    left += d[i][t] * m[t][j]
+                if m[i][t] and d[t][j]:
+                    right += m[i][t] * d[t][j]
+            if not is_zero(left - right):
+                return False
+    return True
+
+
+def _dense_is_member(d, table, alpha, beta, m, lam, mu, gamma, is_zero):
+    """The dense membership kernel on plain entry rows and the plain
+    table: every pair (i, j), every coordinate."""
+    if not (_dense_commutes(d, alpha, is_zero)
+            and _dense_commutes(d, beta, is_zero)):
+        return False
+    n = len(d)
+    d_cols = list(zip(*d))
+    m_cols = list(zip(*m))
+    for i in range(n):
+        for j in range(n):
+            image = [0] * n
+            for b, c in enumerate(table[i][j]):
+                if c:
+                    for s, x in enumerate(d_cols[b]):
+                        if x:
+                            image[s] += c * x
+            t1 = _table_bracket(table, d_cols[i], m_cols[j], 0)
+            t2 = _table_bracket(table, m_cols[i], d_cols[j], 0)
+            for v, a, b in zip(image, t1, t2):
+                if (v or a or b) and not is_zero(
+                        lam * v - mu * a - gamma * b):
+                    return False
+    return True
+
+
+def _differential_algebras():
+    """n = 2..7 over Q, GF(3) and GF(5): a seeded sample of the catalog
+    instances whose twists are not diagonal or not invertible, direct sums
+    at n = 4 and 6, and twisted Heisenberg at n = 3, 5, 7, among them the
+    classical one (identity twists), whose commutant is every operator."""
+    rng = random.Random(5)
+    odd = [L for L in (catalog.build(fid, params)
+                       for fid in catalog.family_ids()
+                       for params in catalog.pinned_samples(fid))
+           if any(x for t in (L.alpha, L.beta)
+                  for i, row in enumerate(t.entries)
+                  for j, x in enumerate(row) if i != j and x)
+           or not (is_invertible(L.alpha) and is_invertible(L.beta))]
+    picked = rng.sample(odd, 6)
+    heis = [heisenberg(1, 1, 1, [1], [1]), heisenberg(1, 12, 27, [2], [3]),
+            heisenberg(2, 4, 9, [2, -2], [3, -3]),
+            heisenberg(3, -6, -10, [2, 3, 4], [2, 5, 7])]
+    rational = picked + heis + [bh.direct_sum(*picked[:2]),
+                                bh.direct_sum(heis[0], heis[1])]
+    algebras = list(rational)
+    for p in (3, 5):
+        for L in rational:
+            try:
+                algebras.append(bh.reduce_mod_p(L, p))
+            except ReductionError:
+                pass
+    return algebras
+
+
+def _scalars(field):
+    if field.characteristic:
+        return [field.coerce(v) for v in range(1, field.characteristic)]
+    return [field.coerce(v) for v in (1, -1, 2, Fraction(1, 2))]
+
+
+def _random_candidates(rng, L):
+    """Random sparse matrices and random twist-commutant members; the
+    latter pass the commutation test and reach the bracket terms."""
+    n, field = L.n, L.field
+    zero, scalars = field.zero(), _scalars(field)
+    out = []
+    for _ in range(2):
+        rows = [[zero] * n for _ in range(n)]
+        for _ in range(rng.randint(1, n)):
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.choice(scalars)
+        out.append(Matrix(rows, field))
+    for _ in range(2):
+        d = Matrix([[zero] * n for _ in range(n)], field)
+        for b in bh.twist_commutant(L).basis:
+            d = d + b * rng.choice([zero] + scalars)
+        out.append(d)
+    return out
+
+
+def _solved_candidates(rng, L, k, l, triple):
+    """The solved members, each also with one entry perturbed."""
+    out = []
+    for d in bh.derivation_space(L, *triple, k, l).basis:
+        rows = [list(row) for row in d.entries]
+        s, t = rng.randrange(L.n), rng.randrange(L.n)
+        rows[s][t] = rows[s][t] + rng.choice(_scalars(L.field))
+        out += [d, Matrix(rows, L.field)]
+    return out
+
+
+def test_sparse_membership_matches_dense_reference():
+    rng = random.Random(7)
+    algebras = _differential_algebras()
+    assert {L.n for L in algebras} == set(range(2, 8))
+    assert {L.field.characteristic for L in algebras} == {0, 3, 5}
+    verdicts = {True: 0, False: 0}
+    for L in algebras:
+        field = L.field
+        plain_rows = field.plain_rows
+        table = tuple(map(plain_rows, L.structure))
+        alpha, beta = plain_rows(L.alpha.entries), plain_rows(L.beta.entries)
+        fixed = _random_candidates(rng, L)
+        # the whole grid {0,1,2}^2 up to n = 3, three pairs past it
+        grid = (itertools.product(range(3), repeat=2) if L.n <= 3
+                else ((0, 0), (1, 1), (2, 1)))
+        for k, l in grid:
+            m = Matrix.identity(L.n, field)
+            for factor in [L.alpha] * k + [L.beta] * l:
+                m = m * factor
+            m = plain_rows(m.entries)
+            for triple in CANONICAL_TRIPLES:
+                coeffs = [field.plain(field.coerce(x)) for x in triple]
+                for d in fixed + _solved_candidates(rng, L, k, l, triple):
+                    got = bh.verify_derivation(L, d, *triple, k, l)
+                    want = _dense_is_member(
+                        plain_rows(d.entries), table, alpha, beta, m,
+                        *coeffs, field.is_zero)
+                    assert got == want, (L, d, triple, k, l)
+                    verdicts[got] += 1
+    assert min(verdicts.values()) > 1000, verdicts
+
+
 # --- dense reference solver ------------------------------------------------
 
 CANONICAL_TRIPLES = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1),
@@ -617,26 +761,56 @@ def test_twist_powers_built_once_and_commutant_lazy(monkeypatch):
 
 
 def test_context_keeps_one_copy_of_each_value():
-    # over Q the plain view is the algebra's own rows; a kept twist power
-    # is its plain rows alone, with no Matrix beside them
+    # a kept twist power is its dense plain rows alone, with no Matrix and
+    # no sparse copy beside them; the sparse views of the table and twists
+    # are built once per context, over Q from the algebra's own Fractions
     L = l_1_17()
     Lp = bh.reduce_mod_p(L, 3)
     for A, scalar in ((L, Fraction), (Lp, int)):
         bh.derivation_space(A, 1, 1, 1, 2, 1)
         context = derivations._solver(A)
-        table, alpha, beta = context.plain
+        assert set(vars(context)) == {"L", "constants", "views", "_powers",
+                                      "_blocks", "commutant", "_lam_block"}
+        assert list(context._powers) == [(2, 1)]
         power = context._powers[2, 1]
         assert power == tuple(
             tuple(map(A.field.plain, row))
             for row in derivations.twist_power(A, 2, 1).entries)
-        for rows in (*table, alpha, beta, power):
-            assert type(rows) is tuple and len(rows) == 2
-            for row in rows:
-                assert type(row) is tuple
-                assert all(type(x) is scalar for x in row)
-    table, alpha, beta = derivations._solver(L).plain
-    assert alpha is L.alpha.entries and beta is L.beta.entries
-    assert all(rows is plane for rows, plane in zip(table, L.structure))
+        assert type(power) is tuple and len(power) == 2
+        for row in power:
+            assert type(row) is tuple
+            assert all(type(x) is scalar for x in row)
+        views = context.views
+        brackets, alpha, beta = views
+        assert brackets == tuple(
+            tuple(tuple((s, A.field.plain(c)) for s, c in enumerate(row) if c)
+                  for row in plane) for plane in A.structure)
+        for (rows, cols), twist in ((alpha, A.alpha), (beta, A.beta)):
+            entries = A.field.plain_rows(twist.entries)
+            assert rows == tuple(
+                tuple((j, x) for j, x in enumerate(row) if x)
+                for row in entries)
+            assert cols == tuple(
+                tuple((i, x) for i, x in enumerate(col) if x)
+                for col in zip(*entries))
+        # more solves, checks and a census read the same views
+        bh.centroid(A, 1, 0)
+        assert bh.verify_derivation(A, Matrix.identity(2, A.field), 1, 1, 0)
+        if A is Lp:
+            assert bh.count_members_fp(A, 1, 1, 0, 1, 1) == 3
+        assert context.views is views
+        assert all(x is y for x, y in zip(context.problem(1, 1, 0, 0, 1),
+                                          views))
+    # over Q the views hold the algebra's own Fraction objects
+    brackets, alpha, beta = derivations._solver(L).views
+    for i, plane in enumerate(brackets):
+        for j, pairs in enumerate(plane):
+            assert all(c is L.structure[i][j][s] for s, c in pairs)
+    for (rows, cols), twist in ((alpha, L.alpha), (beta, L.beta)):
+        for i, pairs in enumerate(rows):
+            assert all(x is twist.entries[i][j] for j, x in pairs)
+        for j, pairs in enumerate(cols):
+            assert all(x is twist.entries[i][j] for i, x in pairs)
 
 
 def test_one_algebra_keeps_one_solve_context(monkeypatch):

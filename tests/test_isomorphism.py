@@ -107,6 +107,34 @@ def test_fingerprint_invariant_under_transport():
         assert fingerprint(L) == fingerprint(transport(L, f))
 
 
+def _diagonal_char_poly(diag):
+    """Coefficients of prod (t - d), highest degree first."""
+    poly = [Fraction(1)]
+    for d in diag:
+        poly = [a - d * b for a, b in zip(poly + [0], [0] + poly)]
+    return tuple(poly)
+
+
+def test_fingerprint_closed_form_at_n13():
+    # past the reach of any F_p census: with distinct b_i, y_i in 2..13 and
+    # a, x < 0 every twist eigenvalue is simple, so the commutant is the
+    # diagonal d = diag(d_1..d_6, e_1..e_6, f), and at (1,1,1), (k, l) =
+    # (1, 1) each pair X_i, Y_i gives the one equation f = d_i v_i + e_i u_i,
+    # u_i and v_i the eigenvalues of alpha beta at X_i and Y_i: 13 - 6 = 7
+    rng = random.Random(13)
+    b, y = rng.sample(range(2, 14), 6), rng.sample(range(2, 14), 6)
+    a, x = -rng.choice((2, 3, 5, 7)), -rng.choice((2, 3, 5, 7))
+    fp = fingerprint(heisenberg(6, a, x, b, y))
+    assert (fp.dim, fp.rank_alpha, fp.rank_beta) == (13, 13, 13)
+    assert fp.dim_bracket_image == fp.dim_center == 1
+    assert fp.lower_central_dims == fp.derived_dims == (13, 1, 0)
+    assert fp.char_poly_alpha == _diagonal_char_poly(
+        [Fraction(v) for v in b] + [Fraction(a, v) for v in b] + [a])
+    assert fp.char_poly_beta == _diagonal_char_poly(
+        [Fraction(v) for v in y] + [Fraction(x, v) for v in y] + [x])
+    assert fp.der_dims[(1, 1, 1, 1, 1)] == 7
+
+
 def test_fingerprint_comparison_wording():
     fa = fingerprint(build("L_2^1", {"b": 2, "y": 1}))
     fb = fingerprint(build("L_3^1", {"b": 2, "y": 1}))
