@@ -6,12 +6,14 @@ samples, and errata records where a shipped cell deviates from the original
 tabulation (each deviation is re-derived in the test suite).
 """
 
+import ast
 import hashlib
 import json
+import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
-from operator import add, eq, ge, le, mul, ne, sub, truediv
+from operator import add, eq, ge, le, mul, ne, sub
 
 from .algebra import BiHomLieAlgebra
 from .derivations import centroid, derivation_space
@@ -35,131 +37,70 @@ class InadmissibleParameterError(CatalogError):
 # term   := factor (('*'|'/') factor)*
 # factor := '-' factor | atom ('^' factor)?
 # atom   := INT | NAME | '(' expr ')'
-# Exponents must evaluate to non-negative integers. Each string is parsed
-# once, to postfix code in the order of a one-pass evaluating parser; a
-# syntax error ends it with a "fail" step, raised where that parser would.
+# NAME is ASCII letters then letters or digits, INT is decimal digits. '^'
+# is read as Python's '**', which has the same precedence and binds to the
+# right; Python's parser reads the string, and only the nodes above are
+# compiled. Exponents must evaluate to non-negative integers.
 
-def _tokenize(src):
-    toks = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            toks.append(("num", Fraction(int(src[i:j]))))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(src) and src[j].isalnum():
-                j += 1
-            toks.append(("name", src[i:j]))
-            i = j
-        elif ch in "+-*/^()":
-            toks.append((ch, ch))
-            i += 1
-        else:
-            raise CatalogError("bad character %r in expression %r" % (ch, src))
-    toks.append(("end", None))
-    return toks
-
-
-class _Parser:
-
-    __slots__ = ("src", "toks", "pos", "code")
-
-    def __init__(self, src, toks):
-        self.src, self.toks, self.pos, self.code = src, toks, 0, []
-
-    def _peek(self):
-        return self.toks[self.pos][0]
-
-    def _take(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def _then(self, op, operand):
-        """Take an operator token, parse its right operand, emit op."""
-        self._take()
-        operand()
-        self.code.append((op, None))
-
-    def _chain(self, ops, operand):
-        operand()
-        while self._peek() in ops:
-            self._then(self._peek(), operand)
-
-    def _expr(self):
-        self._chain(("+", "-"), self._term)
-
-    def _term(self):
-        self._chain(("*", "/"), self._factor)
-
-    def _factor(self):
-        if self._peek() == "-":
-            return self._then("neg", self._factor)
-        self._atom()
-        if self._peek() == "^":
-            self._then("^", self._factor)
-
-    def _atom(self):
-        kind, val = self._take()
-        if kind in ("num", "name"):
-            self.code.append((kind, val))
-        elif kind == "(":
-            self._expr()
-            if self._take()[0] != ")":
-                raise CatalogError("unbalanced parentheses in %r" % self.src)
-        else:
-            raise CatalogError("unexpected token in expression %r" % self.src)
+_TOKENS = re.compile(r"(?:(?:[A-Za-z][A-Za-z0-9]*|[0-9]+)(?![A-Za-z0-9])"
+                     r"|\*(?!\*)|[-+/^()\s])*")
 
 
 @lru_cache(maxsize=1024)
 def _parse(src):
-    """The postfix code of an expression string; a bad character raises
+    """(evaluate, names) of an expression string: evaluate(env) gives its
+    Fraction value, names the symbols it reads. A malformed string raises
     here, before anything is evaluated."""
-    parser = _Parser(src, _tokenize(src))
+    def compile_(node):
+        if type(node) is ast.Constant and type(node.value) is int:
+            value = Fraction(node.value)
+            return lambda env: value
+        if type(node) is ast.Name:
+            return lookup(node.id)
+        if type(node) is ast.UnaryOp and type(node.op) is ast.USub:
+            operand = compile_(node.operand)
+            return lambda env: -operand(env)
+        if type(node) is ast.BinOp and type(node.op) in binary:
+            op, lhs, rhs = (binary[type(node.op)], compile_(node.left),
+                            compile_(node.right))
+            return lambda env: op(lhs(env), rhs(env))
+        raise CatalogError("bad expression %r" % src)
+
+    def lookup(name):
+        def value(env):
+            if name not in env:
+                raise CatalogError("unknown symbol %r in expression %r"
+                                   % (name, src))
+            return env[name]
+        return value
+
+    def divide(lhs, rhs):
+        if rhs == 0:
+            raise CatalogError("division by zero in %r" % src)
+        return lhs / rhs
+
+    def power(base, exp):
+        if exp.denominator != 1 or exp < 0:
+            raise CatalogError("exponent %s in %r is not a non-negative "
+                               "integer" % (exp, src))
+        return base ** int(exp)
+
+    binary = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: divide,
+              ast.Pow: power}
+    if not _TOKENS.fullmatch(src):
+        raise CatalogError("bad expression %r" % src)
     try:
-        parser._expr()
-        if parser._peek() != "end":
-            raise CatalogError("trailing input in expression %r" % src)
-    except CatalogError as err:
-        parser.code.append(("fail", str(err)))
-    return tuple(parser.code)
-
-
-_BINARY = {"+": add, "-": sub, "*": mul, "/": truediv,
-           "^": lambda base, exp: base ** int(exp)}
+        tree = ast.parse(" ".join(src.split()).replace("^", "**"),
+                         mode="eval")
+    except SyntaxError:
+        raise CatalogError("bad expression %r" % src) from None
+    return compile_(tree.body), frozenset(
+        node.id for node in ast.walk(tree) if type(node) is ast.Name)
 
 
 def eval_expr(src, env):
     """Evaluate an expression string to a Fraction over the given symbols."""
-    stack = []
-    for op, arg in _parse(src):
-        if op == "num":
-            stack.append(arg)
-        elif op == "name":
-            if arg not in env:
-                raise CatalogError(
-                    "unknown symbol %r in expression %r" % (arg, src))
-            stack.append(env[arg])
-        elif op == "neg":
-            stack[-1] = -stack[-1]
-        elif op == "fail":
-            raise CatalogError(arg)
-        else:
-            rhs = stack.pop()
-            if op == "/" and rhs == 0:
-                raise CatalogError("division by zero in %r" % src)
-            if op == "^" and (rhs.denominator != 1 or rhs < 0):
-                raise CatalogError("exponent %s in %r is not a non-negative "
-                                   "integer" % (rhs, src))
-            stack[-1] = _BINARY[op](stack[-1], rhs)
-    return stack[0]
+    return _parse(src)[0](env)
 
 
 # --- guards ----------------------------------------------------------------
@@ -189,10 +130,8 @@ def pattern_space(pattern, env, field=QQ):
     over F_p a denominator divisible by p raises ReductionError.
     """
     n = len(pattern)
-    slots = sorted({name
-                    for row in pattern for cell in row
-                    for op, name in _parse(cell)
-                    if op == "name" and name in _SLOT_NAMES})
+    slots = sorted({name for row in pattern for cell in row
+                    for name in _parse(cell)[1] if name in _SLOT_NAMES})
     zero_env = dict(env)
     for s in _SLOT_NAMES:
         zero_env[s] = Fraction(0)
@@ -256,39 +195,34 @@ class CatalogFamily:
         return [p["name"] for p in self.params]
 
 
-_catalog_cache = None
-
-
 def _samples_digest(families):
     blob = json.dumps({f["id"]: f["samples"] for f in families},
                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
+@cache
 def load_catalog():
     """Parsed catalog data, cached; fails if the pinned samples changed."""
-    global _catalog_cache
-    if _catalog_cache is None:
-        text = (resources.files("bihomlie.data")
-                .joinpath("catalog2.json").read_text("utf-8"))
-        data = json.loads(text)
-        if data.get("format_version") != 1:
-            raise CatalogError(
-                "unsupported catalog format_version %r"
-                % data.get("format_version"))
-        digest = _samples_digest(data["families"])
-        if digest != data["samples_sha256"]:
-            raise CatalogError(
-                "pinned sample digest mismatch: expected %s, data gives %s"
-                % (data["samples_sha256"], digest))
-        families = {}
-        for record in data["families"]:
-            fam = CatalogFamily(record)
-            if fam.id in families:
-                raise CatalogError("duplicate family id %r" % fam.id)
-            families[fam.id] = fam
-        _catalog_cache = families
-    return _catalog_cache
+    text = (resources.files("bihomlie.data")
+            .joinpath("catalog2.json").read_text("utf-8"))
+    data = json.loads(text)
+    if data.get("format_version") != 1:
+        raise CatalogError(
+            "unsupported catalog format_version %r"
+            % data.get("format_version"))
+    digest = _samples_digest(data["families"])
+    if digest != data["samples_sha256"]:
+        raise CatalogError(
+            "pinned sample digest mismatch: expected %s, data gives %s"
+            % (data["samples_sha256"], digest))
+    families = {}
+    for record in data["families"]:
+        fam = CatalogFamily(record)
+        if fam.id in families:
+            raise CatalogError("duplicate family id %r" % fam.id)
+        families[fam.id] = fam
+    return families
 
 
 def family_ids():

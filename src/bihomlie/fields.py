@@ -12,6 +12,7 @@ new tuples of int residues), and its ``is_zero`` test on unreduced sums.
 import math
 import re
 from fractions import Fraction
+from functools import cache
 
 
 class FieldMismatchError(TypeError):
@@ -217,13 +218,10 @@ class PrimeField:
 
 QQ = RationalField()
 
-_gf_cache = {}
 
-
+@cache
 def GF(p):
-    if p not in _gf_cache:
-        _gf_cache[p] = PrimeField(p)
-    return _gf_cache[p]
+    return PrimeField(p)
 
 
 def reduce_fraction_mod(x, p):

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -99,18 +100,26 @@ def test_parse_memo_keeps_structure_not_values():
     assert catalog._parse.cache_info().misses == len(strings)
 
 
+def _refused(*strings):
+    """Rows for strings outside the grammar, refused at parse time."""
+    return [(src, {"x": F(0), "y": F(1)}, "bad expression %r" % src)
+            for src in strings]
+
+
 @pytest.mark.parametrize("src, env, message", [
     ("q+1", {"a": F(1)}, "unknown symbol 'q' in expression 'q+1'"),
     ("1/x", {"x": F(0)}, "division by zero in '1/x'"),
-    ("2$x", {"x": F(1)}, "bad character '$' in expression '2$x'"),
-    ("x y", {"x": F(1), "y": F(1)}, "trailing input in expression 'x y'"),
+    ("2$x", {"x": F(1)}, "bad expression '2$x'"),
+    ("x y", {"x": F(1), "y": F(1)}, "bad expression 'x y'"),
     ("x^y", {"x": F(2), "y": Fraction(1, 2)},
      "exponent 1/2 in 'x^y' is not a non-negative integer"),
-    # an input with two faults reports the one met first, left to right
-    ("q+", {}, "unknown symbol 'q' in expression 'q+'"),
-    ("1/x)", {"x": F(0)}, "division by zero in '1/x)'"),
-    ("x+(", {"x": F(1)}, "unexpected token in expression 'x+('"),
-])
+    # malformed input is refused whole, before any fault in its evaluation
+    ("q+", {}, "bad expression 'q+'"),
+    ("1/x)", {"x": F(0)}, "bad expression '1/x)'"),
+    ("x+(", {"x": F(1)}, "bad expression 'x+('"),
+] + _refused("x**2", "0x10", "2e3", "1_0", "x_1", "1.5", "1j", "True", "None",
+             "f(x)", "x.y", "x[0]", "x<y", "x%y", "x//y", "+x", "~x", "()",
+             "", "\u00e9", "\u00b2", "0001"))
 def test_parse_memo_repeats_errors(src, env, message):
     catalog._parse.cache_clear()
     for _ in range(2):
@@ -125,6 +134,99 @@ def test_parse_memo_recovers_after_an_error():
     with pytest.raises(CatalogError):
         eval_expr("1/x", {"x": F(0)})
     assert eval_expr("1/x", {"x": F(2)}) == Fraction(1, 2)
+
+
+# A grammar tree is an int, a name, ("neg", t) or (op, lhs, rhs). Its level
+# is 1 for + and -, 2 for * and /, 3 for a factor ('-' factor, or a power)
+# and 4 for an atom; an operand below the level its place needs takes
+# parentheses, and no other does.
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 3}
+_NEEDS = {"+": (1, 2), "-": (1, 2), "*": (2, 3), "/": (2, 3), "neg": (3,),
+          "^": (4, 3)}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+
+
+def _render(tree):
+    """(text, level) of a tree, with the fewest parentheses."""
+    if not isinstance(tree, tuple):
+        return str(tree), 4
+    op, *kids = tree
+    parts = []
+    for kid, need in zip(kids, _NEEDS[op]):
+        text, level = _render(kid)
+        parts.append(text if level >= need else "(%s)" % text)
+    return ("-" + parts[0] if op == "neg" else op.join(parts)), _LEVEL[op]
+
+
+def _value(tree, env, src):
+    """The tree's value, operands left to right; a fault raises
+    CatalogError with the evaluator's message."""
+    if isinstance(tree, int):
+        return F(tree)
+    if isinstance(tree, str):
+        return env[tree]
+    op, *kids = tree
+    vals = [_value(kid, env, src) for kid in kids]
+    if op == "neg":
+        return -vals[0]
+    lhs, rhs = vals
+    if op == "/" and rhs == 0:
+        raise CatalogError("division by zero in %r" % src)
+    if op != "^":
+        return _ARITH[op](lhs, rhs)
+    if rhs.denominator != 1 or rhs < 0:
+        raise CatalogError("exponent %s in %r is not a non-negative integer"
+                           % (rhs, src))
+    return lhs ** int(rhs)
+
+
+def _leaf(rng):
+    return rng.choice([rng.randint(0, 3), rng.choice("abcxz")])
+
+
+def _tree(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return _leaf(rng)
+    op = rng.choice(["+", "-", "*", "/", "^", "neg"])
+    if op == "neg":
+        return (op, _tree(rng, depth - 1))
+    if op == "^":  # a small exponent keeps the values small
+        exp = rng.choice([_leaf(rng), ("neg", _leaf(rng)),
+                          (rng.choice("+-*/"), _leaf(rng), _leaf(rng))])
+        return (op, _tree(rng, depth - 1), exp)
+    return (op, _tree(rng, depth - 1), _tree(rng, depth - 1))
+
+
+def test_eval_expr_round_trips_the_grammar():
+    # '^' must keep the grammar's precedence and right-associativity
+    env = {"a": F(2), "b": F(-3), "c": Fraction(1, 2), "x": F(3), "z": F(0)}
+    for tree, text, value in [
+            (("neg", ("^", "x", 2)), "-x^2", -9),
+            (("^", 2, ("^", 3, 2)), "2^3^2", 512),
+            (("-", ("-", "a", "b"), "c"), "a-b-c", Fraction(9, 2)),
+            (("-", "a", ("-", "b", "c")), "a-(b-c)", Fraction(11, 2)),
+            (("/", ("/", "a", "b"), "c"), "a/b/c", Fraction(-4, 3)),
+            (("^", ("neg", 2), 3), "(-2)^3", -8),
+            (("^", ("^", 2, 3), 2), "(2^3)^2", 64),
+            (("*", "a", ("neg", ("^", "x", ("neg", "z")))), "a*-x^-z", -2)]:
+        assert _render(tree)[0] == text
+        assert _value(tree, env, text) == value == eval_expr(text, env)
+    rng = random.Random(2020)
+    faults = 0
+    for _ in range(3000):
+        tree = _tree(rng, rng.randint(1, 4))
+        src = _render(tree)[0]
+        try:
+            want = _value(tree, env, src)
+        except CatalogError as err:
+            faults += 1
+            with pytest.raises(CatalogError) as got:
+                eval_expr(src, env)
+            assert str(got.value) == str(err), src
+        else:
+            assert eval_expr(src, env) == want, src
+    assert 300 < faults < 2700
 
 
 def test_guard_matches_exponent_arithmetic():

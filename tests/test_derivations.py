@@ -848,3 +848,73 @@ def test_solved_algebra_refuses_reassignment():
     copy = heisenberg(1, 12, 27, [2], [3])
     assert L == copy and hash(L) == hash(copy) and L != M
     assert L._solver is not None and copy._solver is None
+
+
+# --- regular algebras through their classical Lie algebra -----------------
+
+def _sl(N, g1, g2, field=QQ):
+    """Yau twist of sl_N by Ad(diag g1), Ad(diag g2), and its identity-
+    twisted copy. Basis: the E_ij (i != j) row by row, then the
+    H_i = E_ii - E_(i+1)(i+1)."""
+    roots = [(i, j) for i in range(N) for j in range(N) if i != j]
+    n = len(roots) + N - 1
+
+    def unit(i, j):
+        return [[int(r == i and c == j) for c in range(N)] for r in range(N)]
+    basis = [unit(i, j) for i, j in roots]
+    basis += [[[int(r == c == i) - int(r == c == i + 1) for c in range(N)]
+               for r in range(N)] for i in range(N - 1)]
+
+    def coords(x):
+        # H coordinates are the running sums of the diagonal
+        diag = list(itertools.accumulate(x[i][i] for i in range(N - 1)))
+        return [x[i][j] for i, j in roots] + diag
+    entries = {}
+    for p, x in enumerate(basis):
+        for q, y in enumerate(basis):
+            xy = Matrix(x, QQ) * Matrix(y, QQ) - Matrix(y, QQ) * Matrix(x, QQ)
+            for s, v in enumerate(coords(xy.entries)):
+                if v:
+                    entries[p + 1, q + 1, s + 1] = v
+
+    def ad(g):
+        ratios = [Fraction(g[i], g[j]) for i, j in roots] + [1] * (N - 1)
+        return [[ratios[r] if r == c else 0 for c in range(n)]
+                for r in range(n)]
+    table = bh.structure_table(n, entries, field)
+    ident = [[int(r == c) for c in range(n)] for r in range(n)]
+    return (bh.yau_twist(table, ad(g1), ad(g2), field),
+            bh.yau_twist(table, ident, ident, field))
+
+
+def test_yau_twisted_sl_untwists_to_its_classical_spaces():
+    # At (k,l) = (0,0) and for d commuting with both twists, u = alpha x and
+    # v = beta y turn the (lam, mu, gamma) identity of L into the classical
+    # one of g: the space of L is the identity-twisted space cut by the
+    # twist commutant. For sl_N twisted by Ad of diagonals with distinct
+    # prime entries, Der(sl_N) = ad sl_N, the centroid is the scalars, the
+    # commutant is diagonal on the roots plus gl_(N-1) on the Cartan, and
+    # ad x commutes with the twists exactly for x in the Cartan.
+    rng = random.Random(15)
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+    pairs = []
+    for N in (2, 3, 4):
+        g = rng.sample(primes, 2 * N)
+        L, plain = _sl(N, g[:N], g[N:])
+        assert L.check_all().passed
+        commutant = bh.twist_commutant(L)
+        assert commutant.dim == (N * N - N) + (N - 1) ** 2
+        assert bh.derivation_space(L, 1, 1, 1).dim == N - 1
+        assert bh.centroid(L).dim == 1
+        assert bh.derivation_space(L, 0, 1, -1).dim == 1
+        if N < 4:  # the identity-twisted sl_4 solves over all of gl_15
+            pairs.append((L, plain, commutant))
+    L, plain = _sl(3, [2, 3, 5], [7, 11, 13], GF(101))
+    pairs.append((L, plain, bh.twist_commutant(L)))
+    H = heisenberg(2, 6, 10, [2, 2], [3, 5])
+    pairs.append((H, heisenberg(2, 1, 1, [1, 1], [1, 1]),
+                  bh.twist_commutant(H)))
+    for L, plain, commutant in pairs:
+        for triple in CANONICAL_TRIPLES:
+            want = bh.derivation_space(plain, *triple).intersection(commutant)
+            assert bh.derivation_space(L, *triple) == want, (L, triple)
