@@ -9,8 +9,10 @@ candidate non-algebras can be represented and rejected.
 Every axiom is evaluated by two independent routes: once through the
 structure-constant identities, summed over the nonzero constants and twist
 entries only, and once through direct evaluation on basis tuples via matrix
-application. The basis route of the Jacobi identity evaluates each distinct
-bracket once, then stops at the first failing sum. check_all compares the
+application of the dense table. An algebra extracts its nonzero constants
+once, at construction; the solver, the centralizer and transport read the
+same dict. The basis route of the Jacobi identity evaluates each distinct
+bracket once, then stops at the first failing sum. Each check compares the
 two verdicts and refuses to return if they ever disagree; the redundancy
 exists because the index bookkeeping of the twisted Jacobi sum is easy to
 get wrong in exactly one of the two forms.
@@ -232,7 +234,8 @@ def _routes_agree(axiom, table_first, basis_ok):
 
 class BiHomLieAlgebra:
 
-    __slots__ = ("n", "field", "structure", "alpha", "beta", "_solver")
+    __slots__ = ("n", "field", "structure", "alpha", "beta", "_constants",
+                 "_solver")
 
     def __init__(self, structure, alpha, beta, field=None):
         if field is None:
@@ -256,6 +259,7 @@ class BiHomLieAlgebra:
         self.structure = table
         self.alpha = alpha
         self.beta = beta
+        self._constants = _constants(table)
         self._solver = None     # derivations._solver builds it on first use
 
     def __setattr__(self, name, value):
@@ -291,41 +295,29 @@ class BiHomLieAlgebra:
 
     def check_skew_symmetry(self):
         """Twisted skew-symmetry. Returns (ok, first_violation)."""
-        return self._skew(_constants(self.structure))
-
-    def check_bihom_jacobi(self):
-        """Twisted Jacobi identity. Returns (ok, first_violation)."""
-        return self._jacobi(_constants(self.structure), self.beta * self.beta)
-
-    def check_multiplicative(self):
-        """Both twists are bracket endomorphisms. Returns (ok, first)."""
-        return self._multiplicative(_constants(self.structure))
-
-    # each route below takes the nonzero constants of the table route, and
-    # the Jacobi routes beta^2, from the caller, which computes them once
-
-    def _skew(self, constants):
         n, zero, table = self.n, self.field.zero(), self.structure
         bu, au = _unit_images(self, self.beta, self.alpha)
         return _routes_agree("skew-symmetry", _skew_violation(
-            constants, self.alpha, self.beta, zero), all(
+            self._constants, self.alpha, self.beta, zero), all(
                 u + v == zero for i in range(n) for j in range(i, n)
                 for u, v in zip(_table_bracket(table, bu[i], au[j], zero),
                                 _table_bracket(table, bu[j], au[i], zero))))
 
-    def _jacobi(self, constants, beta2):
-        zero = self.field.zero()
+    def check_bihom_jacobi(self):
+        """Twisted Jacobi identity. Returns (ok, first_violation)."""
+        zero, beta2 = self.field.zero(), self.beta * self.beta
         return _routes_agree("BiHom-Jacobi", _jacobi_violation(
-            constants, self.alpha, self.beta, beta2, zero), _jacobi_holds(
-                self.structure, *_unit_images(self, beta2, self.beta,
-                                              self.alpha), zero))
+            self._constants, self.alpha, self.beta, beta2, zero),
+            _jacobi_holds(self.structure, *_unit_images(
+                self, beta2, self.beta, self.alpha), zero))
 
-    def _multiplicative(self, constants):
+    def check_multiplicative(self):
+        """Both twists are bracket endomorphisms. Returns (ok, first)."""
         zero, table = self.field.zero(), self.structure
-        first = (_morphism_violation(constants, self.alpha.entries, zero,
-                                     "multiplicative-alpha")
-                 or _morphism_violation(constants, self.beta.entries, zero,
-                                        "multiplicative-beta"))
+        first = (_morphism_violation(self._constants, self.alpha.entries,
+                                     zero, "multiplicative-alpha")
+                 or _morphism_violation(self._constants, self.beta.entries,
+                                        zero, "multiplicative-beta"))
         images = _unit_images(self, self.alpha, self.beta)
         return _routes_agree("multiplicativity", first, all(
             m.apply(table[i][j]) == _table_bracket(table, mu[i], mu[j], zero)
@@ -333,11 +325,10 @@ class BiHomLieAlgebra:
             for i, j in product(range(self.n), repeat=2)))
 
     def check_all(self):
-        constants = _constants(self.structure)
         commuting = self.check_commuting()
-        skew, skew_first = self._skew(constants)
-        jacobi, jacobi_first = self._jacobi(constants, self.beta * self.beta)
-        mult, mult_first = self._multiplicative(constants)
+        skew, skew_first = self.check_skew_symmetry()
+        jacobi, jacobi_first = self.check_bihom_jacobi()
+        mult, mult_first = self.check_multiplicative()
         first = None
         if not commuting:
             first = ("commuting", (), None)
@@ -415,8 +406,7 @@ def induced_lie(L):
     if not L.is_regular():
         raise TwistError("induced Lie bracket needs bijective twist maps")
     zero = L.field.zero()
-    return _dense(L.n, _pullback(_constants(L.structure),
-                                 invert(L.alpha).entries,
+    return _dense(L.n, _pullback(L._constants, invert(L.alpha).entries,
                                  invert(L.beta).entries, zero), zero)
 
 
@@ -502,9 +492,9 @@ def direct_sum(A, B):
     field = A.field
     zero = field.zero()
     n = A.n + B.n
-    entries = _constants(A.structure)
+    entries = dict(A._constants)
     entries.update(((A.n + i, A.n + j, A.n + s), c)
-                   for (i, j, s), c in _constants(B.structure).items())
+                   for (i, j, s), c in B._constants.items())
 
     def block(m1, m2):
         out = [[zero] * n for _ in range(n)]

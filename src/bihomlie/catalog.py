@@ -40,8 +40,11 @@ class InadmissibleParameterError(CatalogError):
 # NAME is ASCII letters then letters or digits, INT is decimal digits. '^'
 # is read as Python's '**', which has the same precedence and binds to the
 # right; Python's parser reads the string, and only the nodes above are
-# compiled. Exponents must evaluate to non-negative integers.
+# compiled. Exponents must evaluate to non-negative integers. A string
+# longer than _MAX_EXPR_CHARS is refused before parsing, so no nesting
+# reaches the recursion limits of Python's parser or of the compiler below.
 
+_MAX_EXPR_CHARS = 100
 _TOKENS = re.compile(r"(?:(?:[A-Za-z][A-Za-z0-9]*|[0-9]+)(?![A-Za-z0-9])"
                      r"|\*(?!\*)|[-+/^()\s])*")
 
@@ -87,7 +90,7 @@ def _parse(src):
 
     binary = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: divide,
               ast.Pow: power}
-    if not _TOKENS.fullmatch(src):
+    if len(src) > _MAX_EXPR_CHARS or not _TOKENS.fullmatch(src):
         raise CatalogError("bad expression %r" % src)
     try:
         tree = ast.parse(" ".join(src.split()).replace("^", "**"),

@@ -9,8 +9,8 @@ Every such d lies in the twist commutant. A SolveContext solves the
 commutant of one algebra once, with basis B_1..B_c, and writes
 d = sum_r x_r B_r. The identity is linear in (lam, mu, gamma), so the
 context builds three residual blocks: the coordinates of d([e_i,e_j]),
-[d(e_i), m(e_j)] and [m(e_i), d(e_j)] at d = B_r, read off the nonzero
-structure constants only, the first once and the other two per (k, l). A
+[d(e_i), m(e_j)] and [m(e_i), d(e_j)] at d = B_r, read off the algebra's
+nonzero structure constants, the first once and the other two per (k, l). A
 triple combines the blocks into a system in the c unknowns x_r, and its
 nullspace, mapped back through the nonzero entries of the B_r, spans the
 space. Spaces are MatrixSubspaces, stored by the reduced row echelon form of
@@ -23,8 +23,8 @@ and reads nonzero entries only; the F_p census count_members_fp runs every
 candidate through it too.
 
 Each algebra keeps one context, built by _solver on first use and kept in
-its _solver slot. It keeps each value once: the nonzero structure constants
-for the blocks; sparse views for the kernel, per bracket [e_i, e_j] its
+its _solver slot. It keeps each value once and copies none of the
+algebra's: sparse views for the kernel, per bracket [e_i, e_j] its
 nonzero constants and per twist the nonzero entries of each row and column
 (over Q the algebra's own Fractions); per (k, l) only the dense plain rows
 of one twist_power, which the blocks and the kernel both read; the lam
@@ -36,7 +36,7 @@ Solved spaces are not kept: every call solves and re-verifies its triple.
 from functools import cached_property
 from itertools import product
 
-from .algebra import _constants, _pullback, _pushforward
+from .algebra import _pullback, _pushforward
 from .fields import FieldMismatchError, QQ
 from .linalg import (MatrixSubspace, VectorSubspace, _matrix, _row_support,
                      nullspace_basis)
@@ -153,13 +153,12 @@ def _is_member(d, brackets, alpha, beta, m, lam, mu, gamma, is_zero):
 
 class SolveContext:
     """Solver and membership state fixed per algebra, built once by _solver:
-    the nonzero structure constants, the sparse views of the table and
-    twists, the lam block, per (k, l) the plain rows of the twist power and
-    the mu and gamma blocks, and the twist commutant, solved on first use."""
+    the sparse views of the table and twists, the lam block, per (k, l) the
+    plain rows of the twist power and the mu and gamma blocks, and the twist
+    commutant, solved on first use. The blocks read L's own constants."""
 
     def __init__(self, L):
         self.L = L
-        self.constants = _constants(L.structure)
         # per bracket [e_i, e_j] its nonzero (s, c_ij^s); per twist the
         # nonzero (index, entry) pairs of each row and of each column
         plain_rows = L.field.plain_rows
@@ -191,7 +190,7 @@ class SolveContext:
     @cached_property
     def _lam_block(self):
         """The lam block, built once: it does not depend on the power."""
-        return [_pushforward(self.constants, b.entries, self.L.field.zero())
+        return [_pushforward(self.L._constants, b.entries, self.L.field.zero())
                 for b in self.commutant.basis]
 
     def _residual_blocks(self, m):
@@ -199,7 +198,7 @@ class SolveContext:
         plain rows: per commutant basis member B_r, a map from (i, j, s) to
         coordinate s of d([e_i,e_j]), [d(e_i), m(e_j)] and [m(e_i), d(e_j)]
         at d = B_r. A missing key is zero. Only mu and gamma depend on m."""
-        constants, zero = self.constants, self.L.field.zero()
+        constants, zero = self.L._constants, self.L.field.zero()
         basis = [b.entries for b in self.commutant.basis]
         return (self._lam_block,
                 [_pullback(constants, d, m, zero) for d in basis],

@@ -10,8 +10,7 @@ intertwiner space, which holds every witness: p^d members, not p^(n^2).
 
 from itertools import product as cartesian
 
-from .algebra import (BiHomLieAlgebra, _constants, _dense, _pullback,
-                      _pushforward)
+from .algebra import BiHomLieAlgebra, _dense, _pullback, _pushforward
 from .derivations import derivation_space, intertwiners
 from .fields import GF, ReductionError, _is_prime
 from .linalg import Matrix, char_poly, invert, is_invertible, rank
@@ -66,8 +65,7 @@ def transport(L, f):
     f = _as_witness(f, L)
     finv = invert(f)
     zero = L.field.zero()
-    pulled = _pullback(_constants(L.structure), finv.entries, finv.entries,
-                       zero)
+    pulled = _pullback(L._constants, finv.entries, finv.entries, zero)
     table = _dense(L.n, _pushforward(pulled, f.entries, zero), zero)
     return BiHomLieAlgebra(table, f * L.alpha * finv, f * L.beta * finv,
                            L.field)
@@ -235,6 +233,6 @@ def brute_force_iso(L, L2, p):
 
     for coeffs in walk((), 0):
         f = Matrix([row(coeffs, i) for i in range(n)], Lp.field)
-        if is_invertible(f) and verify_isomorphism(Lp, L2p, f):
+        if verify_isomorphism(Lp, L2p, f):
             return f
     return None

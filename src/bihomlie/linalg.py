@@ -226,9 +226,9 @@ def invert(m):
     if m.rows != m.cols:
         raise SingularMatrixError("only square matrices invert")
     n = m.rows
-    aug = Matrix([list(m.entries[i]) + list(Matrix.identity(n, m.field).entries[i])
-                  for i in range(n)], m.field)
-    red, pivots = rref(aug)
+    ident = Matrix.identity(n, m.field).entries
+    red, pivots = rref(_matrix([row + unit for row, unit
+                                in zip(m.entries, ident)], m.field))
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return _matrix([red.entries[i][n:] for i in range(n)], m.field)

@@ -9,7 +9,7 @@ from functools import reduce
 from itertools import product
 from operator import mul
 
-from .algebra import BiHomLieAlgebra, _constants
+from .algebra import BiHomLieAlgebra
 from .linalg import (Matrix, MatrixSubspace, VectorSubspace, char_poly,
                      nullspace_basis, rank)
 from .derivations import centroid, commutator, derivation_space
@@ -71,7 +71,7 @@ def _centralizer(L, vectors, two_sided=False):
     two_sided also demanding [s, x] = 0. It is the nullspace of the maps
     x -> [x, s] (and x -> [s, x]), their columns sum_q s_q [e_i, e_q] (and
     sum_p s_p [e_p, e_i]) read off the nonzero structure constants."""
-    n, zero, constants = L.n, L.field.zero(), _constants(L.structure)
+    n, zero, constants = L.n, L.field.zero(), L._constants
     rows = []
     for s in vectors:
         right, left = ([[zero] * n for _ in range(n)] for _ in range(2))

@@ -137,6 +137,16 @@ def test_axiom_report_invariant():
     assert not bad.passed and bad.first_violation is not None
 
 
+def test_non_commuting_twists_are_the_first_violation():
+    # the report names commuting first, also when skew-symmetry fails too
+    twists = [[1, 1], [0, 1]], [[1, 0], [1, 1]]
+    for entries, skew in (({}, True), ({(1, 2, 1): 1}, False)):
+        rep = BiHomLieAlgebra.from_brackets(2, entries, *twists).check_all()
+        assert not rep.passed and not rep.commuting
+        assert rep.skew_symmetric == skew
+        assert rep.first_violation == ("commuting", (), None)
+
+
 def test_structure_table_rejects_bad_index():
     with pytest.raises(ValueError):
         structure_table(2, {(3, 1, 1): 1}, QQ)
@@ -327,6 +337,37 @@ def test_direct_sum_reproduces_single_line_family():
     L31 = BiHomLieAlgebra.from_brackets(2, {(1, 1, 1): 1}, [[0, 0], [0, 2]],
                                         [[0, 0], [0, 3]])
     assert S == L31
+
+
+def test_constants_are_extracted_once_per_algebra(monkeypatch):
+    # after construction nothing extracts the algebra's nonzero constants
+    # again: the axiom checks, the centralizer kernel, transport,
+    # induced_lie, direct_sum and the solver all read the kept dict
+    L = heisenberg(1, 4, 9, [2], [3])
+    extract = algebra_module._constants
+    kept = extract(L.structure)
+    calls = []
+
+    def counting(table):
+        if table is L.structure:
+            calls.append(table)
+        return extract(table)
+
+    monkeypatch.setattr(algebra_module, "_constants", counting)
+    assert L.check_all().passed
+    assert bh.center(L).dim == 1
+    f = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]], QQ)
+    assert bh.verify_isomorphism(L, bh.transport(L, f), f)
+    assert induced_lie(L) == classical_heisenberg_table()
+    S = direct_sum(L, L)
+    assert bh.derivation_space(L, 1, 1, 1).dim > 0
+    assert calls == []
+    # direct_sum copies the kept dict before extending it
+    assert L._constants == kept
+    assert S._constants == {**kept, **{(3 + i, 3 + j, 3 + s): c for
+                                       (i, j, s), c in kept.items()}}
+    with pytest.raises(AttributeError, match="read-only"):
+        L._constants = {}
 
 
 # --- sparse table routes against the dense index sums ----------------------

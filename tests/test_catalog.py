@@ -119,7 +119,11 @@ def _refused(*strings):
     ("x+(", {"x": F(1)}, "bad expression 'x+('"),
 ] + _refused("x**2", "0x10", "2e3", "1_0", "x_1", "1.5", "1j", "True", "None",
              "f(x)", "x.y", "x[0]", "x<y", "x%y", "x//y", "+x", "~x", "()",
-             "", "\u00e9", "\u00b2", "0001"))
+             "", "\u00e9", "\u00b2", "0001") + [
+    # nested past Python's parser limits; refused by length before parsing
+    pytest.param(*_refused(src)[0], id=name) for name, src in (
+        ("deep-negation", "-" * 5000 + "x"),
+        ("deep-power", "x" + "^x" * 3000))])
 def test_parse_memo_repeats_errors(src, env, message):
     catalog._parse.cache_clear()
     for _ in range(2):
@@ -448,18 +452,19 @@ def test_verify_single_bracket_scaling_family_cell():
     assert v.ok
 
 
-def test_verify_detects_planted_mismatch():
-    # verify against a family whose expected rows were perturbed
-    cat = catalog.load_catalog()
-    fam = cat["L_1^10"]
-    original = fam.rows[0].der
-    fam.rows[0].der = [["d1", "0"], ["0", "d1"]]
-    try:
-        v = verify_entry("L_1^10", {}, 0, 0)
+def test_verify_detects_planted_mismatch(monkeypatch):
+    # verify against a family whose expected row was perturbed, one aspect
+    # at a time: each plant is reported under its own aspect, and only there
+    row = catalog.load_catalog()["L_1^10"].rows[0]
+    for aspect, planted in (("der", [["d1", "0"], ["0", "d1"]]),
+                            ("centroid", [["c1", "0"], ["0", "0"]]),
+                            ("cn", "yes"), ("small", "not_small")):
+        with monkeypatch.context() as patch:
+            patch.setattr(row, aspect, planted)
+            v = verify_entry("L_1^10", {}, 0, 0)
         assert not v.ok
-        assert any(aspect.startswith("der") for aspect, _, _ in v.diffs)
-    finally:
-        fam.rows[0].der = original
+        assert [a for a, _, _ in v.diffs] == [aspect + " row 0"]
+    assert verify_entry("L_1^10", {}, 0, 0).ok
 
 
 def test_verify_reports_uncovered_cell():

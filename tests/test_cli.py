@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bihomlie import algfile, cli, isomorphism
+from bihomlie import algfile, catalog, cli, isomorphism
 from bihomlie.algebra import BiHomLieAlgebra, CrossCheckError, heisenberg
 from bihomlie.catalog import build
 from bihomlie.cli import main
@@ -88,6 +88,25 @@ def test_check_records_output(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "axiom name=skew ok=false" in lines
     assert "violation type=skew i=1 j=2 s=1" in lines
+
+
+@pytest.mark.parametrize("output, expected", [
+    ("human", ["commuting: FAILED", "skew: ok", "violation: commuting"]),
+    ("records", ["axiom name=commuting ok=false", "axiom name=skew ok=true",
+                 "violation type=commuting"]),
+])
+def test_check_reports_non_commuting_twists(tmp_path, capsys, output,
+                                            expected):
+    # the abelian bracket satisfies the other axioms at any twists
+    path = write_raw(tmp_path, "twists.json", {
+        "format_version": 1, "field": "rational", "dim": 2, "brackets": [],
+        "alpha": [["1", "1"], ["0", "1"]],
+        "beta": [["1", "0"], ["1", "1"]],
+    })
+    assert main(["check", path, "--output", output]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line in lines for line in expected)
+    assert lines[-1] == expected[-1]
 
 
 # --- der -------------------------------------------------------------------
@@ -181,6 +200,27 @@ def test_catalog_explicit_params(capsys):
     cells = [line for line in lines if line.startswith("cell ")]
     assert len(cells) == 4
     assert all("verdict=match" in line for line in cells)
+
+
+@pytest.mark.parametrize("output, expected", [
+    ("human", ["L_1^10 [] k=0 l=0: MISMATCH", "mismatched cells: 1"]),
+    ("records", ["cell entry=L_1^10 params= k=0 l=0 verdict=mismatch",
+                 "diff aspect=der_row_0", "summary mismatches=1"]),
+])
+def test_catalog_reports_a_planted_mismatch(monkeypatch, capsys, output,
+                                            expected):
+    row = catalog.load_catalog()["L_1^10"].rows[0]
+    monkeypatch.setattr(row, "der", [["d1", "0"], ["0", "d1"]])
+    assert main(["catalog", "--entry", "L_1^10", "--kmax", "0", "--lmax",
+                 "0", "--output", output]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line in lines for line in expected)
+    assert len(lines) == 3
+
+
+def test_catalog_params_need_name_value_pairs(capsys):
+    assert main(["catalog", "--entry", "L_3^1", "--params", "b=2,y"]) == 2
+    assert "expects name=value pairs, got 'y'" in capsys.readouterr().err
 
 
 def test_catalog_params_need_entry(capsys):

@@ -763,14 +763,15 @@ def test_twist_powers_built_once_and_commutant_lazy(monkeypatch):
 def test_context_keeps_one_copy_of_each_value():
     # a kept twist power is its dense plain rows alone, with no Matrix and
     # no sparse copy beside them; the sparse views of the table and twists
-    # are built once per context, over Q from the algebra's own Fractions
+    # are built once per context, over Q from the algebra's own Fractions;
+    # the nonzero constants stay on the algebra, with no copy in the context
     L = l_1_17()
     Lp = bh.reduce_mod_p(L, 3)
     for A, scalar in ((L, Fraction), (Lp, int)):
         bh.derivation_space(A, 1, 1, 1, 2, 1)
         context = derivations._solver(A)
-        assert set(vars(context)) == {"L", "constants", "views", "_powers",
-                                      "_blocks", "commutant", "_lam_block"}
+        assert set(vars(context)) == {"L", "views", "_powers", "_blocks",
+                                      "commutant", "_lam_block"}
         assert list(context._powers) == [(2, 1)]
         power = context._powers[2, 1]
         assert power == tuple(
