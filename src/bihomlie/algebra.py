@@ -11,11 +11,15 @@ structure-constant identities, summed over the nonzero constants and twist
 entries only, and once through direct evaluation on basis tuples via matrix
 application of the dense table. An algebra extracts its nonzero constants
 once, at construction; the solver, the centralizer and transport read the
-same dict. The basis route of the Jacobi identity evaluates each distinct
-bracket once, then stops at the first failing sum. Each check compares the
-two verdicts and refuses to return if they ever disagree; the redundancy
-exists because the index bookkeeping of the twisted Jacobi sum is easy to
-get wrong in exactly one of the two forms.
+same dict. The table routes sum field values, to report the first violating
+total; the basis routes only decide, so they compute on ints through the
+field's plain_rows: one scale multiplies each skew or Jacobi sum, and
+multiplicativity compares scale * m([e_i, e_j]) with [m e_i, m e_j] for
+the scaled m. The basis route of the Jacobi identity evaluates each
+distinct bracket once, then stops at the first failing sum. Each check
+compares the two verdicts and refuses to return if they ever disagree; the
+redundancy exists because the index bookkeeping of the twisted Jacobi sum
+is easy to get wrong in exactly one of the two forms.
 """
 
 from itertools import product
@@ -193,9 +197,10 @@ def _morphism_violation(constants, m, zero, kind):
     return _first_violation(kind, totals)
 
 
-def _jacobi_holds(table, b2, bu, au, zero):
+def _jacobi_holds(table, b2, bu, au, is_zero):
     """Whether the twisted Jacobi sum vanishes on every basis triple, from
-    the unit images b2, bu, au under beta^2, beta and alpha. Each distinct
+    an int table and the int unit images b2, bu, au under the scaled
+    beta^2, beta and alpha; is_zero is the field's zero test. Each distinct
     inner bracket [bu_j, au_k] and outer bracket [b2_i, inner(j, k)] is
     evaluated once; a triple's sum is then formed only at the coordinates
     where one of its three outer brackets is nonzero."""
@@ -203,24 +208,43 @@ def _jacobi_holds(table, b2, bu, au, zero):
     # outer[i][j][k] holds the nonzero coordinates of [b2_i, inner(j, k)]
     outer = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for j, k in product(range(n), repeat=2):
-        w = _table_bracket(table, bu[j], au[k], zero)
+        w = _table_bracket(table, bu[j], au[k], 0)
         if any(w):
             for i, x in enumerate(b2):
                 outer[i][j][k] = {s: v for s, v in enumerate(
-                    _table_bracket(table, x, w, zero)) if v}
+                    _table_bracket(table, x, w, 0)) if v}
     for i, j, k in product(range(n), repeat=3):
         terms = outer[i][j][k], outer[j][k][i], outer[k][i][j]
-        if any(sum((t.get(s, zero) for t in terms), zero)
-               for s in set().union(*terms)):
+        if not all(is_zero(sum(t.get(s, 0) for t in terms))
+                   for s in set().union(*terms)):
             return False
     return True
 
 
-def _unit_images(L, *maps):
-    """Per map, the images of the unit vectors under Matrix.apply."""
-    one, zero, r = L.field.one(), L.field.zero(), range(L.n)
-    units = [[one if i == j else zero for j in r] for i in r]
-    return [[m.apply(u) for u in units] for m in maps]
+def _morphism_holds(table, scale, images, is_zero):
+    """Whether scale * m([e_i, e_j]) == [m e_i, m e_j] on every basis pair,
+    from an int table and the int unit images under the scaled map m."""
+    for i, j in product(range(len(table)), repeat=2):
+        image = [0] * len(table)
+        for s, c in enumerate(table[i][j]):
+            if c:
+                for t, x in enumerate(images[s]):
+                    image[t] += scale * c * x
+        if not all(is_zero(u - v) for u, v in zip(image, _table_bracket(
+                table, images[i], images[j], 0))):
+            return False
+    return True
+
+
+def _plain_view(L, *maps):
+    """L's int view through L.field.plain_rows: the table as int planes,
+    every constant times one scale, the scales of the maps, and per map the
+    images of the unit vectors under the scaled map, its int columns."""
+    n, plain_rows = L.n, L.field.plain_rows
+    rows = plain_rows(row for plane in L.structure for row in plane)[1]
+    scales, maps = zip(*(plain_rows(m.entries) for m in maps))
+    return (tuple(rows[i:i + n] for i in range(0, n * n, n)), scales,
+            [tuple(zip(*m)) for m in maps])
 
 
 def _routes_agree(axiom, table_first, basis_ok):
@@ -295,34 +319,33 @@ class BiHomLieAlgebra:
 
     def check_skew_symmetry(self):
         """Twisted skew-symmetry. Returns (ok, first_violation)."""
-        n, zero, table = self.n, self.field.zero(), self.structure
-        bu, au = _unit_images(self, self.beta, self.alpha)
+        n, field = self.n, self.field
+        table, _, (bu, au) = _plain_view(self, self.beta, self.alpha)
         return _routes_agree("skew-symmetry", _skew_violation(
-            self._constants, self.alpha, self.beta, zero), all(
-                u + v == zero for i in range(n) for j in range(i, n)
-                for u, v in zip(_table_bracket(table, bu[i], au[j], zero),
-                                _table_bracket(table, bu[j], au[i], zero))))
+            self._constants, self.alpha, self.beta, field.zero()), all(
+                field.is_zero(u + v) for i in range(n) for j in range(i, n)
+                for u, v in zip(_table_bracket(table, bu[i], au[j], 0),
+                                _table_bracket(table, bu[j], au[i], 0))))
 
     def check_bihom_jacobi(self):
         """Twisted Jacobi identity. Returns (ok, first_violation)."""
-        zero, beta2 = self.field.zero(), self.beta * self.beta
+        field, beta2 = self.field, self.beta * self.beta
+        table, _, images = _plain_view(self, beta2, self.beta, self.alpha)
         return _routes_agree("BiHom-Jacobi", _jacobi_violation(
-            self._constants, self.alpha, self.beta, beta2, zero),
-            _jacobi_holds(self.structure, *_unit_images(
-                self, beta2, self.beta, self.alpha), zero))
+            self._constants, self.alpha, self.beta, beta2, field.zero()),
+            _jacobi_holds(table, *images, field.is_zero))
 
     def check_multiplicative(self):
         """Both twists are bracket endomorphisms. Returns (ok, first)."""
-        zero, table = self.field.zero(), self.structure
+        zero = self.field.zero()
         first = (_morphism_violation(self._constants, self.alpha.entries,
                                      zero, "multiplicative-alpha")
                  or _morphism_violation(self._constants, self.beta.entries,
                                         zero, "multiplicative-beta"))
-        images = _unit_images(self, self.alpha, self.beta)
+        table, scales, images = _plain_view(self, self.alpha, self.beta)
         return _routes_agree("multiplicativity", first, all(
-            m.apply(table[i][j]) == _table_bracket(table, mu[i], mu[j], zero)
-            for m, mu in zip((self.alpha, self.beta), images)
-            for i, j in product(range(self.n), repeat=2)))
+            _morphism_holds(table, scale, m, self.field.is_zero)
+            for scale, m in zip(scales, images)))
 
     def check_all(self):
         commuting = self.check_commuting()

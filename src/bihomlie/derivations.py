@@ -18,25 +18,27 @@ their vectorized basis; that canonical basis, not the commutant basis or the
 row order, is what keeps the output stable. Every basis member is
 re-verified by verify_derivation, which evaluates the identity bracket by
 bracket, independently of the blocks, in the membership kernel _is_member.
-That kernel computes on plain scalars (Fractions, or int residues over F_p)
-and reads nonzero entries only; the F_p census count_members_fp runs every
-candidate through it too.
+That kernel reads nonzero entries only and computes on ints over both
+fields, through the field's plain_rows. Each term of the identity has
+degree one in d and in the constants, and the mu and gamma terms one more
+factor of m, so the scaled inputs only multiply the identity by a nonzero
+int once lam also carries m's scale. The F_p census count_members_fp runs
+every candidate through the kernel too.
 
 Each algebra keeps one context, built by _solver on first use and kept in
-its _solver slot. It keeps each value once and copies none of the
-algebra's: sparse views for the kernel, per bracket [e_i, e_j] its
-nonzero constants and per twist the nonzero entries of each row and column
-(over Q the algebra's own Fractions); per (k, l) only the dense plain rows
-of one twist_power, which the blocks and the kernel both read; the lam
-block, which no power enters; and the commutant, solved on the first solve
-and never for a membership check.
+its _solver slot. It keeps each value once: sparse int views for the
+kernel, per bracket [e_i, e_j] its nonzero constants and per twist the
+nonzero entries of each row and column; per (k, l) one twist_power as
+plain_rows gives it, (M, int rows of M m), which the blocks (with lam times
+M) and the kernel both read; the lam block, which no power enters; and the
+commutant, solved on the first solve and never for a membership check.
 Solved spaces are not kept: every call solves and re-verifies its triple.
 """
 
 from functools import cached_property
 from itertools import product
 
-from .algebra import _pullback, _pushforward
+from .algebra import _plain_view, _pullback, _pushforward
 from .fields import FieldMismatchError, QQ
 from .linalg import (MatrixSubspace, VectorSubspace, _matrix, _row_support,
                      nullspace_basis)
@@ -87,7 +89,7 @@ def _sparse(rows):
 
 
 def _commutes(d, twist, is_zero):
-    """d*m == m*d for plain entry rows d and a twist m given by the nonzero
+    """d*m == m*d for int entry rows d and a twist m given by the nonzero
     (index, entry) pairs of its rows and of its columns, compared entry by
     entry up to the first mismatch; zero entries of d are skipped."""
     m_rows, m_cols = twist
@@ -112,7 +114,7 @@ def verify_derivation(L, d, lam, mu, gamma, k=0, l=0):
     if d.field != L.field:
         raise FieldMismatchError(
             "mixed fields %r and %r" % (d.field, L.field))
-    return _is_member(L.field.plain_rows(d.entries),
+    return _is_member(L.field.plain_rows(d.entries)[1],
                       *_solver(L).problem(lam, mu, gamma, k, l))
 
 
@@ -129,9 +131,10 @@ def _bracket(brackets, x, y):
 
 
 def _is_member(d, brackets, alpha, beta, m, lam, mu, gamma, is_zero):
-    """The membership kernel: verify_derivation on plain scalars. d and m
-    are entry rows, brackets, alpha and beta the context's sparse views,
-    and is_zero is the field's zero test."""
+    """The membership kernel: verify_derivation on ints. d and m are int
+    entry rows, brackets, alpha and beta the context's sparse views, lam,
+    mu and gamma scaled as SolveContext.problem gives them, and is_zero is
+    the field's zero test."""
     if not (_commutes(d, alpha, is_zero) and _commutes(d, beta, is_zero)):
         return False
     # d(e_i) and m(e_i) are the i-th columns
@@ -144,6 +147,8 @@ def _is_member(d, brackets, alpha, beta, m, lam, mu, gamma, is_zero):
                 for s, x in d_cols[b]:
                     image[s] = image.get(s, 0) + c * x
             t1, t2 = _bracket(brackets, d_i, m_j), _bracket(brackets, m_i, d_j)
+            if not (image or t1 or t2):
+                continue
             for s in image.keys() | t1.keys() | t2.keys():
                 if not is_zero(lam * image.get(s, 0) - mu * t1.get(s, 0)
                                - gamma * t2.get(s, 0)):
@@ -153,18 +158,17 @@ def _is_member(d, brackets, alpha, beta, m, lam, mu, gamma, is_zero):
 
 class SolveContext:
     """Solver and membership state fixed per algebra, built once by _solver:
-    the sparse views of the table and twists, the lam block, per (k, l) the
-    plain rows of the twist power and the mu and gamma blocks, and the twist
+    the sparse int views of the table and twists, the lam block, per (k, l)
+    the scaled twist power and the mu and gamma blocks, and the twist
     commutant, solved on first use. The blocks read L's own constants."""
 
     def __init__(self, L):
         self.L = L
-        # per bracket [e_i, e_j] its nonzero (s, c_ij^s); per twist the
+        # per bracket [e_i, e_j] its nonzero (s, C c_ij^s); per twist the
         # nonzero (index, entry) pairs of each row and of each column
-        plain_rows = L.field.plain_rows
-        twists = (plain_rows(t.entries) for t in (L.alpha, L.beta))
-        self.views = (tuple(_sparse(plain_rows(p)) for p in L.structure),
-                      *((_sparse(t), _sparse(zip(*t))) for t in twists))
+        table, _, twists = _plain_view(L, L.alpha, L.beta)
+        self.views = (tuple(map(_sparse, table)),
+                      *((_sparse(zip(*t)), _sparse(t)) for t in twists))
         self._powers = {}
         self._blocks = {}
 
@@ -174,18 +178,21 @@ class SolveContext:
         return intertwiners(self.L, self.L)
 
     def _power(self, k, l):
-        """The plain rows of twist_power(L, k, l), built once per (k, l)."""
+        """twist_power(L, k, l) as plain_rows gives it, (M, int rows of
+        M m), built once per (k, l)."""
         if (k, l) not in self._powers:
             self._powers[k, l] = self.L.field.plain_rows(
                 twist_power(self.L, k, l).entries)
         return self._powers[k, l]
 
     def problem(self, lam, mu, gamma, k, l):
-        """The arguments of _is_member after d, in plain scalars."""
+        """The arguments of _is_member after d: the views, the power's int
+        rows, and (M lam, mu, gamma) times one scale, M the power's."""
         field = self.L.field
-        return (*self.views, self._power(k, l),
-                *(field.plain(field.coerce(x)) for x in (lam, mu, gamma)),
-                field.is_zero)
+        scale, m = self._power(k, l)
+        _, ((lam, mu, gamma),) = field.plain_rows(
+            [map(field.coerce, (lam, mu, gamma))])
+        return (*self.views, m, scale * lam, mu, gamma, field.is_zero)
 
     @cached_property
     def _lam_block(self):
@@ -195,7 +202,7 @@ class SolveContext:
 
     def _residual_blocks(self, m):
         """The lam, mu and gamma blocks at a twist power m, given by its
-        plain rows: per commutant basis member B_r, a map from (i, j, s) to
+        entry rows: per commutant basis member B_r, a map from (i, j, s) to
         coordinate s of d([e_i,e_j]), [d(e_i), m(e_j)] and [m(e_i), d(e_j)]
         at d = B_r. A missing key is zero. Only mu and gamma depend on m."""
         constants, zero = self.L._constants, self.L.field.zero()
@@ -211,11 +218,14 @@ class SolveContext:
         n, field = L.n, L.field
         lam, mu, gamma = map(field.coerce, (lam, mu, gamma))
         zero = field.zero()
+        # blocks at M m and lam * M: the system is M times the unscaled one
+        scale, m = self._power(k, l)
         if (k, l) not in self._blocks:
-            self._blocks[k, l] = self._residual_blocks(self._power(k, l))
+            self._blocks[k, l] = self._residual_blocks(m)
         basis = self.commutant.basis
         rows = {}
-        for coeff, block in zip((lam, -mu, -gamma), self._blocks[k, l]):
+        for coeff, block in zip((lam * scale, -mu, -gamma),
+                                self._blocks[k, l]):
             if not coeff:
                 continue
             for r, residuals in enumerate(block):

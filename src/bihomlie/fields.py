@@ -4,9 +4,10 @@ Every public value is either a ``fractions.Fraction`` (kept in lowest terms
 with positive denominator by the stdlib) or an ``FpElement``. A field
 descriptor (``QQ`` or ``GF(p)``) builds, parses and formats its scalars;
 matrices and algebras carry one and refuse to mix fields. Hot kernels
-compute on the descriptor's plain view instead, ``plain`` for a scalar and
-``plain_rows`` for entry rows (over Q the stored rows, not a copy; over F_p
-new tuples of int residues), and its ``is_zero`` test on unreduced sums.
+compute on plain ints instead: ``plain_rows`` gives entry rows as ``(scale,
+int rows)``, over Q times the lcm of their denominators and over F_p the
+residues with scale 1, and ``is_zero`` tests unreduced int sums. ``plain``
+views one scalar (over Q the Fraction itself, over F_p its residue).
 """
 
 import math
@@ -148,7 +149,10 @@ class RationalField:
         return x
 
     def plain_rows(self, rows):
-        return rows
+        rows = tuple(map(tuple, rows))
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
+        return scale, tuple(tuple(x.numerator * (scale // x.denominator)
+                                  for x in row) for row in rows)
 
     def is_zero(self, x):
         return not x
@@ -201,7 +205,7 @@ class PrimeField:
         return x.value
 
     def plain_rows(self, rows):
-        return tuple(tuple(x.value for x in row) for row in rows)
+        return 1, tuple(tuple(x.value for x in row) for row in rows)
 
     def is_zero(self, x):
         return x % self.p == 0

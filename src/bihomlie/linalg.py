@@ -10,7 +10,7 @@ spanning set but compared through the reduced row echelon form of the spanning
 vectors, which is unique. Span equality is therefore structural equality.
 """
 
-from operator import add, mul
+from operator import add
 
 from .fields import FieldMismatchError, field_of_scalar
 
@@ -162,6 +162,8 @@ def _matrix(entries, field):
     """A Matrix of rows already in field (arithmetic results): no checks."""
     m = object.__new__(Matrix)
     m.entries = tuple(map(tuple, entries))
+    if not m.entries or not m.entries[0]:
+        raise ValueError("empty matrix")
     m.rows, m.cols, m.field = len(m.entries), len(m.entries[0]), field
     return m
 
@@ -238,18 +240,23 @@ def char_poly(m):
     """Coefficients of det(t I - m), highest degree first, by Berkowitz's
     division-free recurrence (1984): from the polynomial p of a leading
     block M, that of [[M, C], [R, a]] is q_i = sum_j c_(i-j) p_j with
-    c = (1, -a, -R C, -R M C, ..., -R M^(r-1) C), r = size of M."""
+    c = (1, -a, -R C, -R M C, ..., -R M^(r-1) C), r = size of M, summed
+    over nonzero entries and nonzero c_i only."""
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
     a, zero, one = m.entries, m.field.zero(), m.field.one()
     poly = [one]
     for r in range(m.rows):
+        left = _row_support(row[:r] for row in a[:r + 1])  # M, then R
         vec = [a[i][r] for i in range(r)]
         col = [one, -a[r][r]]
         for _ in range(r):
-            col.append(-sum(map(mul, a[r][:r], vec), zero))
-            vec = [sum(map(mul, a[i][:r], vec), zero) for i in range(r)]
-        poly = [sum((col[i - j] * p for j, p in enumerate(poly[:i + 1])),
+            if not any(vec):    # so are all later c_i
+                break
+            col.append(-sum((x * vec[j] for j, x in left[r]), zero))
+            vec = [sum((x * vec[j] for j, x in row), zero) for row in left[:r]]
+        terms = [(t, c) for t, c in enumerate(col) if c]
+        poly = [sum((c * poly[i - t] for t, c in terms if 0 <= i - t <= r),
                     zero) for i in range(r + 2)]
     return tuple(poly)
 

@@ -456,8 +456,9 @@ def _dense_commutes(d, m, is_zero):
 
 
 def _dense_is_member(d, table, alpha, beta, m, lam, mu, gamma, is_zero):
-    """The dense membership kernel on plain entry rows and the plain
-    table: every pair (i, j), every coordinate."""
+    """The dense membership kernel on field.plain entries, Fractions over Q
+    and int residues over F_p, with no scaling: every pair (i, j), every
+    coordinate."""
     if not (_dense_commutes(d, alpha, is_zero)
             and _dense_commutes(d, beta, is_zero)):
         return False
@@ -485,7 +486,10 @@ def _differential_algebras():
     """n = 2..7 over Q, GF(3) and GF(5): a seeded sample of the catalog
     instances whose twists are not diagonal or not invertible, direct sums
     at n = 4 and 6, and twisted Heisenberg at n = 3, 5, 7, among them the
-    classical one (identity twists), whose commutant is every operator."""
+    classical one (identity twists), whose commutant is every operator;
+    then constants and twists that are not integers, which the kernel
+    scales: L_1^* families at parameters 1/2 and 1/3, and twisted
+    Heisenberg at n = 5."""
     rng = random.Random(5)
     odd = [L for L in (catalog.build(fid, params)
                        for fid in catalog.family_ids()
@@ -498,8 +502,14 @@ def _differential_algebras():
     heis = [heisenberg(1, 1, 1, [1], [1]), heisenberg(1, 12, 27, [2], [3]),
             heisenberg(2, 4, 9, [2, -2], [3, -3]),
             heisenberg(3, -6, -10, [2, 3, 4], [2, 5, 7])]
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    fractional = [
+        l_1_1(third, half, half), l_1_8(half, third),
+        catalog.build("L_1^13", {"z1": half, "t1": third, "z": half}),
+        l_1_17(half),
+        heisenberg(2, half, Fraction(2, 3), [third, 3], [2, Fraction(1, 5)])]
     rational = picked + heis + [bh.direct_sum(*picked[:2]),
-                                bh.direct_sum(heis[0], heis[1])]
+                                bh.direct_sum(heis[0], heis[1])] + fractional
     algebras = list(rational)
     for p in (3, 5):
         for L in rational:
@@ -513,7 +523,8 @@ def _differential_algebras():
 def _scalars(field):
     if field.characteristic:
         return [field.coerce(v) for v in range(1, field.characteristic)]
-    return [field.coerce(v) for v in (1, -1, 2, Fraction(1, 2))]
+    return [field.coerce(v) for v in (1, -1, 2, Fraction(1, 2),
+                                      Fraction(-2, 3))]
 
 
 def _random_candidates(rng, L):
@@ -551,13 +562,21 @@ def test_sparse_membership_matches_dense_reference():
     algebras = _differential_algebras()
     assert {L.n for L in algebras} == set(range(2, 8))
     assert {L.field.characteristic for L in algebras} == {0, 3, 5}
+    assert any(x.denominator > 1 for L in algebras if L.field == QQ
+               for t in (L.alpha, L.beta) for row in t.entries for x in row)
     verdicts = {True: 0, False: 0}
     for L in algebras:
         field = L.field
-        plain_rows = field.plain_rows
+
+        def plain_rows(rows):
+            return tuple(tuple(map(field.plain, row)) for row in rows)
+
         table = tuple(map(plain_rows, L.structure))
         alpha, beta = plain_rows(L.alpha.entries), plain_rows(L.beta.entries)
         fixed = _random_candidates(rng, L)
+        # over Q also a lam that is not an integer: the kernel scales it
+        triples = CANONICAL_TRIPLES + (
+            () if field.characteristic else ((Fraction(2, 3), 1, 1),))
         # the whole grid {0,1,2}^2 up to n = 3, three pairs past it
         grid = (itertools.product(range(3), repeat=2) if L.n <= 3
                 else ((0, 0), (1, 1), (2, 1)))
@@ -566,7 +585,7 @@ def test_sparse_membership_matches_dense_reference():
             for factor in [L.alpha] * k + [L.beta] * l:
                 m = m * factor
             m = plain_rows(m.entries)
-            for triple in CANONICAL_TRIPLES:
+            for triple in triples:
                 coeffs = [field.plain(field.coerce(x)) for x in triple]
                 for d in fixed + _solved_candidates(rng, L, k, l, triple):
                     got = bh.verify_derivation(L, d, *triple, k, l)
@@ -713,19 +732,22 @@ def test_dropped_gamma_block_is_caught(monkeypatch):
 
 
 def test_wrong_cached_twist_power_is_caught(monkeypatch):
-    # blocks and re-verification read the same cached power, so a wrong
-    # power passes re-verification; only the independent reference, which
-    # forms alpha^k beta^l by repeated products, can catch it
+    # blocks and re-verification read the same cached (scale, rows) power,
+    # so wrong rows or a wrong scale pass re-verification; only the
+    # independent reference, which forms alpha^k beta^l by repeated
+    # products, can catch them
     power = derivations.SolveContext._power
-    monkeypatch.setattr(derivations.SolveContext, "_power",
-                        lambda self, k, l: power(self, l, k))
 
     def differs(L):
         want = _reference_spaces(L, 2, 1)
         return any(bh.derivation_space(L, *triple, 2, 1) != want[triple]
                    for triple in CANONICAL_TRIPLES)
 
-    assert any(differs(L) for L in _reference_algebras())
+    for wrong in (lambda self, k, l: power(self, l, k),
+                  lambda self, k, l: (2 * power(self, k, l)[0],
+                                      power(self, k, l)[1])):
+        monkeypatch.setattr(derivations.SolveContext, "_power", wrong)
+        assert any(differs(L) for L in _reference_algebras())
 
 
 def test_twist_powers_built_once_and_commutant_lazy(monkeypatch):
@@ -741,8 +763,25 @@ def test_twist_powers_built_once_and_commutant_lazy(monkeypatch):
         calls["twist_power"].append((L, k, l))
         return twist_power(L, k, l)
 
+    # the blocks and the membership kernel read the rows of the one kept
+    # (scale, rows) power
+    read = []
+    blocks, is_member = (derivations.SolveContext._residual_blocks,
+                         derivations._is_member)
+
+    def recording_blocks(self, m):
+        read.append((self, m))
+        return blocks(self, m)
+
+    def recording_is_member(d, brackets, alpha, beta, m, *coeffs):
+        read.append((None, m))
+        return is_member(d, brackets, alpha, beta, m, *coeffs)
+
     monkeypatch.setattr(derivations, "intertwiners", counting_intertwiners)
     monkeypatch.setattr(derivations, "twist_power", counting_twist_power)
+    monkeypatch.setattr(derivations.SolveContext, "_residual_blocks",
+                        recording_blocks)
+    monkeypatch.setattr(derivations, "_is_member", recording_is_member)
     L, Lp = l_1_17(), bh.reduce_mod_p(l_1_17(), 3)
     assert bh.verify_derivation(L, Matrix.identity(2, QQ), 1, 1, 0)
     assert bh.count_members_fp(Lp, 1, 1, 0, 1, 1) == 3
@@ -758,60 +797,99 @@ def test_twist_powers_built_once_and_commutant_lazy(monkeypatch):
     assert set(powers) == {(Lp, 1, 1)} | {
         (L, k, l) for k in range(3) for l in range(3)}
     assert calls["intertwiners"] == 1
+    kept = {id(rows) for A in (L, Lp)
+            for _, rows in derivations._solver(A)._powers.values()}
+    assert len(kept) == 1 + 9
+    assert {id(m) for _, m in read} == kept
+    assert sum(context is not None for context, _ in read) == 9
 
 
 def test_context_keeps_one_copy_of_each_value():
-    # a kept twist power is its dense plain rows alone, with no Matrix and
-    # no sparse copy beside them; the sparse views of the table and twists
-    # are built once per context, over Q from the algebra's own Fractions;
-    # the nonzero constants stay on the algebra, with no copy in the context
-    L = l_1_17()
+    # a kept twist power is (scale, int rows) alone, with no Matrix and no
+    # Fraction or sparse copy beside it; the sparse views of the table and
+    # twists are ints, built once per context, scaled by one factor for the
+    # table and one per twist; the nonzero constants stay on the algebra,
+    # with no copy in the context. At z = 1/2 the table, beta and the power
+    # at (2, 1) have denominator 2, and mod 3 the algebra is l_1_17(2).
+    L = l_1_17(Fraction(1, 2))
     Lp = bh.reduce_mod_p(L, 3)
-    for A, scalar in ((L, Fraction), (Lp, int)):
+    # per algebra: the scales of the table, alpha, beta and the power, and
+    # (M lam, mu, gamma) times one scale at (lam, mu, gamma) = (1/2, 1, 0)
+    for A, scales, coeffs in ((L, (2, 1, 2, 2), (2, 2, 0)),
+                              (Lp, (1, 1, 1, 1), (2, 1, 0))):
+        table_scale, alpha_scale, beta_scale, power_scale = scales
+        plain = A.field.plain
         bh.derivation_space(A, 1, 1, 1, 2, 1)
         context = derivations._solver(A)
         assert set(vars(context)) == {"L", "views", "_powers", "_blocks",
                                       "commutant", "_lam_block"}
         assert list(context._powers) == [(2, 1)]
-        power = context._powers[2, 1]
+        scale, power = context._powers[2, 1]
+        assert type(scale) is int and scale == power_scale
         assert power == tuple(
-            tuple(map(A.field.plain, row))
+            tuple(plain(scale * x) for x in row)
             for row in derivations.twist_power(A, 2, 1).entries)
         assert type(power) is tuple and len(power) == 2
         for row in power:
             assert type(row) is tuple
-            assert all(type(x) is scalar for x in row)
+            assert all(type(x) is int for x in row)
         views = context.views
         brackets, alpha, beta = views
         assert brackets == tuple(
-            tuple(tuple((s, A.field.plain(c)) for s, c in enumerate(row) if c)
-                  for row in plane) for plane in A.structure)
-        for (rows, cols), twist in ((alpha, A.alpha), (beta, A.beta)):
-            entries = A.field.plain_rows(twist.entries)
+            tuple(tuple((s, plain(table_scale * c)) for s, c in enumerate(row)
+                        if c) for row in plane) for plane in A.structure)
+        for (rows, cols), twist, twist_scale in ((alpha, A.alpha, alpha_scale),
+                                                 (beta, A.beta, beta_scale)):
+            entries = [[plain(twist_scale * x) for x in row]
+                       for row in twist.entries]
             assert rows == tuple(
                 tuple((j, x) for j, x in enumerate(row) if x)
                 for row in entries)
             assert cols == tuple(
                 tuple((i, x) for i, x in enumerate(col) if x)
                 for col in zip(*entries))
-        # more solves, checks and a census read the same views
+        assert all(type(x) is int for plane in brackets for row in plane
+                   for _, x in row)
+        assert all(type(x) is int for rows_cols in (alpha, beta)
+                   for pairs in rows_cols for row in pairs for _, x in row)
+        # more solves, checks and a census read the same views and power
         bh.centroid(A, 1, 0)
         assert bh.verify_derivation(A, Matrix.identity(2, A.field), 1, 1, 0)
         if A is Lp:
             assert bh.count_members_fp(A, 1, 1, 0, 1, 1) == 3
         assert context.views is views
-        assert all(x is y for x, y in zip(context.problem(1, 1, 0, 0, 1),
-                                          views))
-    # over Q the views hold the algebra's own Fraction objects
-    brackets, alpha, beta = derivations._solver(L).views
-    for i, plane in enumerate(brackets):
-        for j, pairs in enumerate(plane):
-            assert all(c is L.structure[i][j][s] for s, c in pairs)
-    for (rows, cols), twist in ((alpha, L.alpha), (beta, L.beta)):
-        for i, pairs in enumerate(rows):
-            assert all(x is twist.entries[i][j] for j, x in pairs)
-        for j, pairs in enumerate(cols):
-            assert all(x is twist.entries[i][j] for i, x in pairs)
+        problem = context.problem(Fraction(1, 2), 1, 0, 2, 1)
+        assert all(x is y for x, y in zip(problem, views))
+        assert problem[3] is power and problem[4:7] == coeffs
+        assert all(type(x) is int for x in problem[4:7])
+
+
+def test_warm_verification_makes_no_fraction_arithmetic(monkeypatch):
+    # over Q the membership kernel runs on scaled ints: on a warm context,
+    # with constants, twists, coefficients and candidates that are not
+    # integers, verify_derivation does not add, multiply or divide a
+    # Fraction
+    L = heisenberg(2, Fraction(1, 2), Fraction(2, 3), [Fraction(1, 3), 3],
+                   [2, Fraction(1, 5)])
+    triple = (Fraction(2, 3), Fraction(2, 3), 0, 1, 1)
+    members = bh.derivation_space(L, *triple).basis
+    assert members and any(x.denominator > 1 for d in members
+                           for x in d.vectorize())
+    outsider = Matrix.unit(L.n, 0, 1, QQ) * Fraction(1, 7)
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__floordiv__",
+                 "__rfloordiv__", "__mod__", "__rmod__", "__pow__",
+                 "__rpow__", "__neg__", "__pos__", "__abs__"):
+        def counting(*args, _op=getattr(Fraction, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    assert all(bh.verify_derivation(L, d, *triple) for d in members)
+    assert not bh.verify_derivation(L, outsider, *triple)
+    assert calls == []
+    assert Fraction(1, 2) + 1 == Fraction(3, 2) and calls == ["__add__"]
 
 
 def test_one_algebra_keeps_one_solve_context(monkeypatch):

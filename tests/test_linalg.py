@@ -191,7 +191,55 @@ def test_char_poly_matches_leibniz(field):
             assert all(type(x) is scalar for x in got)
 
 
+def _dense_berkowitz(m):
+    """Reference: Berkowitz's recurrence with every entry read, zeros
+    included."""
+    a, zero, one = m.entries, m.field.zero(), m.field.one()
+    poly = [one]
+    for r in range(m.rows):
+        vec = [a[i][r] for i in range(r)]
+        col = [one, -a[r][r]]
+        for _ in range(r):
+            col.append(-sum(map(mul, a[r][:r], vec), zero))
+            vec = [sum(map(mul, a[i][:r], vec), zero) for i in range(r)]
+        poly = [sum((col[i - j] * p for j, p in enumerate(poly[:i + 1])),
+                    zero) for i in range(r + 2)]
+    return tuple(poly)
+
+
+def test_char_poly_of_diagonal_is_product_of_linear_factors():
+    # n = 17, the Heisenberg twist size where the zero entries dominate
+    diag = [Fraction(v, 1 + v % 3) for v in range(-8, 9)]
+    want = [Fraction(1)]    # prod(t - d_i), highest degree first
+    for d in diag:
+        want = [x - d * y for x, y in zip(want + [0], [0] + want)]
+    m = mat([[d if i == j else 0 for j in range(17)]
+             for i, d in enumerate(diag)])
+    assert char_poly(m) == tuple(want)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_char_poly_matches_dense_berkowitz_on_dense_matrices(field):
+    rng = random.Random(17)
+    values = [v for v in range(-4, 5) if v % 5] + [Fraction(1, 2),
+                                                   Fraction(-2, 3)]
+    for n in (1, 2, 5, 8):
+        m = mat([[rng.choice(values) for _ in range(n)] for _ in range(n)],
+                field)
+        assert all(x for x in m.vectorize())
+        assert char_poly(m) == _dense_berkowitz(m)
+
+
 # --- matrix algebra -------------------------------------------------------
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_unchecked_matrix_refuses_empty_input(field):
+    for entries in ([], [[]]):
+        with pytest.raises(ValueError, match="empty matrix"):
+            linalg._matrix(entries, field)
+        with pytest.raises(ValueError, match="empty matrix"):
+            Matrix(entries, field)
+
 
 def test_matrix_power():
     m = mat([[1, 1], [0, 1]])
