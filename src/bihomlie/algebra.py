@@ -6,20 +6,17 @@ twists via n x n matrices whose columns hold basis images. Construction does
 not enforce the axioms; the check_* operations produce diagnostics so that
 candidate non-algebras can be represented and rejected.
 
-Every axiom is evaluated by two independent routes: once through the
-structure-constant identities, summed over the nonzero constants and twist
-entries only, and once through direct evaluation on basis tuples via matrix
-application of the dense table. An algebra extracts its nonzero constants
-once, at construction; the solver, the centralizer and transport read the
-same dict. The table routes sum field values, to report the first violating
-total; the basis routes only decide, so they compute on ints through the
-field's plain_rows: one scale multiplies each skew or Jacobi sum, and
-multiplicativity compares scale * m([e_i, e_j]) with [m e_i, m e_j] for
-the scaled m. The basis route of the Jacobi identity evaluates each
-distinct bracket once, then stops at the first failing sum. Each check
-compares the two verdicts and refuses to return if they ever disagree; the
-redundancy exists because the index bookkeeping of the twisted Jacobi sum
-is easy to get wrong in exactly one of the two forms.
+Construction extracts the data once into two read-only forms: _constants,
+the nonzero structure constants as field values, and _ints, the int view
+that one plain_rows call makes of the table (see _int_view). Every axiom is
+evaluated by two independent routes. The table route sums the constant
+identities over _constants, to report the first violating total. The basis
+route only decides: it brackets the twists' unit images on _ints with the
+sparse int kernel _bracket, which the membership kernel in derivations
+also runs; the Jacobi route evaluates each distinct bracket once. Each check
+refuses to return if the two verdicts disagree; the redundancy exists
+because the index bookkeeping of the twisted Jacobi sum is easy to get
+wrong in exactly one of the two forms.
 """
 
 from itertools import product
@@ -197,54 +194,67 @@ def _morphism_violation(constants, m, zero, kind):
     return _first_violation(kind, totals)
 
 
-def _jacobi_holds(table, b2, bu, au, is_zero):
-    """Whether the twisted Jacobi sum vanishes on every basis triple, from
-    an int table and the int unit images b2, bu, au under the scaled
-    beta^2, beta and alpha; is_zero is the field's zero test. Each distinct
-    inner bracket [bu_j, au_k] and outer bracket [b2_i, inner(j, k)] is
-    evaluated once; a triple's sum is then formed only at the coordinates
-    where one of its three outer brackets is nonzero."""
-    n = len(table)
-    # outer[i][j][k] holds the nonzero coordinates of [b2_i, inner(j, k)]
+def _sparse(rows):
+    """_row_support as nested tuples, which share the empty tuple."""
+    return tuple(map(tuple, _row_support(rows)))
+
+
+def _int_view(structure, alpha, beta, field):
+    """(brackets, alpha, beta) on ints through field.plain_rows: per bracket
+    [e_i, e_j] its nonzero (s, C c_ij^s), and per twist (scale, rows,
+    columns), the nonzero (index, entry) pairs of the scaled twist. Each
+    identity tested on it has one degree in the constants on both sides,
+    so the table scale C cancels and is not kept."""
+    n, plain_rows = len(structure), field.plain_rows
+    rows = _sparse(plain_rows(row for plane in structure for row in plane)[1])
+    twists = [(scale, _sparse(m), _sparse(zip(*m)))
+              for scale, m in map(plain_rows, (alpha.entries, beta.entries))]
+    return (tuple(rows[i:i + n] for i in range(0, n * n, n)), *twists)
+
+
+def _bracket(brackets, x, y):
+    """{s: coordinate s of [x, y]} over the nonzero constants, for x and y
+    given by their nonzero (index, entry) pairs."""
+    out = {}
+    for p, u in x:
+        plane = brackets[p]
+        for q, v in y:
+            for s, c in plane[q]:
+                out[s] = out.get(s, 0) + u * v * c
+    return out
+
+
+def _image(cols, x):
+    """{s: coordinate s of m x} for m given by its sparse columns."""
+    out = {}
+    for t, u in x:
+        for s, v in cols[t]:
+            out[s] = out.get(s, 0) + u * v
+    return out
+
+
+def _vanishes(terms, is_zero):
+    """Whether the {s: int} maps terms sum to zero at every coordinate."""
+    return all(is_zero(sum(t.get(s, 0) for t in terms))
+               for s in set().union(*terms))
+
+
+def _jacobi_holds(brackets, b2, bu, au, is_zero):
+    """Whether the twisted Jacobi sum vanishes on every basis triple, for
+    the sparse columns b2, bu and au of the scaled beta^2, beta and alpha.
+    Each distinct inner bracket [bu_j, au_k] and outer bracket [b2_i,
+    inner(j, k)] is evaluated once."""
+    n = len(brackets)
+    # outer[i][j][k] holds the coordinates of [b2_i, inner(j, k)]
     outer = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for j, k in product(range(n), repeat=2):
-        w = _table_bracket(table, bu[j], au[k], 0)
-        if any(w):
+        w = _bracket(brackets, bu[j], au[k]).items()
+        if w:
             for i, x in enumerate(b2):
-                outer[i][j][k] = {s: v for s, v in enumerate(
-                    _table_bracket(table, x, w, 0)) if v}
-    for i, j, k in product(range(n), repeat=3):
-        terms = outer[i][j][k], outer[j][k][i], outer[k][i][j]
-        if not all(is_zero(sum(t.get(s, 0) for t in terms))
-                   for s in set().union(*terms)):
-            return False
-    return True
-
-
-def _morphism_holds(table, scale, images, is_zero):
-    """Whether scale * m([e_i, e_j]) == [m e_i, m e_j] on every basis pair,
-    from an int table and the int unit images under the scaled map m."""
-    for i, j in product(range(len(table)), repeat=2):
-        image = [0] * len(table)
-        for s, c in enumerate(table[i][j]):
-            if c:
-                for t, x in enumerate(images[s]):
-                    image[t] += scale * c * x
-        if not all(is_zero(u - v) for u, v in zip(image, _table_bracket(
-                table, images[i], images[j], 0))):
-            return False
-    return True
-
-
-def _plain_view(L, *maps):
-    """L's int view through L.field.plain_rows: the table as int planes,
-    every constant times one scale, the scales of the maps, and per map the
-    images of the unit vectors under the scaled map, its int columns."""
-    n, plain_rows = L.n, L.field.plain_rows
-    rows = plain_rows(row for plane in L.structure for row in plane)[1]
-    scales, maps = zip(*(plain_rows(m.entries) for m in maps))
-    return (tuple(rows[i:i + n] for i in range(0, n * n, n)), scales,
-            [tuple(zip(*m)) for m in maps])
+                outer[i][j][k] = _bracket(brackets, x, w)
+    return all(_vanishes((outer[i][j][k], outer[j][k][i], outer[k][i][j]),
+                         is_zero)
+               for i, j, k in product(range(n), repeat=3))
 
 
 def _routes_agree(axiom, table_first, basis_ok):
@@ -259,7 +269,7 @@ def _routes_agree(axiom, table_first, basis_ok):
 class BiHomLieAlgebra:
 
     __slots__ = ("n", "field", "structure", "alpha", "beta", "_constants",
-                 "_solver")
+                 "_ints", "_solver")
 
     def __init__(self, structure, alpha, beta, field=None):
         if field is None:
@@ -284,6 +294,7 @@ class BiHomLieAlgebra:
         self.alpha = alpha
         self.beta = beta
         self._constants = _constants(table)
+        self._ints = _int_view(table, alpha, beta, field)
         self._solver = None     # derivations._solver builds it on first use
 
     def __setattr__(self, name, value):
@@ -320,20 +331,21 @@ class BiHomLieAlgebra:
     def check_skew_symmetry(self):
         """Twisted skew-symmetry. Returns (ok, first_violation)."""
         n, field = self.n, self.field
-        table, _, (bu, au) = _plain_view(self, self.beta, self.alpha)
+        brackets, (_, _, au), (_, _, bu) = self._ints
         return _routes_agree("skew-symmetry", _skew_violation(
             self._constants, self.alpha, self.beta, field.zero()), all(
-                field.is_zero(u + v) for i in range(n) for j in range(i, n)
-                for u, v in zip(_table_bracket(table, bu[i], au[j], 0),
-                                _table_bracket(table, bu[j], au[i], 0))))
+                _vanishes((_bracket(brackets, bu[i], au[j]),
+                           _bracket(brackets, bu[j], au[i])), field.is_zero)
+                for i in range(n) for j in range(i, n)))
 
     def check_bihom_jacobi(self):
         """Twisted Jacobi identity. Returns (ok, first_violation)."""
         field, beta2 = self.field, self.beta * self.beta
-        table, _, images = _plain_view(self, beta2, self.beta, self.alpha)
+        brackets, (_, _, au), (_, _, bu) = self._ints
+        b2 = [_image(bu, x).items() for x in bu]
         return _routes_agree("BiHom-Jacobi", _jacobi_violation(
             self._constants, self.alpha, self.beta, beta2, field.zero()),
-            _jacobi_holds(table, *images, field.is_zero))
+            _jacobi_holds(brackets, b2, bu, au, field.is_zero))
 
     def check_multiplicative(self):
         """Both twists are bracket endomorphisms. Returns (ok, first)."""
@@ -342,25 +354,23 @@ class BiHomLieAlgebra:
                                      zero, "multiplicative-alpha")
                  or _morphism_violation(self._constants, self.beta.entries,
                                         zero, "multiplicative-beta"))
-        table, scales, images = _plain_view(self, self.alpha, self.beta)
+        # scale * m([e_i, e_j]) == [m e_i, m e_j] for each scaled twist m
+        brackets, *twists = self._ints
         return _routes_agree("multiplicativity", first, all(
-            _morphism_holds(table, scale, m, self.field.is_zero)
-            for scale, m in zip(scales, images)))
+            _vanishes((_image(cols, [(s, -scale * c) for s, c in pairs]),
+                       _bracket(brackets, cols[i], cols[j])),
+                      self.field.is_zero)
+            for scale, _, cols in twists for i, plane in enumerate(brackets)
+            for j, pairs in enumerate(plane)))
 
     def check_all(self):
         commuting = self.check_commuting()
         skew, skew_first = self.check_skew_symmetry()
         jacobi, jacobi_first = self.check_bihom_jacobi()
         mult, mult_first = self.check_multiplicative()
-        first = None
-        if not commuting:
-            first = ("commuting", (), None)
-        elif not skew:
-            first = skew_first
-        elif not jacobi:
-            first = jacobi_first
-        elif not mult:
-            first = mult_first
+        # a check's first violation is None exactly when it passes
+        first = (skew_first or jacobi_first or mult_first if commuting
+                 else ("commuting", (), None))
         return AxiomReport(commuting, skew, jacobi, mult, first)
 
     def __eq__(self, other):

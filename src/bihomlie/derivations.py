@@ -8,37 +8,29 @@ interest is every operator d that commutes with both twist maps and satisfies
 Every such d lies in the twist commutant. A SolveContext solves the
 commutant of one algebra once, with basis B_1..B_c, and writes
 d = sum_r x_r B_r. The identity is linear in (lam, mu, gamma), so the
-context builds three residual blocks: the coordinates of d([e_i,e_j]),
-[d(e_i), m(e_j)] and [m(e_i), d(e_j)] at d = B_r, read off the algebra's
-nonzero structure constants, the first once and the other two per (k, l). A
-triple combines the blocks into a system in the c unknowns x_r, and its
-nullspace, mapped back through the nonzero entries of the B_r, spans the
-space. Spaces are MatrixSubspaces, stored by the reduced row echelon form of
-their vectorized basis; that canonical basis, not the commutant basis or the
-row order, is what keeps the output stable. Every basis member is
-re-verified by verify_derivation, which evaluates the identity bracket by
-bracket, independently of the blocks, in the membership kernel _is_member.
-That kernel reads nonzero entries only and computes on ints over both
-fields, through the field's plain_rows. Each term of the identity has
-degree one in d and in the constants, and the mu and gamma terms one more
-factor of m, so the scaled inputs only multiply the identity by a nonzero
-int once lam also carries m's scale. The F_p census count_members_fp runs
-every candidate through the kernel too.
+context builds three residual blocks from the algebra's nonzero constants:
+the coordinates of d([e_i,e_j]) at d = B_r once, those of [d(e_i), m(e_j)]
+and [m(e_i), d(e_j)] per (k, l). A triple combines the blocks into a
+system in the x_r; its nullspace, mapped back through the B_r, spans the
+space, a MatrixSubspace kept by the rref of its vectorized basis, which
+keeps the output stable.
 
-Each algebra keeps one context, built by _solver on first use and kept in
-its _solver slot. It keeps each value once: sparse int views for the
-kernel, per bracket [e_i, e_j] its nonzero constants and per twist the
-nonzero entries of each row and column; per (k, l) one twist_power as
-plain_rows gives it, (M, int rows of M m), which the blocks (with lam times
-M) and the kernel both read; the lam block, which no power enters; and the
-commutant, solved on the first solve and never for a membership check.
-Solved spaces are not kept: every call solves and re-verifies its triple.
+Every basis member is re-verified by verify_derivation, bracket by bracket
+and independently of the blocks, in the membership kernel _is_member, which
+the F_p census count_members_fp runs on every candidate too. The kernel
+computes on ints: it reads the algebra's int view (algebra._int_view) and,
+per (k, l), one twist power (M, int rows of M m) from plain_rows, which the
+blocks read too. Each term of the identity has degree one in d and in the
+constants, and the mu and gamma terms one more factor of m, so the scales
+only multiply the identity by a nonzero int once lam carries M. Each
+algebra keeps one context, in its _solver slot, with the powers, the blocks
+and the commutant (solved on the first solve); solved spaces are not kept.
 """
 
 from functools import cached_property
 from itertools import product
 
-from .algebra import _plain_view, _pullback, _pushforward
+from .algebra import _bracket, _pullback, _pushforward
 from .fields import FieldMismatchError, QQ
 from .linalg import (MatrixSubspace, VectorSubspace, _matrix, _row_support,
                      nullspace_basis)
@@ -83,16 +75,11 @@ def twist_commutant(L):
     return _solver(L).commutant
 
 
-def _sparse(rows):
-    """_row_support as nested tuples, which share the empty tuple."""
-    return tuple(map(tuple, _row_support(rows)))
-
-
 def _commutes(d, twist, is_zero):
-    """d*m == m*d for int entry rows d and a twist m given by the nonzero
-    (index, entry) pairs of its rows and of its columns, compared entry by
-    entry up to the first mismatch; zero entries of d are skipped."""
-    m_rows, m_cols = twist
+    """d*m == m*d for int entry rows d and a twist (scale, rows, columns)
+    of the algebra's int view, compared entry by entry up to the first
+    mismatch; zero entries of d are skipped."""
+    _, m_rows, m_cols = twist
     for d_row, m_row in zip(d, m_rows):
         for j, m_col in enumerate(m_cols):
             left = right = 0
@@ -118,21 +105,9 @@ def verify_derivation(L, d, lam, mu, gamma, k=0, l=0):
                       *_solver(L).problem(lam, mu, gamma, k, l))
 
 
-def _bracket(brackets, x, y):
-    """{s: coordinate s of [x, y]} over the nonzero constants, for x and y
-    given by their nonzero (index, entry) pairs."""
-    out = {}
-    for p, u in x:
-        plane = brackets[p]
-        for q, v in y:
-            for s, c in plane[q]:
-                out[s] = out.get(s, 0) + u * v * c
-    return out
-
-
 def _is_member(d, brackets, alpha, beta, m, lam, mu, gamma, is_zero):
     """The membership kernel: verify_derivation on ints. d and m are int
-    entry rows, brackets, alpha and beta the context's sparse views, lam,
+    entry rows, brackets, alpha and beta the algebra's int view, lam,
     mu and gamma scaled as SolveContext.problem gives them, and is_zero is
     the field's zero test."""
     if not (_commutes(d, alpha, is_zero) and _commutes(d, beta, is_zero)):
@@ -157,18 +132,13 @@ def _is_member(d, brackets, alpha, beta, m, lam, mu, gamma, is_zero):
 
 
 class SolveContext:
-    """Solver and membership state fixed per algebra, built once by _solver:
-    the sparse int views of the table and twists, the lam block, per (k, l)
-    the scaled twist power and the mu and gamma blocks, and the twist
-    commutant, solved on first use. The blocks read L's own constants."""
+    """Solver state fixed per algebra, built once by _solver: the lam
+    block, per (k, l) the scaled twist power and the mu and gamma blocks,
+    and the twist commutant, solved on first use. The blocks read L's
+    constants, the membership kernel L's int view."""
 
     def __init__(self, L):
         self.L = L
-        # per bracket [e_i, e_j] its nonzero (s, C c_ij^s); per twist the
-        # nonzero (index, entry) pairs of each row and of each column
-        table, _, twists = _plain_view(L, L.alpha, L.beta)
-        self.views = (tuple(map(_sparse, table)),
-                      *((_sparse(zip(*t)), _sparse(t)) for t in twists))
         self._powers = {}
         self._blocks = {}
 
@@ -186,13 +156,14 @@ class SolveContext:
         return self._powers[k, l]
 
     def problem(self, lam, mu, gamma, k, l):
-        """The arguments of _is_member after d: the views, the power's int
-        rows, and (M lam, mu, gamma) times one scale, M the power's."""
+        """The arguments of _is_member after d: the algebra's int view, the
+        power's int rows, and (M lam, mu, gamma) times one scale, M the
+        power's."""
         field = self.L.field
         scale, m = self._power(k, l)
         _, ((lam, mu, gamma),) = field.plain_rows(
             [map(field.coerce, (lam, mu, gamma))])
-        return (*self.views, m, scale * lam, mu, gamma, field.is_zero)
+        return (*self.L._ints, m, scale * lam, mu, gamma, field.is_zero)
 
     @cached_property
     def _lam_block(self):

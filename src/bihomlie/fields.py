@@ -24,8 +24,20 @@ class ReductionError(ValueError):
     """Raised when rational data cannot be reduced modulo the requested prime."""
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p):
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    """Miller-Rabin at the prime bases up to 37, exact below 2^64: for p
+    prime and p - 1 = 2^r d, d odd, each base a has a^d = 1 or
+    a^(2^t d) = -1 for some t < r."""
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    r = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> r
+    return all(pow(a, d, p) == 1
+               or p - 1 in (pow(a, d << t, p) for t in range(r))
+               for a in _WITNESSES)
 
 
 class FpElement:
@@ -173,6 +185,8 @@ class PrimeField:
     characteristic = None  # set per instance
 
     def __init__(self, p):
+        if p >= 2 ** 64:
+            raise ValueError("modulus %r is not below 2^64" % (p,))
         if not _is_prime(p):
             raise ValueError("modulus %r is not prime" % (p,))
         self.p = p

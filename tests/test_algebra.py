@@ -656,13 +656,17 @@ def test_memoised_jacobi_route_matches_six_brackets_per_triple(field):
     for position, L in enumerate(algebras):
         expected = unmemoised_jacobi_route(L)
         assert expected == (position % 2 == 0)
-        # the route reads ints: the table and each map times its own scale
-        b2, bu, au = (list(zip(*field.plain_rows(m.entries)[1]))
+        # the route reads sparse ints: per bracket the nonzero (s, C c)
+        # pairs, per map the nonzero pairs of each column, each map times
+        # its own scale
+        b2, bu, au = ([[(s, x) for s, x in enumerate(col) if x]
+                       for col in zip(*field.plain_rows(m.entries)[1])]
                       for m in (L.beta * L.beta, L.beta, L.alpha))
         _, rows = field.plain_rows(row for plane in L.structure
                                    for row in plane)
-        table = [rows[i:i + L.n] for i in range(0, L.n ** 2, L.n)]
-        assert algebra_module._jacobi_holds(table, b2, bu, au,
+        brackets = [[[(s, c) for s, c in enumerate(rows[i * L.n + j]) if c]
+                     for j in range(L.n)] for i in range(L.n)]
+        assert algebra_module._jacobi_holds(brackets, b2, bu, au,
                                             field.is_zero) == expected
         report = L.check_all()
         verdicts = [dense_skew(L), dense_jacobi(L), dense_multiplicative(L)]

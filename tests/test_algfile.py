@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -166,6 +167,13 @@ def test_load_rejects_non_utf8_file(tmp_path):
     path.write_bytes(b'{"name": "\xe9"}')
     with pytest.raises(AlgebraFileError, match="not UTF-8"):
         load(path)
+
+
+def test_huge_modulus_is_refused_at_once():
+    start = time.perf_counter()
+    with pytest.raises(AlgebraFileError, match="2\\^64"):
+        loads(json.dumps(minimal_doc(field={"fp": 2 ** 127 - 1})))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_prime_field_rejects_bad_denominator():

@@ -345,6 +345,12 @@ def test_iso_dimension_mismatch(files, capsys):
     assert main(["iso", files["l110"], files["heis"], "--brute", "3"]) == 2
 
 
+def test_iso_brute_over_a_huge_modulus_is_a_usage_error(files, capsys):
+    assert main(["iso", files["l110"], files["l110"], "--brute",
+                 str(2 ** 127 - 1)]) == 2
+    assert "not below 2^64" in capsys.readouterr().err
+
+
 def test_iso_brute_over_the_cap_is_refused(tmp_path, capsys, monkeypatch):
     # every 3x3 matrix intertwines the abelian algebra's identity twists,
     # so mod 7 the search would scan 7^9 candidates; it must not start

@@ -7,7 +7,8 @@ import pytest
 import bihomlie as bh
 from bihomlie import BiHomLieAlgebra, catalog, derivations, heisenberg
 from bihomlie.algebra import _table_bracket
-from bihomlie.fields import GF, QQ, FieldMismatchError, ReductionError
+from bihomlie.fields import (GF, QQ, FieldMismatchError, PrimeField,
+                             RationalField, ReductionError)
 from bihomlie.linalg import (Matrix, MatrixSubspace, is_invertible,
                              nullspace_basis)
 
@@ -806,11 +807,12 @@ def test_twist_powers_built_once_and_commutant_lazy(monkeypatch):
 
 def test_context_keeps_one_copy_of_each_value():
     # a kept twist power is (scale, int rows) alone, with no Matrix and no
-    # Fraction or sparse copy beside it; the sparse views of the table and
-    # twists are ints, built once per context, scaled by one factor for the
-    # table and one per twist; the nonzero constants stay on the algebra,
-    # with no copy in the context. At z = 1/2 the table, beta and the power
-    # at (2, 1) have denominator 2, and mod 3 the algebra is l_1_17(2).
+    # Fraction or sparse copy beside it; the int view of the table and
+    # twists lives on the algebra, built at construction, scaled by one
+    # factor for the table and one per twist, and the context keeps no copy
+    # of it or of the nonzero constants. At z = 1/2 the table, beta and the
+    # power at (2, 1) have denominator 2, and mod 3 the algebra is
+    # l_1_17(2).
     L = l_1_17(Fraction(1, 2))
     Lp = bh.reduce_mod_p(L, 3)
     # per algebra: the scales of the table, alpha, beta and the power, and
@@ -819,9 +821,26 @@ def test_context_keeps_one_copy_of_each_value():
                               (Lp, (1, 1, 1, 1), (2, 1, 0))):
         table_scale, alpha_scale, beta_scale, power_scale = scales
         plain = A.field.plain
+        view = A._ints
+        brackets, alpha, beta = view
+        assert brackets == tuple(
+            tuple(tuple((s, plain(table_scale * c)) for s, c in enumerate(row)
+                        if c) for row in plane) for plane in A.structure)
+        for twist, matrix, twist_scale in ((alpha, A.alpha, alpha_scale),
+                                           (beta, A.beta, beta_scale)):
+            scale, rows, cols = twist
+            assert type(scale) is int and scale == twist_scale
+            entries = [[plain(twist_scale * x) for x in row]
+                       for row in matrix.entries]
+            assert rows == tuple(
+                tuple((j, x) for j, x in enumerate(row) if x)
+                for row in entries)
+            assert cols == tuple(
+                tuple((i, x) for i, x in enumerate(col) if x)
+                for col in zip(*entries))
         bh.derivation_space(A, 1, 1, 1, 2, 1)
         context = derivations._solver(A)
-        assert set(vars(context)) == {"L", "views", "_powers", "_blocks",
+        assert set(vars(context)) == {"L", "_powers", "_blocks",
                                       "commutant", "_lam_block"}
         assert list(context._powers) == [(2, 1)]
         scale, power = context._powers[2, 1]
@@ -833,35 +852,54 @@ def test_context_keeps_one_copy_of_each_value():
         for row in power:
             assert type(row) is tuple
             assert all(type(x) is int for x in row)
-        views = context.views
-        brackets, alpha, beta = views
-        assert brackets == tuple(
-            tuple(tuple((s, plain(table_scale * c)) for s, c in enumerate(row)
-                        if c) for row in plane) for plane in A.structure)
-        for (rows, cols), twist, twist_scale in ((alpha, A.alpha, alpha_scale),
-                                                 (beta, A.beta, beta_scale)):
-            entries = [[plain(twist_scale * x) for x in row]
-                       for row in twist.entries]
-            assert rows == tuple(
-                tuple((j, x) for j, x in enumerate(row) if x)
-                for row in entries)
-            assert cols == tuple(
-                tuple((i, x) for i, x in enumerate(col) if x)
-                for col in zip(*entries))
-        assert all(type(x) is int for plane in brackets for row in plane
-                   for _, x in row)
-        assert all(type(x) is int for rows_cols in (alpha, beta)
-                   for pairs in rows_cols for row in pairs for _, x in row)
-        # more solves, checks and a census read the same views and power
+        # checks, more solves and a census read the same view and power
+        assert A.check_all().passed
         bh.centroid(A, 1, 0)
         assert bh.verify_derivation(A, Matrix.identity(2, A.field), 1, 1, 0)
         if A is Lp:
             assert bh.count_members_fp(A, 1, 1, 0, 1, 1) == 3
-        assert context.views is views
+        assert A._ints is view
+        assert all(x is y for x, y in zip(A._ints, view))
         problem = context.problem(Fraction(1, 2), 1, 0, 2, 1)
-        assert all(x is y for x, y in zip(problem, views))
+        assert all(x is y for x, y in zip(problem[:3], view))
         assert problem[3] is power and problem[4:7] == coeffs
         assert all(type(x) is int for x in problem[4:7])
+        with pytest.raises(AttributeError):
+            A._ints = view
+
+
+def test_table_is_converted_once_per_algebra(monkeypatch):
+    # the algebra's int view is the only int form of its table: one
+    # plain_rows call converts the n^2 table rows, at construction, and
+    # two check_all calls, a solve, verify_derivation and the F_3 census
+    # all read that view
+    L = l_1_17(Fraction(1, 2))
+    sources = (L, bh.reduce_mod_p(L, 3))
+    converted = []
+    for cls in (RationalField, PrimeField):
+        def counting(self, rows, _plain_rows=cls.plain_rows):
+            rows = [tuple(row) for row in rows]
+            converted.append(len(rows))
+            return _plain_rows(self, rows)
+
+        monkeypatch.setattr(cls, "plain_rows", counting)
+
+    def is_int_tree(x):
+        return type(x) is int or (type(x) is tuple
+                                  and all(map(is_int_tree, x)))
+
+    for source in sources:
+        converted.clear()
+        L = BiHomLieAlgebra(source.structure, source.alpha, source.beta,
+                            source.field)
+        assert L.check_all().passed and L.check_all().passed
+        space = bh.derivation_space(L, 1, 1, 1, 2, 1)
+        assert all(bh.verify_derivation(L, d, 1, 1, 1, 2, 1)
+                   for d in space.basis)
+        if L.field.characteristic:
+            assert bh.count_members_fp(L, 1, 1, 1, 2, 1) == 3 ** space.dim
+        assert converted.count(L.n ** 2) == 1
+        assert is_int_tree(L._ints)
 
 
 def test_warm_verification_makes_no_fraction_arithmetic(monkeypatch):

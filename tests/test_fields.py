@@ -1,10 +1,12 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from bihomlie.fields import (GF, QQ, FieldMismatchError, FpElement,
-                             ReductionError, format_scalar, parse_scalar,
-                             reduce_fraction_mod)
+                             ReductionError, _is_prime, format_scalar,
+                             parse_scalar, reduce_fraction_mod)
 
 
 def test_rational_coerce():
@@ -61,6 +63,30 @@ def test_gf_requires_prime():
         GF(4)
     with pytest.raises(ValueError):
         GF(1)
+
+
+def test_primality_matches_trial_division_below_10_5():
+    assert [p for p in range(10 ** 5) if _is_prime(p)] == [
+        p for p in range(2, 10 ** 5)
+        if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def test_primality_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+    for n, factors in ((3215031751, (151, 751, 28351)),
+                       (3825123056546413051, (149491, 747451, 34233211))):
+        assert math.prod(factors) == n
+        assert not _is_prime(n)
+
+
+def test_primality_of_large_moduli_is_bounded():
+    start = time.perf_counter()
+    assert _is_prime(2 ** 61 - 1) and GF(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert time.perf_counter() - start < 0.1
+    # moduli past 2^64 are refused before any test runs
+    for p in (2 ** 64, 2 ** 127 - 1):
+        with pytest.raises(ValueError, match="2\\^64"):
+            GF(p)
 
 
 def test_gf_cached():
