@@ -8,7 +8,10 @@ candidate non-algebras can be represented and rejected.
 
 Construction extracts the data once into two read-only forms: _constants,
 the nonzero structure constants as field values, and _ints, the int view
-that one plain_rows call makes of the table (see _int_view). Every axiom is
+that one plain_rows call makes of the table (see _int_view). Every bracket
+on field values, L.bracket included, is the pull-back kernel _pullback over
+_constants (_brackets groups it into vectors); only the algebra itself
+reads the dense table. Every axiom is
 evaluated by two independent routes. The table route sums the constant
 identities over _constants, to report the first violating total. The basis
 route only decides: it brackets the twists' unit images on _ints with the
@@ -87,23 +90,6 @@ def _coerce_table(table, field):
                  for plane in table)
 
 
-def _table_bracket(table, x, y, zero):
-    """[x, y] under a structure table, skipping zero coordinates and zero
-    structure constants."""
-    out = [zero] * len(table)
-    y_support = [(j, v) for j, v in enumerate(y) if v]
-    for i, u in enumerate(x):
-        if not u:
-            continue
-        plane = table[i]
-        for j, v in y_support:
-            coeff = u * v
-            for s, c in enumerate(plane[j]):
-                if c:
-                    out[s] = out[s] + coeff * c
-    return tuple(out)
-
-
 def _constants(table):
     """The nonzero structure constants as {(p, q, s): c_pq^s}."""
     return {(p, q, s): c for p, plane in enumerate(table)
@@ -121,6 +107,17 @@ def _pullback(constants, a, b, zero):
         for i, x in a_rows[p]:
             for j, y in b_rows[q]:
                 out[i, j, s] = out.get((i, j, s), zero) + c * x * y
+    return out
+
+
+def _brackets(L, xs, ys):
+    """[[x, y] for y in ys] for each x in xs, as coordinate lists: _pullback
+    over L's constants with the vectors as matrix columns."""
+    n, zero = L.n, L.field.zero()
+    out = [[[zero] * n for _ in ys] for _ in xs]
+    columns = ([[x[p] for x in vs] for p in range(n)] for vs in (xs, ys))
+    for (i, j, s), v in _pullback(L._constants, *columns, zero).items():
+        out[i][j][s] = v
     return out
 
 
@@ -184,12 +181,13 @@ def _jacobi_violation(constants, alpha, beta, beta2, zero):
     return _first_violation("jacobi", totals)
 
 
-def _morphism_violation(constants, m, zero, kind):
+def _morphism_violation(constants, target, m, zero, kind):
     """First (kind, 1-based (i,j,s), residual) with m([e_i,e_j]) != [m e_i,
-    m e_j], m given by its entries, or None. The residual is
-    sum_k c_ij^k m_sk - sum_{p,q} m_pi m_qj c_pq^s."""
+    m e_j], the right-hand bracket that of the target constants and m given
+    by its entries, or None. The residual is
+    sum_k c_ij^k m_sk - sum_{p,q} m_pi m_qj target_pq^s."""
     totals = _pushforward(constants, m, zero)
-    for key, v in _pullback(constants, m, m, zero).items():
+    for key, v in _pullback(target, m, m, zero).items():
         totals[key] = totals.get(key, zero) - v
     return _first_violation(kind, totals)
 
@@ -316,9 +314,9 @@ class BiHomLieAlgebra:
     def bracket(self, x, y):
         if len(x) != self.n or len(y) != self.n:
             raise ValueError("vector length mismatch")
-        x = [self.field.coerce(v) for v in x]
-        y = [self.field.coerce(v) for v in y]
-        return _table_bracket(self.structure, x, y, self.field.zero())
+        coerce = self.field.coerce
+        return tuple(_brackets(self, [list(map(coerce, x))],
+                               [list(map(coerce, y))])[0][0])
 
     def is_regular(self):
         return is_invertible(self.alpha) and is_invertible(self.beta)
@@ -349,11 +347,12 @@ class BiHomLieAlgebra:
 
     def check_multiplicative(self):
         """Both twists are bracket endomorphisms. Returns (ok, first)."""
-        zero = self.field.zero()
-        first = (_morphism_violation(self._constants, self.alpha.entries,
+        zero, constants = self.field.zero(), self._constants
+        first = (_morphism_violation(constants, constants, self.alpha.entries,
                                      zero, "multiplicative-alpha")
-                 or _morphism_violation(self._constants, self.beta.entries,
-                                        zero, "multiplicative-beta"))
+                 or _morphism_violation(constants, constants,
+                                        self.beta.entries, zero,
+                                        "multiplicative-beta"))
         # scale * m([e_i, e_j]) == [m e_i, m e_j] for each scaled twist m
         brackets, *twists = self._ints
         return _routes_agree("multiplicativity", first, all(
@@ -427,7 +426,8 @@ def yau_twist(table, alpha, beta, field=QQ):
     if alpha * beta != beta * alpha:
         raise TwistError("twist maps do not commute")
     for name, m in (("alpha", alpha), ("beta", beta)):
-        if _morphism_violation(constants, m.entries, zero, name) is not None:
+        if _morphism_violation(constants, constants, m.entries, zero,
+                               name) is not None:
             raise TwistError("%s is not a morphism of the input bracket" % name)
     twisted = _pullback(constants, alpha.entries, beta.entries, zero)
     return BiHomLieAlgebra(_dense(len(table), twisted, zero), alpha, beta,

@@ -177,15 +177,8 @@ def dumps(doc):
         L, metadata = doc.algebra, doc.metadata
     else:
         L, metadata = doc, None
-    records = []
-    zero = L.field.zero()
-    for i in range(L.n):
-        for j in range(L.n):
-            for s in range(L.n):
-                v = L.structure[i][j][s]
-                if v != zero:
-                    records.append({"i": i + 1, "j": j + 1, "k": s + 1,
-                                    "value": format_scalar(v)})
+    records = [{"i": i + 1, "j": j + 1, "k": s + 1, "value": format_scalar(v)}
+               for (i, j, s), v in sorted(L._constants.items())]
     out = {
         "format_version": FORMAT_VERSION,
         "field": _field_spec(L.field),

@@ -7,6 +7,14 @@ mathematical negative (axiom violation, mismatch, no witness), 2 usage
 or parse errors, 3 an internal error (an independent cross-check of the
 library's own result failed; a bug, never the input's fault). Scalars are
 read as an integer or "num/den" and print exactly, never as floats.
+
+der and catalog over Q refuse twist exponents (for catalog, --kmax and
+--lmax) whose power alpha^k beta^l could have an entry (numerator or
+denominator) of more than 14000 bits, bounded from the twists' scaled int
+entries, their scales and the dimension before any product or output;
+such a request prints nothing and exits 2. Every accepted power prints
+within Python's 4300-digit int-to-string limit. Over F_p every exponent
+is accepted.
 """
 
 import argparse
@@ -19,7 +27,8 @@ from . import algfile, catalog
 from .algebra import CrossCheckError
 from .algfile import AlgebraFileError
 from .catalog import CatalogError
-from .derivations import MembershipError, derivation_space, normalize_params
+from .derivations import (MembershipError, derivation_space, normalize_params,
+                          twist_power)
 from .fields import QQ, ReductionError, format_scalar, parse_scalar
 from .isomorphism import (brute_force_iso, compare_fingerprints, fingerprint,
                           verify_isomorphism)
@@ -101,19 +110,21 @@ def cmd_check(args):
 
 def cmd_der(args):
     L = algfile.load(args.path).algebra
-    lam, mu, gamma = args.lam, args.mu, args.gamma
+    triple = args.lam, args.mu, args.gamma
+    if args.normalize:
+        triple, tag = normalize_params(*triple, L.field)
+    # solved before any output, so that a refused request prints nothing
+    space = derivation_space(L, *triple, args.k, args.l)
     _emit(args, "params",
           "params: lambda=%s mu=%s gamma=%s k=%d l=%d"
-          % (lam, mu, gamma, args.k, args.l),
-          **{"lambda": lam, "mu": mu, "gamma": gamma,
+          % (args.lam, args.mu, args.gamma, args.k, args.l),
+          **{"lambda": args.lam, "mu": args.mu, "gamma": args.gamma,
              "k": args.k, "l": args.l})
     if args.normalize:
-        (lam, mu, gamma), tag = normalize_params(lam, mu, gamma, L.field)
-        texts = [format_scalar(v) for v in (lam, mu, gamma)]
+        texts = [format_scalar(v) for v in triple]
         _emit(args, "normalized",
               "normalized: (%s, %s, %s) case %d" % (*texts, tag),
               **dict(zip(("lambda", "mu", "gamma"), texts), case=tag))
-    space = derivation_space(L, lam, mu, gamma, args.k, args.l)
     _emit(args, "dimension", "dimension: %d" % space.dim, value=space.dim)
     if args.output == "human" and space.dim:
         print("basis:")
@@ -192,12 +203,17 @@ def _catalog_jobs(args):
 def cmd_catalog(args):
     if args.kmax < 0 or args.lmax < 0:
         raise CliError("--kmax and --lmax must be non-negative")
+    jobs = [(family_id, params, catalog.build(family_id, params))
+            for family_id, params in _catalog_jobs(args)]
+    for _, _, L in jobs:
+        # the bound grows with k and l: the largest pair is refused, if at
+        # all, before any output
+        twist_power(L, args.kmax, args.lmax)
     failures = 0
-    for family_id, params in _catalog_jobs(args):
+    for family_id, params, L in jobs:
         env = catalog.coerce_params(family_id, params)
         shown = ",".join("%s=%s" % (name, format_scalar(value))
                          for name, value in env.items())
-        L = catalog.build(family_id, params)
         for k in range(args.kmax + 1):
             for l in range(args.lmax + 1):
                 v = catalog.verify_entry(family_id, params, k, l, algebra=L)

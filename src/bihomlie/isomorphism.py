@@ -2,7 +2,9 @@
 exhaustive finite-field witness search.
 
 A witness f must be invertible, intertwine both twist maps, and carry
-every bracket of the source to the matching bracket of the target.
+every bracket of the source to the matching bracket of the target, checked
+as one morphism residual over both algebras' constants. The structure data
+are read from the constants, never from the dense table.
 Fingerprints collect invariants that any witness preserves; they can
 certify that no witness exists, never that one does. The search scans the
 intertwiner space, which holds every witness: p^d members, not p^(n^2).
@@ -10,7 +12,8 @@ intertwiner space, which holds every witness: p^d members, not p^(n^2).
 
 from itertools import product as cartesian
 
-from .algebra import BiHomLieAlgebra, _dense, _pullback, _pushforward
+from .algebra import (BiHomLieAlgebra, _dense, _morphism_violation, _pullback,
+                      _pushforward)
 from .derivations import derivation_space, intertwiners
 from .fields import GF, ReductionError, _is_prime
 from .linalg import Matrix, char_poly, invert, is_invertible, rank
@@ -48,12 +51,8 @@ def verify_isomorphism(L, L2, f):
         return False
     if f * L.alpha != L2.alpha * f or f * L.beta != L2.beta * f:
         return False
-    for i in range(L.n):
-        for j in range(L.n):
-            image = f.apply(L.bracket_basis(i, j))
-            if image != L2.bracket(f.col(i), f.col(j)):
-                return False
-    return True
+    return _morphism_violation(L._constants, L2._constants, f.entries,
+                               L.field.zero(), "isomorphism") is None
 
 
 def transport(L, f):
@@ -146,12 +145,14 @@ def compare_fingerprints(a, b):
 
 
 def _iter_values(L):
-    yield from (v for plane in L.structure for row in plane for v in row)
+    yield from L._constants.values()
     yield from (v for m in (L.alpha, L.beta) for row in m.entries for v in row)
 
 
 def smallest_admissible_prime(L):
     """Least prime dividing no denominator of the structure data."""
+    if L.field.characteristic:
+        raise ValueError("the algebra is already over a finite field")
     dens = {v.denominator for v in _iter_values(L)}
     p = 2
     while not (_is_prime(p) and all(d % p for d in dens)):
@@ -169,10 +170,9 @@ def reduce_mod_p(L, p):
     if L.field.characteristic:
         raise ValueError("the algebra is already over a finite field")
     field = GF(p)
-    zero = field.zero()
     try:
-        table = [[[field.coerce(v) if v else zero for v in row]
-                  for row in plane] for plane in L.structure]
+        table = _dense(L.n, {key: field.coerce(v) for key, v
+                             in L._constants.items()}, field.zero())
         alpha = Matrix(L.alpha.entries, field)
         beta = Matrix(L.beta.entries, field)
     except ReductionError as exc:

@@ -1,4 +1,6 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,8 @@ from bihomlie.derivations import MembershipError
 from bihomlie.fields import QQ
 from bihomlie.linalg import Matrix
 from bihomlie.structure import ClosureError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -133,6 +137,42 @@ def test_der_normalize_prints_canonical_triple(files, capsys):
                  "--gamma", "1", "--normalize", "--output", "records"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "normalized lambda=1/2 mu=1 gamma=0 case=1" in lines
+
+
+def test_der_refuses_a_power_past_the_bit_bound_before_any_output(capsys):
+    # alpha^3200 beta^3200 would have entries past 4300 digits
+    path = str(GOLDEN / "twisted_heis5.json")
+    assert main(["der", path, "--k", "3200", "--l", "3200"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "past the limit of 14000" in err
+
+
+def test_der_refuses_a_huge_exponent_at_once(capsys):
+    path = str(GOLDEN / "twisted_heis5.json")
+    start = time.perf_counter()
+    assert main(["der", path, "--k", "1000000000", "--l", "0"]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr().out == ""
+
+
+def test_der_solves_a_huge_exponent_over_a_prime_field(tmp_path, capsys):
+    # binary powering keeps every exponent cheap over F_p
+    L = algfile.load(GOLDEN / "twisted_heis5.json").algebra
+    path = tmp_path / "heis5_mod101.json"
+    algfile.dump(isomorphism.reduce_mod_p(L, 101), path)
+    assert main(["der", str(path), "--k", "1000000000", "--l", "0"]) == 0
+    assert "dimension: " in capsys.readouterr().out
+
+
+def test_catalog_refuses_a_power_past_the_bit_bound_before_any_output(
+        capsys):
+    # the same instance replays with no mismatch up to --kmax 600
+    assert main(["catalog", "--entry", "L_1^8", "--params",
+                 "a=1000003,x=999983", "--kmax", "1000", "--lmax", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "alpha^1000 beta^0" in err
 
 
 def test_der_rejects_bad_value(files, capsys):

@@ -6,7 +6,6 @@ import pytest
 
 import bihomlie as bh
 from bihomlie import BiHomLieAlgebra, catalog, derivations, heisenberg
-from bihomlie.algebra import _table_bracket
 from bihomlie.fields import (GF, QQ, FieldMismatchError, PrimeField,
                              RationalField, ReductionError)
 from bihomlie.linalg import (Matrix, MatrixSubspace, is_invertible,
@@ -438,6 +437,23 @@ def test_membership_edges():
 
 
 # --- dense reference membership kernel -------------------------------------
+
+def _table_bracket(table, x, y, zero):
+    """[x, y] under a structure table, skipping zero coordinates and zero
+    structure constants."""
+    out = [zero] * len(table)
+    y_support = [(j, v) for j, v in enumerate(y) if v]
+    for i, u in enumerate(x):
+        if not u:
+            continue
+        plane = table[i]
+        for j, v in y_support:
+            coeff = u * v
+            for s, c in enumerate(plane[j]):
+                if c:
+                    out[s] = out[s] + coeff * c
+    return tuple(out)
+
 
 def _dense_commutes(d, m, is_zero):
     """d*m == m*d on plain entry rows, every index read: the dense

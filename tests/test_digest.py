@@ -3,14 +3,16 @@ reports, derivation spaces and structure invariants of a fixed corpus.
 
 A change that alters any result, down to the order of a canonical basis or
 one violation total, changes the digest. On a mismatch the test writes the
-text to a file and names it; `python tests/test_digest.py > seed.txt` prints
-the same text from any checkout, so the two can be compared line by line.
+text to a file and names it. `python tests/test_digest.py > seed.txt` prints
+the same text from any checkout, and `python tests/test_digest.py seed.txt`
+prints the first line at which this checkout's text differs from it.
 A change that alters a result on purpose updates DIGEST and says why.
 """
 
 import hashlib
 import random
 import sys
+from itertools import zip_longest
 
 from bihomlie.algebra import BiHomLieAlgebra, heisenberg
 from bihomlie.catalog import build, family_ids, pinned_samples
@@ -130,5 +132,21 @@ def test_digest_of_every_result_is_pinned(tmp_path):
                              % (digest, DIGEST, path))
 
 
+def first_difference(saved, text):
+    """The first line at which two canonical texts differ, as
+    (1-based line number, saved line, new line), or None."""
+    pairs = zip_longest(saved.splitlines(), text.splitlines(), fillvalue="")
+    return next(((number, old, new) for number, (old, new)
+                 in enumerate(pairs, 1) if old != new), None)
+
+
 if __name__ == "__main__":
-    sys.stdout.write(canonical_text())
+    # no argument: print the canonical text; a saved text's path: print the
+    # first line at which this checkout's text differs from it
+    if len(sys.argv) < 2:
+        sys.stdout.write(canonical_text())
+    else:
+        with open(sys.argv[1], encoding="utf-8") as fh:
+            diff = first_difference(fh.read(), canonical_text())
+        print("no difference" if diff is None
+              else "line %d\n- %s\n+ %s" % diff)

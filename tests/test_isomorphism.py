@@ -7,7 +7,7 @@ import pytest
 from bihomlie.algebra import BiHomLieAlgebra, heisenberg
 from bihomlie.catalog import build, family_ids, pinned_samples
 from bihomlie.derivations import intertwiners
-from bihomlie.fields import GF, QQ, ReductionError
+from bihomlie.fields import GF, QQ, FieldMismatchError, ReductionError
 from bihomlie.isomorphism import (brute_force_iso, compare_fingerprints,
                                   fingerprint, reduce_mod_p,
                                   smallest_admissible_prime, transport,
@@ -166,6 +166,27 @@ def test_reduce_mod_p_refuses_finite_field_input():
     Lp = reduce_mod_p(build("L_1^10", {}), 3)
     with pytest.raises(ValueError):
         reduce_mod_p(Lp, 3)
+
+
+def test_smallest_admissible_prime_refuses_finite_field_input():
+    Lp = reduce_mod_p(build("L_1^8", {"a": 2, "x": 3}), 5)
+    with pytest.raises(ValueError, match="already over a finite field"):
+        smallest_admissible_prime(Lp)
+
+
+def test_intertwiners_refuse_a_different_dimension():
+    # the 3 x 3 maps would otherwise read only L2's leading 3 x 3 block
+    with pytest.raises(ValueError, match="dimension mismatch: 3 vs 5"):
+        intertwiners(heisenberg(1, 2, 3, [5], [7]),
+                     heisenberg(2, 2, 3, [5, 2], [7, 3]))
+
+
+def test_intertwiners_refuse_a_different_field():
+    L = heisenberg(1, 2, 3, [5], [2])
+    for A, B in ((L, reduce_mod_p(L, 7)), (reduce_mod_p(L, 7), L),
+                 (reduce_mod_p(L, 11), reduce_mod_p(L, 13))):
+        with pytest.raises(FieldMismatchError):
+            intertwiners(A, B)
 
 
 # --- exhaustive search -----------------------------------------------------

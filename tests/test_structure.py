@@ -121,13 +121,26 @@ def test_centralizer_zero_subspace_full():
     assert bh.centralizer(L, VectorSubspace(2, [], QQ)).dim == 2
 
 
-@pytest.mark.parametrize("S", [VectorSubspace(3, [(1, 0, 0)], QQ),
-                               VectorSubspace(1, [(1,)], QQ),
-                               VectorSubspace(2, [(1, 0)], GF(3))],
-                         ids=["longer", "shorter", "other-field"])
+FOREIGN = pytest.mark.parametrize(
+    "S", [VectorSubspace(3, [(1, 0, 0)], QQ), VectorSubspace(1, [(1,)], QQ),
+          VectorSubspace(2, [(1, 0)], GF(3))],
+    ids=["longer", "shorter", "other-field"])
+
+
+@FOREIGN
 def test_centralizer_refuses_a_foreign_subspace(S):
     with pytest.raises(ValueError, match="not a subspace of L"):
         bh.centralizer(l_1_10(), S)
+
+
+@FOREIGN
+def test_product_subspace_refuses_a_foreign_subspace(S):
+    # the bracket kernel would read the leading coordinates of longer
+    # vectors and return a wrong span
+    full = VectorSubspace.full(2, QQ)
+    for pair in ((S, full), (full, S)):
+        with pytest.raises(ValueError, match="not a subspace of L"):
+            bh.product_subspace(l_1_10(), *pair)
 
 
 def test_centralizer_of_full_is_center():
