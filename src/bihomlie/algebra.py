@@ -9,9 +9,9 @@ candidate non-algebras can be represented and rejected.
 Construction extracts the data once into two read-only forms: _constants,
 the nonzero structure constants as field values, and _ints, the int view
 that one plain_rows call makes of the table (see _int_view). Every bracket
-on field values, L.bracket included, is the pull-back kernel _pullback over
-_constants (_brackets groups it into vectors); only the algebra itself
-reads the dense table. Every axiom is
+on field values sums over _constants: the pull-back kernel _pullback for
+matrices, and L.bracket, the same sum for one pair of vectors; only the
+algebra itself reads the dense table. Every axiom is
 evaluated by two independent routes. The table route sums the constant
 identities over _constants, to report the first violating total. The basis
 route only decides: it brackets the twists' unit images on _ints with the
@@ -107,17 +107,6 @@ def _pullback(constants, a, b, zero):
         for i, x in a_rows[p]:
             for j, y in b_rows[q]:
                 out[i, j, s] = out.get((i, j, s), zero) + c * x * y
-    return out
-
-
-def _brackets(L, xs, ys):
-    """[[x, y] for y in ys] for each x in xs, as coordinate lists: _pullback
-    over L's constants with the vectors as matrix columns."""
-    n, zero = L.n, L.field.zero()
-    out = [[[zero] * n for _ in ys] for _ in xs]
-    columns = ([[x[p] for x in vs] for p in range(n)] for vs in (xs, ys))
-    for (i, j, s), v in _pullback(L._constants, *columns, zero).items():
-        out[i][j][s] = v
     return out
 
 
@@ -312,11 +301,18 @@ class BiHomLieAlgebra:
         return self.structure[i][j]
 
     def bracket(self, x, y):
+        """[x, y], coordinate s the sum of c_pq^s x_p y_q over the nonzero
+        constants: _pullback's sum for one pair of vectors, inline, as a
+        call is made per pair."""
         if len(x) != self.n or len(y) != self.n:
             raise ValueError("vector length mismatch")
-        coerce = self.field.coerce
-        return tuple(_brackets(self, [list(map(coerce, x))],
-                               [list(map(coerce, y))])[0][0])
+        x = [self.field.coerce(v) for v in x]
+        y = [self.field.coerce(v) for v in y]
+        out = [self.field.zero()] * self.n
+        for (p, q, s), c in self._constants.items():
+            if x[p] and y[q]:
+                out[s] += c * x[p] * y[q]
+        return tuple(out)
 
     def is_regular(self):
         return is_invertible(self.alpha) and is_invertible(self.beta)

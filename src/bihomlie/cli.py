@@ -8,13 +8,13 @@ or parse errors, 3 an internal error (an independent cross-check of the
 library's own result failed; a bug, never the input's fault). Scalars are
 read as an integer or "num/den" and print exactly, never as floats.
 
-der and catalog over Q refuse twist exponents (for catalog, --kmax and
---lmax) whose power alpha^k beta^l could have an entry (numerator or
-denominator) of more than 14000 bits, bounded from the twists' scaled int
-entries, their scales and the dimension before any product or output;
-such a request prints nothing and exits 2. Every accepted power prints
-within Python's 4300-digit int-to-string limit. Over F_p every exponent
-is accepted.
+der over Q refuses twist exponents whose power alpha^k beta^l could have
+an entry with a numerator or denominator of more than 14000 bits, bounded
+from the twists' scaled int entries, their scales and the dimension before
+any product or output; such a request prints nothing and exits 2. Every
+accepted power prints within Python's 4300-digit int-to-string limit.
+Over F_p every exponent is accepted, and catalog, which prints no power,
+takes any --kmax and --lmax.
 """
 
 import argparse
@@ -27,9 +27,9 @@ from . import algfile, catalog
 from .algebra import CrossCheckError
 from .algfile import AlgebraFileError
 from .catalog import CatalogError
-from .derivations import (MembershipError, derivation_space, normalize_params,
-                          twist_power)
-from .fields import QQ, ReductionError, format_scalar, parse_scalar
+from .derivations import MembershipError, derivation_space, normalize_params
+from .fields import (QQ, FieldMismatchError, ReductionError, format_scalar,
+                     parse_scalar)
 from .isomorphism import (brute_force_iso, compare_fingerprints, fingerprint,
                           verify_isomorphism)
 from .structure import (ClosureError, center, derived_series,
@@ -42,6 +42,11 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 SEED_ENV = "BIHOM_SAMPLE_SEED"
+
+# the largest bit size der prints over Q for the numerator or denominator
+# of an entry of a twist power: 2^14000 < 10^4300, so every accepted power
+# prints within Python's default int-to-string limit of 4300 digits
+_MAX_POWER_BITS = 14000
 
 # extra-sample pool: nonzero, and away from the roots of unity that put
 # instances on special table rows
@@ -108,12 +113,33 @@ def cmd_check(args):
     return EXIT_NEGATIVE
 
 
+def _refuse_unprintable_power(L, k, l):
+    """ValueError, before any product, when alpha^k beta^l over Q could have
+    an entry whose numerator or denominator passes _MAX_POWER_BITS. With
+    each twist A/s for its scaled int entries A and scale s, and a, b the
+    largest |A|, a numerator is at most n^(k+l-1) a^k b^l and a denominator
+    divides s_alpha^k s_beta^l. Over F_p every power prints."""
+    if L.field.characteristic:
+        return
+    (s_a, a_rows, _), (s_b, b_rows, _) = L._ints[1:]
+    a, b = (max((abs(x) for row in rows for _, x in row), default=0)
+            for rows in (a_rows, b_rows))
+    bits = max(k * a.bit_length() + l * b.bit_length()
+               + max(k + l - 1, 0) * L.n.bit_length(),
+               k * s_a.bit_length() + l * s_b.bit_length())
+    if bits > _MAX_POWER_BITS:
+        raise ValueError("twist power alpha^%d beta^%d: entries of up to %d "
+                         "bits, past the limit of %d"
+                         % (k, l, bits, _MAX_POWER_BITS))
+
+
 def cmd_der(args):
     L = algfile.load(args.path).algebra
     triple = args.lam, args.mu, args.gamma
     if args.normalize:
         triple, tag = normalize_params(*triple, L.field)
-    # solved before any output, so that a refused request prints nothing
+    # refused or solved before any output, so that a refusal prints nothing
+    _refuse_unprintable_power(L, args.k, args.l)
     space = derivation_space(L, *triple, args.k, args.l)
     _emit(args, "params",
           "params: lambda=%s mu=%s gamma=%s k=%d l=%d"
@@ -203,17 +229,12 @@ def _catalog_jobs(args):
 def cmd_catalog(args):
     if args.kmax < 0 or args.lmax < 0:
         raise CliError("--kmax and --lmax must be non-negative")
-    jobs = [(family_id, params, catalog.build(family_id, params))
-            for family_id, params in _catalog_jobs(args)]
-    for _, _, L in jobs:
-        # the bound grows with k and l: the largest pair is refused, if at
-        # all, before any output
-        twist_power(L, args.kmax, args.lmax)
     failures = 0
-    for family_id, params, L in jobs:
+    for family_id, params in _catalog_jobs(args):
         env = catalog.coerce_params(family_id, params)
         shown = ",".join("%s=%s" % (name, format_scalar(value))
                          for name, value in env.items())
+        L = catalog.build(family_id, params)
         for k in range(args.kmax + 1):
             for l in range(args.lmax + 1):
                 v = catalog.verify_entry(family_id, params, k, l, algebra=L)
@@ -376,8 +397,8 @@ def main(argv=None):
     except (MembershipError, CrossCheckError, ClosureError) as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
-    except (AlgebraFileError, CatalogError, CliError, ReductionError,
-            ValueError) as exc:
+    except (AlgebraFileError, CatalogError, CliError, FieldMismatchError,
+            ReductionError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -40,42 +40,28 @@ class MembershipError(AssertionError):
     """Solver output failed the independent identity check; a bug."""
 
 
-# the largest bit size twist_power accepts over Q for the numerators and
-# denominators of a power's entries: 2^14000 < 10^4300, so every accepted
-# power prints within Python's default int-to-string limit of 4300 digits
-_MAX_POWER_BITS = 14000
-
-
 def twist_power(L, k, l):
-    """Matrix of alpha^k composed with beta^l. Over Q, with each twist A/s
-    for its scaled int entries A and scale s, an entry of the power has a
-    numerator of at most n^(k+l-1) a^k b^l, a and b the largest |A|, and a
-    denominator dividing s_alpha^k s_beta^l; ValueError, before any product,
-    when that bound passes _MAX_POWER_BITS. Over F_p any exponent is cheap.
-    """
+    """Matrix of alpha^k composed with beta^l."""
     if k < 0 or l < 0:
         raise ValueError("twist exponents must be non-negative")
-    if not L.field.characteristic:
-        bits = sum(e * (scale.bit_length() + L.n.bit_length() + max(
-            (abs(x) for row in rows for _, x in row), default=0).bit_length())
-                   for e, (scale, rows, _) in zip((k, l), L._ints[1:]))
-        if bits > _MAX_POWER_BITS:
-            raise ValueError("twist power alpha^%d beta^%d: entry bound of "
-                             "%d bits past the limit of %d"
-                             % (k, l, bits, _MAX_POWER_BITS))
     return (L.alpha ** k) * (L.beta ** l)
+
+
+def _refuse_mismatch(L, L2):
+    """ValueError when L and L2 differ in dimension, FieldMismatchError
+    when they differ in field."""
+    if L.n != L2.n:
+        raise ValueError("dimension mismatch: %d vs %d" % (L.n, L2.n))
+    if L.field != L2.field:
+        raise FieldMismatchError("the algebras live over different fields")
 
 
 def intertwiners(L, L2):
     """Operators f with f*alpha = alpha2*f and f*beta = beta2*f, alpha2 and
     beta2 the twists of L2, with a basis in reduced row echelon form of the
     row-major vectors; intertwiners(L, L) is the twist commutant of L.
-    ValueError when the dimensions differ, FieldMismatchError when the
-    fields do."""
-    if L.n != L2.n:
-        raise ValueError("dimension mismatch: %d vs %d" % (L.n, L2.n))
-    if L.field != L2.field:
-        raise FieldMismatchError("the algebras live over different fields")
+    Refuses algebras of different dimensions or fields (_refuse_mismatch)."""
+    _refuse_mismatch(L, L2)
     n, field = L.n, L.field
     zero = field.zero()
     rows = []

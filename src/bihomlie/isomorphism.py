@@ -14,7 +14,7 @@ from itertools import product as cartesian
 
 from .algebra import (BiHomLieAlgebra, _dense, _morphism_violation, _pullback,
                       _pushforward)
-from .derivations import derivation_space, intertwiners
+from .derivations import _refuse_mismatch, derivation_space, intertwiners
 from .fields import GF, ReductionError, _is_prime
 from .linalg import Matrix, char_poly, invert, is_invertible, rank
 from .structure import (MAX_SEARCH_CANDIDATES, center, derived_series,
@@ -42,10 +42,7 @@ def _as_witness(f, L):
 def verify_isomorphism(L, L2, f):
     """True iff f is an invertible map from L to L2 intertwining the
     twists and every bracket."""
-    if L.n != L2.n:
-        raise ValueError("dimension mismatch: %d vs %d" % (L.n, L2.n))
-    if L.field != L2.field:
-        raise ValueError("the algebras live over different fields")
+    _refuse_mismatch(L, L2)
     f = _as_witness(f, L)
     if not is_invertible(f):
         return False

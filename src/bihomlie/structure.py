@@ -3,15 +3,16 @@ and the direct-sum decomposition.
 
 All subspace computations go through the canonicalized VectorSubspace /
 MatrixSubspace types, so equality assertions in reports are structural.
-Brackets of vectors (products of subspaces, the centralizer's maps, the
-restriction to a piece) come from algebra._brackets over L's constants.
+Brackets of vectors (products of subspaces, the restriction to a piece)
+come from L.bracket, and the centralizer's maps are read off L's nonzero
+structure constants; neither reads the dense structure table.
 """
 
 from functools import reduce
 from itertools import product
 from operator import mul
 
-from .algebra import BiHomLieAlgebra, _brackets
+from .algebra import BiHomLieAlgebra
 from .linalg import (Matrix, MatrixSubspace, VectorSubspace, char_poly,
                      nullspace_basis, rank)
 from .derivations import centroid, commutator, derivation_space
@@ -52,8 +53,8 @@ def _refuse_foreign(L, *spaces):
 def product_subspace(L, S, T):
     """Span of all brackets [s, t] over the two bases."""
     _refuse_foreign(L, S, T)
-    return VectorSubspace(L.n, [v for row in _brackets(L, S.basis, T.basis)
-                                for v in row], L.field)
+    vecs = [L.bracket(s, t) for s in S.basis for t in T.basis]
+    return VectorSubspace(L.n, vecs, L.field)
 
 
 def derived_subalgebra(L):
@@ -79,14 +80,18 @@ def centralizer(L, S):
 def _centralizer(L, vectors, two_sided=False):
     """The annihilator kernel: {x : [x, s] = 0 for every s in vectors},
     two_sided also demanding [s, x] = 0. It is the nullspace of the maps
-    x -> [x, s] (and x -> [s, x]), their columns [e_i, s] (and [s, e_i])
-    from the bracket kernel _brackets."""
-    n, zero = L.n, L.field.zero()
-    ident = Matrix.identity(n, L.field).entries
-    maps = list(zip(*_brackets(L, ident, vectors)))
-    if two_sided:
-        maps += _brackets(L, vectors, ident)
-    rows = [row for columns in maps for row in zip(*columns)]
+    x -> [x, s] (and x -> [s, x]), their columns sum_q s_q [e_i, e_q] (and
+    sum_p s_p [e_p, e_i]) read off the nonzero structure constants."""
+    n, zero, constants = L.n, L.field.zero(), L._constants
+    rows = []
+    for s in vectors:
+        right, left = ([[zero] * n for _ in range(n)] for _ in range(2))
+        for (p, q, t), c in constants.items():
+            if s[q]:
+                right[t][p] += s[q] * c
+            if two_sided and s[p]:
+                left[t][q] += s[p] * c
+        rows += right + (left if two_sided else [])
     sols = nullspace_basis(Matrix(rows or [[zero] * n], L.field))
     return VectorSubspace(n, sols, L.field)
 
@@ -239,7 +244,7 @@ def _restrict(L, W):
     def coords(v):
         return [v[i] for i in pivots]
 
-    table = [list(map(coords, row)) for row in _brackets(L, W.basis, W.basis)]
+    table = [[coords(L.bracket(u, w)) for w in W.basis] for u in W.basis]
     alpha, beta = (zip(*[coords(t.apply(w)) for w in W.basis])
                    for t in (L.alpha, L.beta))
     return BiHomLieAlgebra(table, alpha, beta, L.field)

@@ -165,14 +165,15 @@ def test_der_solves_a_huge_exponent_over_a_prime_field(tmp_path, capsys):
     assert "dimension: " in capsys.readouterr().out
 
 
-def test_catalog_refuses_a_power_past_the_bit_bound_before_any_output(
-        capsys):
-    # the same instance replays with no mismatch up to --kmax 600
+def test_catalog_takes_exponents_whose_power_would_not_print(capsys):
+    # alpha^150 has an entry past 4300 digits, but catalog prints no power
+    a, x = 2 ** 100 + 277, 3 ** 60 + 2
     assert main(["catalog", "--entry", "L_1^8", "--params",
-                 "a=1000003,x=999983", "--kmax", "1000", "--lmax", "0"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "alpha^1000 beta^0" in err
+                 "a=%d,x=%d" % (a, x), "--kmax", "150", "--lmax", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "mismatched cells: 0"
+    assert len(out) == 303 and all(line.endswith(": match")
+                                   for line in out[:-1])
 
 
 def test_der_rejects_bad_value(files, capsys):
@@ -346,6 +347,15 @@ def test_iso_witness_rejected(files, tmp_path, capsys):
     assert main(["iso", files["l21"], files["l31"],
                  "--witness", str(wit)]) == 1
     assert "witness rejected" in capsys.readouterr().out
+
+
+def test_iso_witness_across_fields_is_a_usage_error(files, tmp_path, capsys):
+    path = tmp_path / "l110_mod3.json"
+    algfile.dump(isomorphism.reduce_mod_p(build("L_1^10", {}), 3), path)
+    wit = tmp_path / "wit.json"
+    wit.write_text(json.dumps([["1", "0"], ["0", "1"]]))
+    assert main(["iso", files["l110"], str(path), "--witness", str(wit)]) == 2
+    assert "different fields" in capsys.readouterr().err
 
 
 def test_iso_brute_negative(files, capsys):

@@ -189,6 +189,14 @@ def test_intertwiners_refuse_a_different_field():
             intertwiners(A, B)
 
 
+def test_witness_check_refuses_a_different_field():
+    # the same refusal as intertwiners, from the same check
+    L = heisenberg(1, 2, 3, [5], [2])
+    with pytest.raises(FieldMismatchError,
+                       match="the algebras live over different fields"):
+        verify_isomorphism(L, reduce_mod_p(L, 7), Matrix.identity(3, QQ))
+
+
 # --- exhaustive search -----------------------------------------------------
 
 def test_general_linear_group_size_mod_3():

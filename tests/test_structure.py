@@ -135,8 +135,8 @@ def test_centralizer_refuses_a_foreign_subspace(S):
 
 @FOREIGN
 def test_product_subspace_refuses_a_foreign_subspace(S):
-    # the bracket kernel would read the leading coordinates of longer
-    # vectors and return a wrong span
+    # refused up front, as by centralizer, not left to L.bracket's length
+    # check or its coercion of another field's scalars
     full = VectorSubspace.full(2, QQ)
     for pair in ((S, full), (full, S)):
         with pytest.raises(ValueError, match="not a subspace of L"):
