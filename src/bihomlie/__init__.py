@@ -5,14 +5,13 @@ from .fields import QQ, GF, FieldMismatchError, ReductionError
 from .linalg import (Matrix, MatrixSubspace, SingularMatrixError,
                      VectorSubspace, char_poly, nullspace_basis, rank, rref)
 from .algebra import (AxiomReport, BiHomLieAlgebra, CrossCheckError,
-                      NotLieError, TwistError, derivation_extension,
-                      direct_sum, heisenberg, induced_lie, structure_table,
-                      yau_twist)
+                      NotLieError, TwistError, direct_sum, heisenberg,
+                      induced_lie, structure_table, yau_twist)
 from .derivations import (MembershipError, central_derivations, centroid,
-                          commutator, count_members_fp, derivation_grid,
-                          derivation_space, jordan_product, normalize_params,
-                          quasi_centroid, twist_commutant, twist_power,
-                          verify_derivation)
+                          commutator, count_members_fp, derivation_extension,
+                          derivation_grid, derivation_space, jordan_product,
+                          normalize_params, quasi_centroid, twist_commutant,
+                          twist_power, verify_derivation)
 from .structure import (ClosureError, SeriesReport, center, centralizer,
                         decompose, derived_series, derived_subalgebra,
                         is_characteristically_nilpotent, is_ideal,

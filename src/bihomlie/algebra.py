@@ -11,7 +11,8 @@ the nonzero structure constants as field values, and _ints, the int view
 that one plain_rows call makes of the table (see _int_view). Every bracket
 on field values sums over _constants: the pull-back kernel _pullback for
 matrices, and L.bracket, the same sum for one pair of vectors; only the
-algebra itself reads the dense table. Every axiom is
+algebra itself reads the dense table. The sparse kernels sum from the int
+0, so a key exists only once a field value lands in it. Every axiom is
 evaluated by two independent routes. The table route sums the constant
 identities over _constants, to report the first violating total. The basis
 route only decides: it brackets the twists' unit images on _ints with the
@@ -97,7 +98,7 @@ def _constants(table):
             for s, c in enumerate(row) if c}
 
 
-def _pullback(constants, a, b, zero):
+def _pullback(constants, a, b):
     """{(i, j, s): sum_{p,q} a_pi b_qj c_pq^s}, coordinate s of [a(e_i),
     b(e_j)] for matrix entries a, b (columns hold basis images), summed
     over the nonzero constants and entries only. A missing key is zero."""
@@ -106,11 +107,11 @@ def _pullback(constants, a, b, zero):
     for (p, q, s), c in constants.items():
         for i, x in a_rows[p]:
             for j, y in b_rows[q]:
-                out[i, j, s] = out.get((i, j, s), zero) + c * x * y
+                out[i, j, s] = out.get((i, j, s), 0) + c * x * y
     return out
 
 
-def _pushforward(constants, d, zero):
+def _pushforward(constants, d):
     """{(i, j, t): sum_s d_ts c_ij^s}, coordinate t of d([e_i, e_j]) for
     matrix entries d, summed over the nonzero constants and entries only.
     A missing key is zero."""
@@ -118,7 +119,7 @@ def _pushforward(constants, d, zero):
     out = {}
     for (i, j, s), c in constants.items():
         for t, x in d_cols[s]:
-            out[i, j, t] = out.get((i, j, t), zero) + c * x
+            out[i, j, t] = out.get((i, j, t), 0) + c * x
     return out
 
 
@@ -135,19 +136,19 @@ def _cyclic_keys(i, j, k, r):
     return ((i, j, k, r), (k, i, j, r), (j, k, i, r))
 
 
-def _skew_violation(constants, alpha, beta, zero):
+def _skew_violation(constants, alpha, beta):
     """First ("skew", 1-based (i,j,s), total) with a nonzero total
     sum_{p,q} (b_pi a_qj + b_pj a_qi) c_pq^s, or None; alpha and beta are
     Matrices."""
     totals = {}
-    for (i, j, s), v in _pullback(constants, beta.entries, alpha.entries,
-                                  zero).items():
+    for (i, j, s), v in _pullback(constants, beta.entries,
+                                  alpha.entries).items():
         for key in ((i, j, s), (j, i, s)):
-            totals[key] = totals.get(key, zero) + v
+            totals[key] = totals.get(key, 0) + v
     return _first_violation("skew", totals)
 
 
-def _jacobi_violation(constants, alpha, beta, beta2, zero):
+def _jacobi_violation(constants, alpha, beta, beta2):
     """First ("jacobi", 1-based (i,j,k,r), total) with a nonzero twisted
     Jacobi total, or None; alpha, beta and beta2 = beta * beta are
     Matrices."""
@@ -156,7 +157,7 @@ def _jacobi_violation(constants, alpha, beta, beta2, zero):
     # inner(j,k,l) = sum_{q,s} b_qj a_sk c_qs^l, then the outer sum
     # O(i,j,k,r) = sum_{p,l} beta2_pi inner(j,k,l) c_pl^r; the Jacobi
     # total at (i,j,k,r) is O there plus its two cyclic shifts of (i,j,k)
-    inner = _pullback(constants, beta.entries, alpha.entries, zero)
+    inner = _pullback(constants, beta.entries, alpha.entries)
     by_middle = [[] for _ in range(n)]
     for (p, l, r), c in constants.items():
         by_middle[l].append((p, r, c))
@@ -166,18 +167,18 @@ def _jacobi_violation(constants, alpha, beta, beta2, zero):
             for i, x in b2_rows[p]:
                 term = x * w * c
                 for key in _cyclic_keys(i, j, k, r):
-                    totals[key] = totals.get(key, zero) + term
+                    totals[key] = totals.get(key, 0) + term
     return _first_violation("jacobi", totals)
 
 
-def _morphism_violation(constants, target, m, zero, kind):
+def _morphism_violation(constants, target, m, kind):
     """First (kind, 1-based (i,j,s), residual) with m([e_i,e_j]) != [m e_i,
     m e_j], the right-hand bracket that of the target constants and m given
     by its entries, or None. The residual is
     sum_k c_ij^k m_sk - sum_{p,q} m_pi m_qj target_pq^s."""
-    totals = _pushforward(constants, m, zero)
-    for key, v in _pullback(target, m, m, zero).items():
-        totals[key] = totals.get(key, zero) - v
+    totals = _pushforward(constants, m)
+    for key, v in _pullback(target, m, m).items():
+        totals[key] = totals.get(key, 0) - v
     return _first_violation(kind, totals)
 
 
@@ -296,10 +297,6 @@ class BiHomLieAlgebra:
 
     # --- bracket evaluation -------------------------------------------------
 
-    def bracket_basis(self, i, j):
-        """[e_i, e_j] as a coordinate tuple; i, j are 0-based here."""
-        return self.structure[i][j]
-
     def bracket(self, x, y):
         """[x, y], coordinate s the sum of c_pq^s x_p y_q over the nonzero
         constants: _pullback's sum for one pair of vectors, inline, as a
@@ -327,7 +324,7 @@ class BiHomLieAlgebra:
         n, field = self.n, self.field
         brackets, (_, _, au), (_, _, bu) = self._ints
         return _routes_agree("skew-symmetry", _skew_violation(
-            self._constants, self.alpha, self.beta, field.zero()), all(
+            self._constants, self.alpha, self.beta), all(
                 _vanishes((_bracket(brackets, bu[i], au[j]),
                            _bracket(brackets, bu[j], au[i])), field.is_zero)
                 for i in range(n) for j in range(i, n)))
@@ -338,16 +335,16 @@ class BiHomLieAlgebra:
         brackets, (_, _, au), (_, _, bu) = self._ints
         b2 = [_image(bu, x).items() for x in bu]
         return _routes_agree("BiHom-Jacobi", _jacobi_violation(
-            self._constants, self.alpha, self.beta, beta2, field.zero()),
+            self._constants, self.alpha, self.beta, beta2),
             _jacobi_holds(brackets, b2, bu, au, field.is_zero))
 
     def check_multiplicative(self):
         """Both twists are bracket endomorphisms. Returns (ok, first)."""
-        zero, constants = self.field.zero(), self._constants
+        constants = self._constants
         first = (_morphism_violation(constants, constants, self.alpha.entries,
-                                     zero, "multiplicative-alpha")
+                                     "multiplicative-alpha")
                  or _morphism_violation(constants, constants,
-                                        self.beta.entries, zero,
+                                        self.beta.entries,
                                         "multiplicative-beta"))
         # scale * m([e_i, e_j]) == [m e_i, m e_j] for each scaled twist m
         brackets, *twists = self._ints
@@ -390,9 +387,9 @@ def classical_lie_check(table, field):
 
 
 def _classical_lie(constants, n, field):
-    zero, one = field.zero(), Matrix.identity(n, field)
-    return (_skew_violation(constants, one, one, zero) is None,
-            _jacobi_violation(constants, one, one, one, zero) is None)
+    one = Matrix.identity(n, field)
+    return (_skew_violation(constants, one, one) is None,
+            _jacobi_violation(constants, one, one, one) is None)
 
 
 def _lie_constants(table, field):
@@ -418,25 +415,24 @@ def yau_twist(table, alpha, beta, field=QQ):
         alpha = Matrix(alpha, field)
     if not isinstance(beta, Matrix):
         beta = Matrix(beta, field)
-    constants, zero = _lie_constants(table, field), field.zero()
+    constants = _lie_constants(table, field)
     if alpha * beta != beta * alpha:
         raise TwistError("twist maps do not commute")
     for name, m in (("alpha", alpha), ("beta", beta)):
-        if _morphism_violation(constants, constants, m.entries, zero,
+        if _morphism_violation(constants, constants, m.entries,
                                name) is not None:
             raise TwistError("%s is not a morphism of the input bracket" % name)
-    twisted = _pullback(constants, alpha.entries, beta.entries, zero)
-    return BiHomLieAlgebra(_dense(len(table), twisted, zero), alpha, beta,
-                           field)
+    twisted = _pullback(constants, alpha.entries, beta.entries)
+    return BiHomLieAlgebra(_dense(len(table), twisted, field.zero()), alpha,
+                           beta, field)
 
 
 def induced_lie(L):
     """Classical structure table [x,y]' = [alpha^-1 x, beta^-1 y]; regular only."""
     if not L.is_regular():
         raise TwistError("induced Lie bracket needs bijective twist maps")
-    zero = L.field.zero()
     return _dense(L.n, _pullback(L._constants, invert(L.alpha).entries,
-                                 invert(L.beta).entries, zero), zero)
+                                 invert(L.beta).entries), L.field.zero())
 
 
 def heisenberg(m, a, x, b_list, y_list, field=QQ):
@@ -462,56 +458,11 @@ def heisenberg(m, a, x, b_list, y_list, field=QQ):
     for i in range(1, m + 1):
         entries[i, m + i, n] = 1
         entries[m + i, i, n] = -1
-    diag = b_list + [a / b for b in b_list] + [a]
-    alpha = Matrix([[diag[i] if i == j else zero for j in range(n)]
-                    for i in range(n)], field)
-    diag = y_list + [x / y for y in y_list] + [x]
-    beta = Matrix([[diag[i] if i == j else zero for j in range(n)]
-                   for i in range(n)], field)
+    alpha, beta = (Matrix([[diag[i] if i == j else zero for j in range(n)]
+                           for i in range(n)], field)
+                   for diag in (b_list + [a / b for b in b_list] + [a],
+                                y_list + [x / y for y in y_list] + [x]))
     return yau_twist(structure_table(n, entries, field), alpha, beta, field)
-
-
-def derivation_extension(table, D, a, b, field=QQ):
-    """Extend a Lie algebra by a scaled-derivation direction.
-
-    The input table is classical; D must satisfy the scaled Leibniz identity
-    b*D([u,v]) = a*[D(u), v] + a*[u, D(v)] for the classical bracket. The
-    result lives on n+1 dimensions with D adjoined as the last basis vector:
-    brackets [e_i, D] = -b*D(e_i), [D, e_j] = a*D(e_j), twists extend the
-    identity on the original space by alpha(D) = a*D and beta(D) = b*D.
-    The constructed algebra is axiom-checked by the caller's tests, not here.
-    """
-    n = len(table)
-    a = field.coerce(a)
-    b = field.coerce(b)
-    zero = field.zero()
-    table = _coerce_table(table, field)
-    if not isinstance(D, Matrix):
-        D = Matrix(D, field)
-    if (D.rows, D.cols) != (n, n):
-        raise ValueError("D is not %d x %d" % (n, n))
-    constants = _lie_constants(table, field)
-    # b*D([e_i,e_j]) - a*[D(e_i), e_j] - a*[e_i, D(e_j)] at every (i, j, s)
-    ident = Matrix.identity(n, field).entries
-    totals = {key: b * v for key, v
-              in _pushforward(constants, D.entries, zero).items()}
-    for pulled in (_pullback(constants, D.entries, ident, zero),
-                   _pullback(constants, ident, D.entries, zero)):
-        for key, v in pulled.items():
-            totals[key] = totals.get(key, zero) - a * v
-    first = _first_violation("scaled", totals)
-    if first is not None:
-        raise ValueError("D is not a scaled derivation: fails at basis pair "
-                         "(%d, %d)" % first[1][:2])
-    for s, row in enumerate(D.entries):
-        for i, x in enumerate(row):
-            if x:
-                constants[i, n, s] = -b * x
-                constants[n, i, s] = a * x
-    alpha, beta = ([[(x if i == n else field.one()) if i == j else zero
-                     for j in range(n + 1)] for i in range(n + 1)]
-                   for x in (a, b))
-    return BiHomLieAlgebra(_dense(n + 1, constants, zero), alpha, beta, field)
 
 
 def direct_sum(A, B):

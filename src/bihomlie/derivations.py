@@ -17,7 +17,8 @@ keeps the output stable.
 
 Every basis member is re-verified by verify_derivation, bracket by bracket
 and independently of the blocks, in the membership kernel _is_member, which
-the F_p census count_members_fp runs on every candidate too. The kernel
+the F_p census count_members_fp runs on every candidate too, and
+derivation_extension on its map. The kernel
 computes on ints: it reads the algebra's int view (algebra._int_view) and,
 per (k, l), one twist power (M, int rows of M m) from plain_rows, which the
 blocks read too. Each term of the identity has degree one in d and in the
@@ -30,10 +31,11 @@ and the commutant (solved on the first solve); solved spaces are not kept.
 from functools import cached_property
 from itertools import product
 
-from .algebra import _bracket, _pullback, _pushforward
+from .algebra import (BiHomLieAlgebra, NotLieError, _bracket, _dense,
+                      _pullback, _pushforward)
 from .fields import FieldMismatchError, QQ
-from .linalg import (MatrixSubspace, VectorSubspace, _matrix, _row_support,
-                     nullspace_basis)
+from .linalg import (Matrix, MatrixSubspace, VectorSubspace, _matrix,
+                     _row_support, nullspace_basis)
 
 
 class MembershipError(AssertionError):
@@ -142,6 +144,46 @@ def _is_member(d, brackets, alpha, beta, m, lam, mu, gamma, is_zero):
     return True
 
 
+def derivation_extension(table, D, a, b, field=QQ):
+    """Extend a Lie algebra by a scaled-derivation direction.
+
+    The input table is classical; D must satisfy the scaled Leibniz identity
+    b*D([u,v]) = a*[D(u), v] + a*[u, D(v)] for the classical bracket. The
+    result lives on n+1 dimensions with D adjoined as the last basis vector:
+    brackets [e_i, D] = -b*D(e_i), [D, e_j] = a*D(e_j), twists extend the
+    identity on the original space by alpha(D) = a*D and beta(D) = b*D.
+    The table is checked by check_all of its identity-twisted algebra, D by
+    verify_derivation at (lam, mu, gamma) = (b, a, a); the constructed
+    algebra is axiom-checked by the caller's tests, not here.
+    """
+    n = len(table)
+    a, b = field.coerce(a), field.coerce(b)
+    if not isinstance(D, Matrix):
+        D = Matrix(D, field)
+    if (D.rows, D.cols) != (n, n):
+        raise ValueError("D is not %d x %d" % (n, n))
+    one = Matrix.identity(n, field)
+    classical = BiHomLieAlgebra(table, one, one, field)
+    report = classical.check_all()
+    if not (report.skew_symmetric and report.bihom_jacobi):
+        raise NotLieError("input table is not a Lie algebra (skew=%s, "
+                          "jacobi=%s)" % (report.skew_symmetric,
+                                          report.bihom_jacobi))
+    if not verify_derivation(classical, D, b, a, a):
+        raise ValueError("D is not a scaled derivation")
+    constants = dict(classical._constants)
+    for s, row in enumerate(D.entries):
+        for i, x in enumerate(row):
+            if x:
+                constants[i, n, s] = -b * x
+                constants[n, i, s] = a * x
+    zero = field.zero()
+    alpha, beta = ([[(x if i == n else field.one()) if i == j else zero
+                     for j in range(n + 1)] for i in range(n + 1)]
+                   for x in (a, b))
+    return BiHomLieAlgebra(_dense(n + 1, constants, zero), alpha, beta, field)
+
+
 class SolveContext:
     """Solver state fixed per algebra, built once by _solver: the lam
     block, per (k, l) the scaled twist power and the mu and gamma blocks,
@@ -179,7 +221,7 @@ class SolveContext:
     @cached_property
     def _lam_block(self):
         """The lam block, built once: it does not depend on the power."""
-        return [_pushforward(self.L._constants, b.entries, self.L.field.zero())
+        return [_pushforward(self.L._constants, b.entries)
                 for b in self.commutant.basis]
 
     def _residual_blocks(self, m):
@@ -187,11 +229,11 @@ class SolveContext:
         entry rows: per commutant basis member B_r, a map from (i, j, s) to
         coordinate s of d([e_i,e_j]), [d(e_i), m(e_j)] and [m(e_i), d(e_j)]
         at d = B_r. A missing key is zero. Only mu and gamma depend on m."""
-        constants, zero = self.L._constants, self.L.field.zero()
+        constants = self.L._constants
         basis = [b.entries for b in self.commutant.basis]
         return (self._lam_block,
-                [_pullback(constants, d, m, zero) for d in basis],
-                [_pullback(constants, m, d, zero) for d in basis])
+                [_pullback(constants, d, m) for d in basis],
+                [_pullback(constants, m, d) for d in basis])
 
     def solve(self, lam, mu, gamma, k=0, l=0):
         """The MatrixSubspace at one triple and exponent pair; every basis

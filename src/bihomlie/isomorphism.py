@@ -49,7 +49,7 @@ def verify_isomorphism(L, L2, f):
     if f * L.alpha != L2.alpha * f or f * L.beta != L2.beta * f:
         return False
     return _morphism_violation(L._constants, L2._constants, f.entries,
-                               L.field.zero(), "isomorphism") is None
+                               "isomorphism") is None
 
 
 def transport(L, f):
@@ -60,9 +60,8 @@ def transport(L, f):
     """
     f = _as_witness(f, L)
     finv = invert(f)
-    zero = L.field.zero()
-    pulled = _pullback(L._constants, finv.entries, finv.entries, zero)
-    table = _dense(L.n, _pushforward(pulled, f.entries, zero), zero)
+    pulled = _pullback(L._constants, finv.entries, finv.entries)
+    table = _dense(L.n, _pushforward(pulled, f.entries), L.field.zero())
     return BiHomLieAlgebra(table, f * L.alpha * finv, f * L.beta * finv,
                            L.field)
 

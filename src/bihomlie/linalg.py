@@ -37,26 +37,23 @@ class Matrix:
         self.cols = ncols
         self.entries = tuple(tuple(field.coerce(x) for x in r) for r in rows)
 
-    @classmethod
-    def identity(cls, n, field):
+    @staticmethod
+    def identity(n, field):
         one, zero = field.one(), field.zero()
-        return cls([[one if i == j else zero for j in range(n)]
-                    for i in range(n)], field)
+        return _matrix([[one if i == j else zero for j in range(n)]
+                        for i in range(n)], field)
 
-    @classmethod
-    def zero(cls, rows, cols, field):
+    @staticmethod
+    def zero(rows, cols, field):
         z = field.zero()
-        return cls([[z] * cols for _ in range(rows)], field)
+        return _matrix([[z] * cols for _ in range(rows)], field)
 
-    @classmethod
-    def unit(cls, n, i, j, field):
+    @staticmethod
+    def unit(n, i, j, field):
         """n x n matrix with a single 1 in row i, column j (0-based)."""
         m = [[field.zero()] * n for _ in range(n)]
         m[i][j] = field.one()
-        return cls(m, field)
-
-    def col(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return _matrix(m, field)
 
     def _check_field(self, other):
         if self.field != other.field:
@@ -289,7 +286,8 @@ class VectorSubspace:
 
     @classmethod
     def full(cls, n, field):
-        return cls(n, Matrix.identity(n, field).entries, field)
+        # an identity is its own reduced row echelon form
+        return cls._of(n, Matrix.identity(n, field).entries, field)
 
     @classmethod
     def zero(cls, n, field):

@@ -215,9 +215,10 @@ def decompose(L):
     the first basis member c of its C2 and eigenvalue r in the field that
     give two nonzero ideals, and each piece is decomposed again as an
     algebra of its own. A piece that does not split is certified
-    indecomposable, over Q when the trace form of its C2 has rank 1, over
-    F_p when a scan of its C2 finds no idempotent other than 0 and 1.
-    complete is False when some piece is neither split nor certified.
+    indecomposable when its C2 is the scalars (dim 1, as C2 holds I), over
+    Q when the trace form of its C2 has rank 1, over F_p when a scan of
+    its C2 finds no idempotent other than 0 and 1. complete is False when
+    some piece is neither split nor certified.
     """
     field = L.field
     summands, complete = [], True
@@ -255,6 +256,8 @@ def _split(L):
     certified indecomposable)."""
     n, field, p = L.n, L.field, L.field.characteristic
     c2 = centroid(L, 0, 0).intersection(derivation_space(L, 1, 0, 1))
+    if c2.dim == 1:     # C2 holds the identity: here it is the scalars
+        return None, True
     one = Matrix.identity(n, field)
     for c in c2.basis:
         for r in _eigenvalues(c):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -14,16 +15,7 @@ from bihomlie import algfile
 from bihomlie.algebra import classical_lie_check
 from bihomlie.fields import GF, QQ
 from bihomlie.linalg import Matrix, invert, is_invertible
-
-
-IDENT = [[1, 0], [0, 1]]
-
-
-def l_1_10():
-    # brackets [e1,e2] = e1+e2, [e2,e1] = -(e1+e2), identity twists
-    return BiHomLieAlgebra.from_brackets(2, {
-        (1, 2, 1): 1, (1, 2, 2): 1, (2, 1, 1): -1, (2, 1, 2): -1,
-    }, IDENT, IDENT)
+from builders import IDENT, l_1_10
 
 
 def classical_heisenberg_table(n=3):
@@ -308,6 +300,91 @@ def test_derivation_extension_rejects_wrong_shape(D):
         derivation_extension(table, D, 1, 1)
 
 
+def scaled_first_violation(table, D, a, b):
+    """The reference verdict for derivation_extension, summed by the push-
+    forward and pull-back kernels: the first ("scaled", (i, j, s), total)
+    with a nonzero b*D([e_i,e_j]) - a*[D(e_i), e_j] - a*[e_i, D(e_j)] at
+    coordinate s, or None. D is given by its entries."""
+    constants = algebra_module._constants(table)
+    ident = Matrix.identity(len(table), QQ).entries
+    totals = {key: b * v for key, v
+              in algebra_module._pushforward(constants, D).items()}
+    for pulled in (algebra_module._pullback(constants, D, ident),
+                   algebra_module._pullback(constants, ident, D)):
+        for key, v in pulled.items():
+            totals[key] = totals.get(key, 0) - a * v
+    return algebra_module._first_violation("scaled", totals)
+
+
+def sl2_table():
+    # basis (e, f, h): [e, f] = h, [h, e] = 2e, [h, f] = -2f
+    return structure_table(3, {(1, 2, 3): 1, (2, 1, 3): -1, (3, 1, 1): 2,
+                               (1, 3, 1): -2, (3, 2, 2): -2, (2, 3, 2): 2},
+                           QQ)
+
+
+def test_derivation_extension_accepts_what_the_scaled_residual_accepts():
+    # candidates: members of the solved (b, a, a) space of the identity-
+    # twisted table, members with one entry moved, and random maps
+    rng = random.Random(33)
+    cases = []
+    for table in (classical_heisenberg_table(), structure_table(2, {}, QQ),
+                  sl2_table()):
+        ident = Matrix.identity(len(table), QQ)
+        plain = BiHomLieAlgebra(table, ident, ident)
+        cases += [(table, a, b, bh.derivation_space(plain, b, a, a))
+                  for a, b in ((1, 1), (2, 1), (1, -1))]
+    verdicts = {True: 0, False: 0}
+    for t in range(300):
+        table, a, b, space = cases[t % len(cases)]
+        n = len(table)
+        D = Matrix.zero(n, n, QQ)
+        for member in space.basis:
+            D = D + member * rng.randrange(-3, 4)
+        kind = t // len(cases) % 3
+        if kind:
+            moved = [list(row) for row in D.entries]
+            moved[rng.randrange(n)][rng.randrange(n)] += rng.randrange(1, 3)
+            D = Matrix(moved if kind == 1 else
+                       [[rng.randrange(-2, 3) for _ in range(n)]
+                        for _ in range(n)], QQ)
+        expected = scaled_first_violation(table, D.entries, a, b) is None
+        try:
+            accepted = derivation_extension(table, D, a, b).n == n + 1
+        except ValueError as exc:
+            assert str(exc) == "D is not a scaled derivation"
+            accepted = False
+        assert accepted == expected, (table, D, a, b)
+        verdicts[accepted] += 1
+    assert verdicts == {True: 184, False: 116}, verdicts
+
+
+@pytest.mark.parametrize("entries, verdict", [
+    ({(1, 2, 1): 1}, "skew=False, jacobi=True"),
+    ({(1, 2, 3): 1, (2, 1, 3): -1, (2, 3, 2): 1, (3, 2, 2): -1},
+     "skew=True, jacobi=False"),
+], ids=["skew", "jacobi"])
+def test_derivation_extension_refuses_a_table_that_is_not_lie(entries,
+                                                              verdict):
+    n = max(max(key) for key in entries)
+    table = structure_table(n, entries, QQ)
+    with pytest.raises(NotLieError, match=re.escape(
+            "input table is not a Lie algebra (%s)" % verdict)):
+        derivation_extension(table, [[0] * n for _ in range(n)], 1, 1)
+
+
+def test_derivation_extension_checks_its_table_along_both_routes(
+        monkeypatch):
+    # a table route that misses the Jacobi violation is caught by the
+    # basis route of the identity-twisted algebra
+    monkeypatch.setattr(algebra_module, "_jacobi_violation",
+                        lambda *args: None)
+    table = structure_table(3, {(1, 2, 3): 1, (2, 1, 3): -1, (2, 3, 2): 1,
+                                (3, 2, 2): -1}, QQ)
+    with pytest.raises(CrossCheckError, match="BiHom-Jacobi routes disagree"):
+        derivation_extension(table, [[0] * 3 for _ in range(3)], 1, 1)
+
+
 # --- direct sum ----------------------------------------------------------
 
 def test_direct_sum_abelian():
@@ -315,7 +392,7 @@ def test_direct_sum_abelian():
     B = BiHomLieAlgebra.from_brackets(1, {}, [[1]], [[1]])
     S = direct_sum(A, B)
     assert S.n == 2
-    assert all(S.bracket_basis(i, j) == (0, 0) for i in range(2)
+    assert all(S.structure[i][j] == (0, 0) for i in range(2)
                for j in range(2))
 
 

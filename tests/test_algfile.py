@@ -93,12 +93,12 @@ def test_integer_values_accepted():
     doc = minimal_doc(brackets=[{"i": 1, "j": 2, "k": 1, "value": 2},
                                 {"i": 2, "j": 1, "k": 1, "value": -2}])
     L = loads(json.dumps(doc)).algebra
-    assert L.bracket_basis(0, 1) == (Fraction(2), Fraction(0))
+    assert L.structure[0][1] == (Fraction(2), Fraction(0))
 
 
 def test_unlisted_brackets_are_zero():
     L = loads(json.dumps(minimal_doc(brackets=[]))).algebra
-    assert all(L.bracket_basis(i, j) == (Fraction(0), Fraction(0))
+    assert all(L.structure[i][j] == (Fraction(0), Fraction(0))
                for i in range(2) for j in range(2))
 
 
@@ -107,7 +107,7 @@ def test_prime_field_values_reduce():
                       brackets=[{"i": 1, "j": 2, "k": 1, "value": "1/2"},
                                 {"i": 2, "j": 1, "k": 1, "value": "-1/2"}])
     L = loads(json.dumps(doc)).algebra
-    assert L.bracket_basis(0, 1)[0] == GF(3).coerce(2)
+    assert L.structure[0][1][0] == GF(3).coerce(2)
 
 
 # --- rejected input shapes -------------------------------------------------

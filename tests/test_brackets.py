@@ -32,8 +32,9 @@ def reference_verify(L, L2, f):
         return False
     if f * L.alpha != L2.alpha * f or f * L.beta != L2.beta * f:
         return False
-    return all(f.apply(L.bracket_basis(i, j))
-               == dense_bracket(L2, f.col(i), f.col(j))
+    cols = f.transpose().entries
+    return all(f.apply(L.structure[i][j])
+               == dense_bracket(L2, cols[i], cols[j])
                for i in range(L.n) for j in range(L.n))
 
 

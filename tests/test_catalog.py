@@ -377,13 +377,13 @@ def test_replay_checks_each_instance_flag_once(monkeypatch):
 
 def test_build_identity_twist_family():
     L = build("L_1^10", {})
-    assert L.bracket_basis(0, 1) == (F(1), F(1))
+    assert L.structure[0][1] == (F(1), F(1))
     assert L.alpha.is_identity() and L.beta.is_identity()
 
 
 def test_build_scaled_pair_bracket_value():
     L = build("L_1^8", {"a": 2, "x": 3})
-    assert L.bracket_basis(1, 0) == (Fraction(-3, 2), F(0))
+    assert L.structure[1][0] == (Fraction(-3, 2), F(0))
 
 
 def test_build_accepts_string_and_fraction_params():

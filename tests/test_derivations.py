@@ -10,27 +10,7 @@ from bihomlie.fields import (GF, QQ, FieldMismatchError, PrimeField,
                              RationalField, ReductionError)
 from bihomlie.linalg import (Matrix, MatrixSubspace, is_invertible,
                              nullspace_basis)
-
-
-IDENT = [[1, 0], [0, 1]]
-
-
-def l_1_10():
-    return BiHomLieAlgebra.from_brackets(2, {
-        (1, 2, 1): 1, (1, 2, 2): 1, (2, 1, 1): -1, (2, 1, 2): -1,
-    }, IDENT, IDENT)
-
-
-def l_1_1(b=2, y=3, z1=0):
-    return BiHomLieAlgebra.from_brackets(2, {
-        (1, 1, 1): 1, (1, 2, 1): 1, (2, 1, 1): z1,
-    }, [[0, 0], [0, b]], [[0, 0], [0, y]])
-
-
-def l_1_8(a=2, x=3):
-    return BiHomLieAlgebra.from_brackets(2, {
-        (1, 2, 1): 1, (2, 1, 1): Fraction(-x, a),
-    }, [[a, 0], [0, 1]], [[x, 0], [0, 1]])
+from builders import IDENT, l_1_1, l_1_10, l_1_8
 
 
 def l_1_17(z=2):
@@ -210,7 +190,7 @@ def test_der_010_maps_into_centralizer():
             space = bh.derivation_space(L, 0, 1, 0, k, l)
             m = bh.twist_power(L, k, l)
             image = bh.VectorSubspace(
-                L.n, [m.col(j) for j in range(L.n)], L.field)
+                L.n, m.transpose().entries, L.field)
             cz = bh.centralizer(L, image)
             for d in space.basis:
                 for j in range(L.n):
@@ -1051,3 +1031,44 @@ def test_yau_twisted_sl_untwists_to_its_classical_spaces():
         for triple in CANONICAL_TRIPLES:
             want = bh.derivation_space(plain, *triple).intersection(commutant)
             assert bh.derivation_space(L, *triple) == want, (L, triple)
+
+
+# --- every exponent pair from the (0,0) space ------------------------------
+
+def _twist_power_oracle_algebras():
+    """The pinned catalog samples, twisted Heisenberg algebras at m = 1..3,
+    the twisted sl_3, and the mod-101 reduction of each that has one."""
+    algebras = [catalog.build(fid, params) for fid in catalog.family_ids()
+                for params in catalog.pinned_samples(fid)]
+    algebras += [heisenberg(1, 6, 10, [2], [3]),
+                 heisenberg(2, 6, 10, [2, 2], [3, 5]),
+                 heisenberg(3, 6, 10, [2, 3, 5], [7, 11, 13]),
+                 _sl(3, [2, 3, 5], [7, 11, 13])[0]]
+    reduced = []
+    for L in algebras:
+        try:
+            reduced.append(bh.reduce_mod_p(L, 101))
+        except ReductionError:
+            pass
+    return algebras + reduced
+
+
+def test_twist_power_carries_the_untwisted_space():
+    # m = alpha^k beta^l maps D(0,0) into D(k,l), onto when L is regular
+    # (README, "Every exponent pair from one solve"); D(k,l) is solved
+    # from the blocks at m, D(0,0) from those at the identity
+    checks = {True: 0, False: 0}
+    for L in _twist_power_oracle_algebras():
+        regular = L.is_regular()
+        powers = {(k, l): bh.twist_power(L, k, l)
+                  for k, l in ((1, 0), (0, 1), (2, 1))}
+        for triple in CANONICAL_TRIPLES:
+            untwisted = bh.derivation_space(L, *triple).basis
+            for (k, l), m in powers.items():
+                image = MatrixSubspace(L.n, [m * d for d in untwisted],
+                                       L.field)
+                space = bh.derivation_space(L, *triple, k, l)
+                assert (space == image if regular
+                        else space.contains_subspace(image)), (L, triple, k, l)
+                checks[regular] += 1
+    assert checks == {True: 576, False: 2928}, checks

@@ -9,27 +9,7 @@ from bihomlie import (BiHomLieAlgebra, Matrix, VectorSubspace, heisenberg,
                       linalg, structure)
 from bihomlie.fields import GF, QQ
 from bihomlie.structure import _eigenvalues
-
-
-IDENT = [[1, 0], [0, 1]]
-
-
-def l_1_10():
-    return BiHomLieAlgebra.from_brackets(2, {
-        (1, 2, 1): 1, (1, 2, 2): 1, (2, 1, 1): -1, (2, 1, 2): -1,
-    }, IDENT, IDENT)
-
-
-def l_1_1(b=2, y=3, z1=0):
-    return BiHomLieAlgebra.from_brackets(2, {
-        (1, 1, 1): 1, (1, 2, 1): 1, (2, 1, 1): z1,
-    }, [[0, 0], [0, b]], [[0, 0], [0, y]])
-
-
-def l_1_8(a=2, x=3):
-    return BiHomLieAlgebra.from_brackets(2, {
-        (1, 2, 1): 1, (2, 1, 1): Fraction(-x, a),
-    }, [[a, 0], [0, 1]], [[x, 0], [0, 1]])
+from builders import IDENT, l_1_1, l_1_10, l_1_8
 
 
 def l_1_9():
@@ -411,6 +391,19 @@ def test_decompose_over_f3():
                                       [[1, 0], [0, 0]], [[0, 0], [0, 1]],
                                       field=F3)
     assert decomposed(L) == (2, True)
+
+
+@pytest.mark.parametrize("p", [100003, 10007])
+def test_decompose_certifies_scalar_centroids_over_large_primes(p):
+    # a piece whose two-sided centroid is the scalars has no idempotent
+    # but 0 and 1, so it is certified without the residue scan, which is
+    # refused past 10^5 candidates
+    F = GF(p)
+    assert decomposed(BiHomLieAlgebra([[[0]]], [[2]], [[3]], F)) == (1, True)
+    L = bh.direct_sum(heisenberg(1, 6, 10, [2], [3]),
+                      heisenberg(1, 35, 77, [5], [7]))
+    summands, complete = bh.decompose(bh.reduce_mod_p(L, p))
+    assert [S.dim for S in summands] == [3, 3] and complete
 
 
 def test_decompose_eigenvalue_candidates_are_bounded():
