@@ -7,7 +7,6 @@ tabulation (each deviation is re-derived in the test suite).
 """
 
 import ast
-import hashlib
 import json
 import re
 from fractions import Fraction
@@ -199,9 +198,13 @@ class CatalogFamily:
 
 
 def _samples_digest(families):
+    try:  # the builtin module, as random.py does: OpenSSL costs 3.7 MB RSS
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
     blob = json.dumps({f["id"]: f["samples"] for f in families},
                       sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+    return sha256(blob.encode("ascii")).hexdigest()
 
 
 @cache

@@ -7,29 +7,22 @@ interest is every operator d that commutes with both twist maps and satisfies
 
 Every such d lies in the twist commutant. A SolveContext solves the
 commutant of one algebra once, with basis B_1..B_c, and writes
-d = sum_r x_r B_r. The identity is linear in (lam, mu, gamma), so the
-context builds three residual blocks from the algebra's nonzero constants:
-the coordinates of d([e_i,e_j]) at d = B_r once, those of [d(e_i), m(e_j)]
-and [m(e_i), d(e_j)] per (k, l). A triple combines the blocks into a
-system in the x_r; its nullspace, mapped back through the B_r, spans the
-space, a MatrixSubspace kept by the rref of its vectorized basis, which
-keeps the output stable.
+d = sum_r x_r B_r. From the algebra's nonzero constants it builds three
+residual blocks, the coordinates of d([e_i,e_j]) at d = B_r once and those
+of [d(e_i), m(e_j)] and [m(e_i), d(e_j)] per (k, l); a triple combines them
+into a system in the x_r whose nullspace, mapped back through the B_r,
+spans the space, a MatrixSubspace kept by its canonical basis.
 
-Every basis member is re-verified by verify_derivation, bracket by bracket
-and independently of the blocks, in the membership kernel _is_member, which
-the F_p census count_members_fp runs on every candidate too, and
-derivation_extension on its map. The kernel
-computes on ints: it reads the algebra's int view (algebra._int_view) and,
-per (k, l), one twist power (M, int rows of M m) from plain_rows, which the
-blocks read too. Each term of the identity has degree one in d and in the
-constants, and the mu and gamma terms one more factor of m, so the scales
-only multiply the identity by a nonzero int once lam carries M. Each
-algebra keeps one context, in its _solver slot, with the powers, the blocks
-and the commutant (solved on the first solve); solved spaces are not kept.
+The membership kernel _residual evaluates the identity and the twist
+commutation on ints, apart from the blocks, from the algebra's int view and
+per (k, l) one twist power (M, int rows of M m), lam scaled by M.
+verify_derivation, which re-verifies every solved member, accepts d when
+the residual is empty; the F_p census count_members_fp reads it at the unit
+matrices as linear forms. Each algebra keeps one context, in its _solver
+slot: the powers, the blocks and the commutant.
 """
 
 from functools import cached_property
-from itertools import product
 
 from .algebra import (BiHomLieAlgebra, NotLieError, _bracket, _dense,
                       _pullback, _pushforward)
@@ -88,25 +81,6 @@ def twist_commutant(L):
     return _solver(L).commutant
 
 
-def _commutes(d, twist, is_zero):
-    """d*m == m*d for int entry rows d and a twist (scale, rows, columns)
-    of the algebra's int view, compared entry by entry up to the first
-    mismatch; zero entries of d are skipped."""
-    _, m_rows, m_cols = twist
-    for d_row, m_row in zip(d, m_rows):
-        for j, m_col in enumerate(m_cols):
-            left = right = 0
-            for t, x in m_col:
-                if d_row[t]:
-                    left += d_row[t] * x
-            for t, x in m_row:
-                if d[t][j]:
-                    right += x * d[t][j]
-            if (left or right) and not is_zero(left - right):
-                return False
-    return True
-
-
 def verify_derivation(L, d, lam, mu, gamma, k=0, l=0):
     """Independent membership check on all basis pairs (no linear system)."""
     if d.rows != L.n or d.cols != L.n:
@@ -114,17 +88,28 @@ def verify_derivation(L, d, lam, mu, gamma, k=0, l=0):
     if d.field != L.field:
         raise FieldMismatchError(
             "mixed fields %r and %r" % (d.field, L.field))
-    return _is_member(L.field.plain_rows(d.entries)[1],
-                      *_solver(L).problem(lam, mu, gamma, k, l))
+    return not _residual(L.field.plain_rows(d.entries)[1],
+                         *_solver(L).problem(lam, mu, gamma, k, l))
 
 
-def _is_member(d, brackets, alpha, beta, m, lam, mu, gamma, is_zero):
-    """The membership kernel: verify_derivation on ints. d and m are int
-    entry rows, brackets, alpha and beta the algebra's int view, lam,
-    mu and gamma scaled as SolveContext.problem gives them, and is_zero is
-    the field's zero test."""
-    if not (_commutes(d, alpha, is_zero) and _commutes(d, beta, is_zero)):
-        return False
+def _residual(d, brackets, alpha, beta, m, lam, mu, gamma, is_zero):
+    """The membership kernel: {position: int} for the entries nonzero in the
+    field, at (twist, i, j) of d t - t d, twist "alpha" or "beta", and at
+    (i, j, s) of lam d([e_i,e_j]) - mu [d(e_i), m(e_j)] - gamma [m(e_i),
+    d(e_j)], for int entry rows d and m; zero entries are skipped."""
+    out = {}
+    for name, (_, t_rows, t_cols) in (("alpha", alpha), ("beta", beta)):
+        for i, (d_row, t_row) in enumerate(zip(d, t_rows)):
+            for j, t_col in enumerate(t_cols):
+                left = right = 0
+                for t, x in t_col:
+                    if d_row[t]:
+                        left += d_row[t] * x
+                for t, x in t_row:
+                    if d[t][j]:
+                        right += x * d[t][j]
+                if (left or right) and not is_zero(left - right):
+                    out[name, i, j] = left - right
     # d(e_i) and m(e_i) are the i-th columns
     d_cols, m_cols = _row_support(zip(*d)), _row_support(zip(*m))
     for i, (d_i, m_i) in enumerate(zip(d_cols, m_cols)):
@@ -138,26 +123,23 @@ def _is_member(d, brackets, alpha, beta, m, lam, mu, gamma, is_zero):
             if not (image or t1 or t2):
                 continue
             for s in image.keys() | t1.keys() | t2.keys():
-                if not is_zero(lam * image.get(s, 0) - mu * t1.get(s, 0)
-                               - gamma * t2.get(s, 0)):
-                    return False
-    return True
+                v = (lam * image.get(s, 0) - mu * t1.get(s, 0)
+                     - gamma * t2.get(s, 0))
+                if not is_zero(v):
+                    out[i, j, s] = v
+    return out
 
 
-def derivation_extension(table, D, a, b, field=QQ):
-    """Extend a Lie algebra by a scaled-derivation direction.
+def derivation_extension(table, D, field=QQ):
+    """Adjoin a derivation D of a classical Lie table as a basis vector.
 
-    The input table is classical; D must satisfy the scaled Leibniz identity
-    b*D([u,v]) = a*[D(u), v] + a*[u, D(v)] for the classical bracket. The
-    result lives on n+1 dimensions with D adjoined as the last basis vector:
-    brackets [e_i, D] = -b*D(e_i), [D, e_j] = a*D(e_j), twists extend the
-    identity on the original space by alpha(D) = a*D and beta(D) = b*D.
-    The table is checked by check_all of its identity-twisted algebra, D by
-    verify_derivation at (lam, mu, gamma) = (b, a, a); the constructed
-    algebra is axiom-checked by the caller's tests, not here.
+    The result is the classical semidirect product on n+1 dimensions, D the
+    last basis vector, with brackets [e_i, D] = -D(e_i), [D, e_j] = D(e_j)
+    and identity twists; yau_twist twists it. The table is checked by
+    check_all of its identity-twisted algebra, D by verify_derivation at
+    (1, 1, 1), and the result by check_all: a failure there is a bug.
     """
     n = len(table)
-    a, b = field.coerce(a), field.coerce(b)
     if not isinstance(D, Matrix):
         D = Matrix(D, field)
     if (D.rows, D.cols) != (n, n):
@@ -169,19 +151,17 @@ def derivation_extension(table, D, a, b, field=QQ):
         raise NotLieError("input table is not a Lie algebra (skew=%s, "
                           "jacobi=%s)" % (report.skew_symmetric,
                                           report.bihom_jacobi))
-    if not verify_derivation(classical, D, b, a, a):
-        raise ValueError("D is not a scaled derivation")
+    if not verify_derivation(classical, D, 1, 1, 1):
+        raise ValueError("D is not a derivation")
     constants = dict(classical._constants)
-    for s, row in enumerate(D.entries):
-        for i, x in enumerate(row):
-            if x:
-                constants[i, n, s] = -b * x
-                constants[n, i, s] = a * x
-    zero = field.zero()
-    alpha, beta = ([[(x if i == n else field.one()) if i == j else zero
-                     for j in range(n + 1)] for i in range(n + 1)]
-                   for x in (a, b))
-    return BiHomLieAlgebra(_dense(n + 1, constants, zero), alpha, beta, field)
+    for s, row in enumerate(_row_support(D.entries)):
+        for i, x in row:
+            constants[i, n, s], constants[n, i, s] = -x, x
+    one = Matrix.identity(n + 1, field)
+    L = BiHomLieAlgebra(_dense(n + 1, constants, field.zero()), one, one, field)
+    if not L.check_all().passed:
+        raise AssertionError("the extension fails check_all")
+    return L
 
 
 class SolveContext:
@@ -209,9 +189,8 @@ class SolveContext:
         return self._powers[k, l]
 
     def problem(self, lam, mu, gamma, k, l):
-        """The arguments of _is_member after d: the algebra's int view, the
-        power's int rows, and (M lam, mu, gamma) times one scale, M the
-        power's."""
+        """_residual's arguments after d: the int view, the power's int
+        rows, and (M lam, mu, gamma) times one scale, M the power's."""
         field = self.L.field
         scale, m = self._power(k, l)
         _, ((lam, mu, gamma),) = field.plain_rows(
@@ -367,16 +346,34 @@ def derivation_grid(L, lam, mu, gamma, k_max=3, l_max=3):
 def count_members_fp(L, lam, mu, gamma, k=0, l=0):
     """Exhaustively count members over a prime field; the completeness oracle.
 
-    Enumerates every n x n matrix over F_p (p^(n^2) candidates) lazily, as
-    n-tuples of int residue rows, and counts those the membership kernel
-    of verify_derivation accepts; its other inputs come from the algebra's
-    context, so no candidate builds a Matrix or an FpElement. Meant for
-    small scans: n = 2 over F_3 (81 candidates), n = 3 over F_2 (512).
+    Each residual entry has degree one in d, so residual(d) = sum_uv d_uv
+    residual(E_uv) mod p, a linear form per position in the row-major
+    entries of d. The count sets d one entry at a time; once entry t is set,
+    a nonzero form whose last entry is t discards the subtree, which holds
+    only non-members, so each of the p^(n^2) candidates is counted at a leaf
+    or discarded. The forms never read the commutant or the blocks.
     """
     p = L.field.characteristic
     if not p:
         raise ValueError("exhaustive enumeration needs a prime field")
-    problem = _solver(L).problem(lam, mu, gamma, k, l)
-    rows = product(range(p), repeat=L.n)
-    return sum(1 for d in product(rows, repeat=L.n)
-               if _is_member(d, *problem))
+    problem, n = _solver(L).problem(lam, mu, gamma, k, l), L.n
+    forms = {}
+    for t in range(n * n):
+        unit = [[int(u * n + v == t) for v in range(n)] for u in range(n)]
+        for key, x in _residual(unit, *problem).items():
+            forms.setdefault(key, []).append((t, x % p))
+    ending = [[] for _ in range(n * n)]
+    for form in forms.values():
+        ending[form[-1][0]].append((form[:-1], form[-1][1]))
+    leaves = [()]
+    for checks in ending:
+        grown = []
+        for d in leaves:
+            values = range(p)
+            for head, a in checks:
+                # the form over the prefix, plus a times entry t
+                s = sum(d[t] * c for t, c in head)
+                values = [v for v in values if not (s + a * v) % p]
+            grown += [d + (v,) for v in values]
+        leaves = grown
+    return len(leaves)

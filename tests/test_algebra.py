@@ -12,6 +12,7 @@ from bihomlie import (BiHomLieAlgebra, CrossCheckError, NotLieError,
                       heisenberg, induced_lie, structure_table, yau_twist)
 from bihomlie import algebra as algebra_module
 from bihomlie import algfile
+from bihomlie import derivations as derivations_module
 from bihomlie.algebra import classical_lie_check
 from bihomlie.fields import GF, QQ
 from bihomlie.linalg import Matrix, invert, is_invertible
@@ -260,7 +261,7 @@ def test_heisenberg_rejects_zero_parameter():
 def test_derivation_extension_zero_map():
     table = classical_heisenberg_table()
     D = [[0] * 3 for _ in range(3)]
-    L = derivation_extension(table, D, 1, 1)
+    L = derivation_extension(table, D)
     assert L.n == 4
     assert L.check_all().passed
 
@@ -268,9 +269,9 @@ def test_derivation_extension_zero_map():
 def test_derivation_extension_abelian():
     table = structure_table(2, {}, QQ)
     D = [[1, 2], [0, 1]]
-    L = derivation_extension(table, D, 1, 1)
+    L = derivation_extension(table, D)
     assert L.check_all().passed
-    # [x, D] = -b d(x) and [D, y] = a d(y); here D(e1) = (1, 0)
+    # [x, D] = -D(x) and [D, y] = D(y); here D(e1) = (1, 0)
     assert L.bracket((1, 0, 0), (0, 0, 1)) == (-1, 0, 0)
     assert L.bracket((0, 0, 1), (1, 0, 0)) == (1, 0, 0)
 
@@ -278,9 +279,9 @@ def test_derivation_extension_abelian():
 def test_derivation_extension_heisenberg():
     table = classical_heisenberg_table()
     D = [[1, 0, 0], [0, 0, 0], [0, 0, 1]]
-    # sanity: D really does derive [X,Y] = Z with a = b = 1:
+    # sanity: D really does derive [X,Y] = Z:
     # D(Z) = Z and [DX, Y] + [X, DY] = [X, Y] = Z
-    L = derivation_extension(table, D, 1, 1)
+    L = derivation_extension(table, D)
     assert L.check_all().passed
 
 
@@ -288,7 +289,7 @@ def test_derivation_extension_rejects_non_derivation():
     table = classical_heisenberg_table()
     D = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]   # kills X, Y but not Z
     with pytest.raises(ValueError):
-        derivation_extension(table, D, 1, 1)
+        derivation_extension(table, D)
 
 
 @pytest.mark.parametrize("D", [[[1]], [[0] * 3 for _ in range(3)]],
@@ -297,23 +298,22 @@ def test_derivation_extension_rejects_wrong_shape(D):
     # a 1x1 D once raised IndexError, a 3x3 one "not a scaled derivation"
     table = structure_table(2, {}, QQ)
     with pytest.raises(ValueError, match="D is not 2 x 2"):
-        derivation_extension(table, D, 1, 1)
+        derivation_extension(table, D)
 
 
-def scaled_first_violation(table, D, a, b):
+def leibniz_first_violation(table, D):
     """The reference verdict for derivation_extension, summed by the push-
-    forward and pull-back kernels: the first ("scaled", (i, j, s), total)
-    with a nonzero b*D([e_i,e_j]) - a*[D(e_i), e_j] - a*[e_i, D(e_j)] at
+    forward and pull-back kernels: the first ("leibniz", (i, j, s), total)
+    with a nonzero D([e_i,e_j]) - [D(e_i), e_j] - [e_i, D(e_j)] at
     coordinate s, or None. D is given by its entries."""
     constants = algebra_module._constants(table)
     ident = Matrix.identity(len(table), QQ).entries
-    totals = {key: b * v for key, v
-              in algebra_module._pushforward(constants, D).items()}
+    totals = algebra_module._pushforward(constants, D)
     for pulled in (algebra_module._pullback(constants, D, ident),
                    algebra_module._pullback(constants, ident, D)):
         for key, v in pulled.items():
-            totals[key] = totals.get(key, 0) - a * v
-    return algebra_module._first_violation("scaled", totals)
+            totals[key] = totals.get(key, 0) - v
+    return algebra_module._first_violation("leibniz", totals)
 
 
 def sl2_table():
@@ -324,19 +324,21 @@ def sl2_table():
 
 
 def test_derivation_extension_accepts_what_the_scaled_residual_accepts():
-    # candidates: members of the solved (b, a, a) space of the identity-
-    # twisted table, members with one entry moved, and random maps
+    # the scaled residual b*D([u,v]) - a*[D(u), v] - a*[u, D(v)] at
+    # (a, b) = (1, 1), the one pair whose extension is an algebra for every
+    # D != 0; candidates: members of the solved (1, 1, 1) space of the
+    # identity-twisted table, members with one entry moved, and random
+    # maps. Every accepted map's extension passes check_all
     rng = random.Random(33)
     cases = []
     for table in (classical_heisenberg_table(), structure_table(2, {}, QQ),
                   sl2_table()):
         ident = Matrix.identity(len(table), QQ)
         plain = BiHomLieAlgebra(table, ident, ident)
-        cases += [(table, a, b, bh.derivation_space(plain, b, a, a))
-                  for a, b in ((1, 1), (2, 1), (1, -1))]
+        cases.append((table, bh.derivation_space(plain, 1, 1, 1)))
     verdicts = {True: 0, False: 0}
     for t in range(300):
-        table, a, b, space = cases[t % len(cases)]
+        table, space = cases[t % len(cases)]
         n = len(table)
         D = Matrix.zero(n, n, QQ)
         for member in space.basis:
@@ -348,15 +350,32 @@ def test_derivation_extension_accepts_what_the_scaled_residual_accepts():
             D = Matrix(moved if kind == 1 else
                        [[rng.randrange(-2, 3) for _ in range(n)]
                         for _ in range(n)], QQ)
-        expected = scaled_first_violation(table, D.entries, a, b) is None
+        expected = leibniz_first_violation(table, D.entries) is None
         try:
-            accepted = derivation_extension(table, D, a, b).n == n + 1
+            L = derivation_extension(table, D)
         except ValueError as exc:
-            assert str(exc) == "D is not a scaled derivation"
+            assert str(exc) == "D is not a derivation"
             accepted = False
-        assert accepted == expected, (table, D, a, b)
+        else:
+            assert L.n == n + 1 and L.check_all().passed
+            accepted = True
+        assert accepted == expected, (table, D)
         verdicts[accepted] += 1
-    assert verdicts == {True: 184, False: 116}, verdicts
+    assert verdicts == {True: 185, False: 115}, verdicts
+
+
+def test_derivation_extension_checks_its_output(monkeypatch):
+    # a construction that drops the brackets [D, e_j] breaks skew-symmetry;
+    # the constructor's check_all of its output refuses to return it
+    dense = derivations_module._dense
+
+    def without_d_brackets(n, constants, zero):
+        return dense(n, {key: c for key, c in constants.items()
+                         if key[0] != n - 1}, zero)
+
+    monkeypatch.setattr(derivations_module, "_dense", without_d_brackets)
+    with pytest.raises(AssertionError, match="the extension fails check_all"):
+        derivation_extension(structure_table(2, {}, QQ), [[1, 0], [0, 0]])
 
 
 @pytest.mark.parametrize("entries, verdict", [
@@ -370,7 +389,7 @@ def test_derivation_extension_refuses_a_table_that_is_not_lie(entries,
     table = structure_table(n, entries, QQ)
     with pytest.raises(NotLieError, match=re.escape(
             "input table is not a Lie algebra (%s)" % verdict)):
-        derivation_extension(table, [[0] * n for _ in range(n)], 1, 1)
+        derivation_extension(table, [[0] * n for _ in range(n)])
 
 
 def test_derivation_extension_checks_its_table_along_both_routes(
@@ -382,7 +401,7 @@ def test_derivation_extension_checks_its_table_along_both_routes(
     table = structure_table(3, {(1, 2, 3): 1, (2, 1, 3): -1, (2, 3, 2): 1,
                                 (3, 2, 2): -1}, QQ)
     with pytest.raises(CrossCheckError, match="BiHom-Jacobi routes disagree"):
-        derivation_extension(table, [[0] * 3 for _ in range(3)], 1, 1)
+        derivation_extension(table, [[0] * 3 for _ in range(3)])
 
 
 # --- direct sum ----------------------------------------------------------

@@ -7,14 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from bihomlie import algfile
-from bihomlie.algebra import BiHomLieAlgebra, heisenberg
+from bihomlie.algebra import heisenberg
 from bihomlie.algfile import (AlgebraDocument, AlgebraFileError, dump, dumps,
                               load, loads)
 from bihomlie.catalog import build
-from bihomlie.fields import GF, QQ
+from bihomlie.fields import GF
 from bihomlie.isomorphism import reduce_mod_p
-from bihomlie.linalg import Matrix
 
 
 def minimal_doc(**overrides):

@@ -406,6 +406,22 @@ def test_census_matches_matrix_reference():
             assert count == p ** bh.derivation_space(L, *triple, 1, 1).dim
 
 
+def test_census_matches_dimensions_at_n5_mod_5():
+    # past the n <= 3 reach of the full scan: 5^25 candidates per cell.
+    # The joint twist eigenvalue pairs (1,2), (3,4), (2,4), (4,2) and (2,3)
+    # are pairwise distinct mod 5, so the commutant is the diagonal
+    H = bh.reduce_mod_p(heisenberg(2, 2, 3, [1, 3], [2, 4]), 5)
+    assert bh.twist_commutant(H).dim == 5
+    dims = set()
+    for k, l in ((0, 0), (1, 1)):
+        for triple in CANONICAL_TRIPLES:
+            dim = bh.derivation_space(H, *triple, k, l).dim
+            assert bh.count_members_fp(H, *triple, k, l) == 5 ** dim, (
+                triple, k, l)
+            dims.add(dim)
+    assert dims == {1, 2, 3, 4, 5}
+
+
 def test_membership_edges():
     L = l_1_10()
     assert not bh.verify_derivation(L, Matrix.identity(3, QQ), 1, 1, 1)
@@ -763,22 +779,22 @@ def test_twist_powers_built_once_and_commutant_lazy(monkeypatch):
     # the blocks and the membership kernel read the rows of the one kept
     # (scale, rows) power
     read = []
-    blocks, is_member = (derivations.SolveContext._residual_blocks,
-                         derivations._is_member)
+    blocks, residual = (derivations.SolveContext._residual_blocks,
+                        derivations._residual)
 
     def recording_blocks(self, m):
         read.append((self, m))
         return blocks(self, m)
 
-    def recording_is_member(d, brackets, alpha, beta, m, *coeffs):
+    def recording_residual(d, brackets, alpha, beta, m, *coeffs):
         read.append((None, m))
-        return is_member(d, brackets, alpha, beta, m, *coeffs)
+        return residual(d, brackets, alpha, beta, m, *coeffs)
 
     monkeypatch.setattr(derivations, "intertwiners", counting_intertwiners)
     monkeypatch.setattr(derivations, "twist_power", counting_twist_power)
     monkeypatch.setattr(derivations.SolveContext, "_residual_blocks",
                         recording_blocks)
-    monkeypatch.setattr(derivations, "_is_member", recording_is_member)
+    monkeypatch.setattr(derivations, "_residual", recording_residual)
     L, Lp = l_1_17(), bh.reduce_mod_p(l_1_17(), 3)
     assert bh.verify_derivation(L, Matrix.identity(2, QQ), 1, 1, 0)
     assert bh.count_members_fp(Lp, 1, 1, 0, 1, 1) == 3
