@@ -13,6 +13,11 @@ of [d(e_i), m(e_j)] and [m(e_i), d(e_j)] per (k, l); a triple combines them
 into a system in the x_r whose nullspace, mapped back through the B_r,
 spans the space, a MatrixSubspace kept by its canonical basis.
 
+The nullspace X and the commutant basis B are in reduced row echelon form,
+and so is X B, which is wrapped unreduced. If row X_j has its pivot at p,
+and B_p at q, row j of X B sums X_jr B_r over r >= p: zero left of q, 1 at
+q, where B_p alone is nonzero. Any other row i is X_ip = 0 at q.
+
 The membership kernel _residual evaluates the identity and the twist
 commutation on ints, apart from the blocks, from the algebra's int view and
 per (k, l) one twist power (M, int rows of M m), lam scaled by M.
@@ -73,7 +78,7 @@ def intertwiners(L, L2):
                         row[t * n + j] = row[t * n + j] - m2[i][t]
                 rows.append(row)
     sols = nullspace_basis(_matrix(rows, field))
-    return MatrixSubspace._of(n, VectorSubspace(n * n, sols, field))
+    return MatrixSubspace._of(n, VectorSubspace._of(n * n, sols, field))
 
 
 def twist_commutant(L):
@@ -243,8 +248,8 @@ class SolveContext:
             x = nullspace_basis(_matrix(system, field))
             vecs = _matrix([b.vectorize() for b in basis], field)
             members = (_matrix(x, field) * vecs).entries if x else []
-            space = MatrixSubspace._of(n, VectorSubspace(n * n, members,
-                                                         field))
+            space = MatrixSubspace._of(n, VectorSubspace._of(n * n, members,
+                                                             field))
         for d in space.basis:
             if not verify_derivation(L, d, lam, mu, gamma, k, l):
                 raise MembershipError(

@@ -8,6 +8,7 @@ deterministic rule keeps golden-file output stable.
 Two subspace types share one canonical-form idea: a subspace is stored by any
 spanning set but compared through the reduced row echelon form of the spanning
 vectors, which is unique. Span equality is therefore structural equality.
+nullspace_basis returns a kernel in that form, to be wrapped unreduced.
 """
 
 from operator import add
@@ -125,16 +126,6 @@ class Matrix:
     def transpose(self):
         return _matrix(zip(*self.entries), self.field)
 
-    def is_zero(self):
-        return not any(x for r in self.entries for x in r)
-
-    def is_identity(self):
-        if self.rows != self.cols:
-            return False
-        one, zero = self.field.one(), self.field.zero()
-        return all(self.entries[i][j] == (one if i == j else zero)
-                   for i in range(self.rows) for j in range(self.cols))
-
     def vectorize(self):
         """Row-major flattening, the coordinate convention for operator spaces."""
         return tuple(x for r in self.entries for x in r)
@@ -202,18 +193,22 @@ def rank(m):
 
 
 def nullspace_basis(m):
-    """Basis of {v : m v = 0}, one vector per free column of the rref."""
-    field = m.field
-    r, pivots = rref(m)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
+    """The basis of {v : m v = 0} in reduced row echelon form.
+
+    m is row-reduced with its columns reversed, and an rref row is zero left
+    of its pivot. So in m's order the kernel vector of a free column is 1
+    there, 0 at the other free columns and nonzero elsewhere only at pivot
+    columns to its right: by ascending free column, the kernel's rref."""
+    n, zero, one = m.cols, m.field.zero(), m.field.one()
+    r, pivots = rref(_matrix([row[::-1] for row in m.entries], m.field))
     basis = []
-    for fc in free_cols:
-        v = [field.zero()] * m.cols
-        v[fc] = field.one()
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -r.entries[row_idx][fc]
-        basis.append(tuple(v))
+    for f in sorted(set(range(n)).difference(pivots), reverse=True):
+        v = [zero] * n
+        v[f] = one
+        for row, pc in zip(r.entries, pivots):
+            if pc < f:
+                v[pc] = -row[f]
+        basis.append(tuple(reversed(v)))
     return basis
 
 
@@ -267,14 +262,12 @@ class VectorSubspace:
         self.ambient_dim = ambient_dim
         self.field = field
         vecs = [tuple(field.coerce(x) for x in v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length mismatch")
+        if any(len(v) != ambient_dim for v in vecs):
+            raise ValueError("vector length mismatch")
+        self.basis = ()
         if vecs:
             red, pivots = rref(_matrix(vecs, field))
-            self.basis = tuple(red.entries[i] for i in range(len(pivots)))
-        else:
-            self.basis = ()
+            self.basis = red.entries[:len(pivots)]
 
     @classmethod
     def _of(cls, n, basis, field):
@@ -385,6 +378,8 @@ class MatrixSubspace:
         return self._vs.dim
 
     def contains(self, m):
+        if m.field != self.field:
+            raise FieldMismatchError("matrix field mismatch")
         return self._vs.contains(m.vectorize())
 
     def contains_subspace(self, other):

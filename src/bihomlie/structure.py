@@ -93,7 +93,7 @@ def _centralizer(L, vectors, two_sided=False):
                 left[t][q] += s[p] * c
         rows += right + (left if two_sided else [])
     sols = nullspace_basis(Matrix(rows or [[zero] * n], L.field))
-    return VectorSubspace(n, sols, L.field)
+    return VectorSubspace._of(n, sols, L.field)
 
 
 def _descend(first, step):
@@ -141,9 +141,8 @@ def is_ideal(L, S):
 
 
 def ker_alpha_plus_ker_beta(L):
-    ka = VectorSubspace(L.n, nullspace_basis(L.alpha), L.field)
-    kb = VectorSubspace(L.n, nullspace_basis(L.beta), L.field)
-    return ka.sum(kb)
+    return VectorSubspace(L.n, nullspace_basis(L.alpha)
+                          + nullspace_basis(L.beta), L.field)
 
 
 def is_characteristically_nilpotent(L):
@@ -284,7 +283,7 @@ def _fitting(f):
     ker = nullspace_basis(g)
     if not ker or len(ker) == f.rows:
         return None
-    return (VectorSubspace(f.rows, ker, f.field),
+    return (VectorSubspace._of(f.rows, ker, f.field),
             VectorSubspace(f.rows, g.transpose().entries, f.field))
 
 

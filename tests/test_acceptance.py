@@ -254,7 +254,8 @@ def test_criterion_5_commutator_and_jordan_closure():
                             derivation_space(L, t1[0], t1[1], t1[2], k, l))
         d2 = _random_member(rng, L,
                             derivation_space(L, t2[0], t2[1], t2[2], s, t))
-        if not (d1.is_zero() or d2.is_zero()):
+        zero = Matrix.zero(L.n, L.n, L.field)
+        if not (d1 == zero or d2 == zero):
             nonzero += 1
         c = commutator(d1, d2)
         if not verify_derivation(L, c, t1[0] * t2[0], t1[1] * t2[1],

@@ -237,7 +237,7 @@ def test_yau_round_trip_random():
 def test_heisenberg_identity_params():
     H = heisenberg(1, 1, 1, [1], [1])
     assert H.alpha == H.beta
-    assert H.alpha.is_identity()
+    assert H.alpha == Matrix.identity(H.n, H.field)
     assert H.structure == classical_heisenberg_table()
 
 

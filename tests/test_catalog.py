@@ -378,7 +378,7 @@ def test_replay_checks_each_instance_flag_once(monkeypatch):
 def test_build_identity_twist_family():
     L = build("L_1^10", {})
     assert L.structure[0][1] == (F(1), F(1))
-    assert L.alpha.is_identity() and L.beta.is_identity()
+    assert L.alpha == L.beta == Matrix.identity(L.n, L.field)
 
 
 def test_build_scaled_pair_bracket_value():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 import bihomlie as bh
-from bihomlie import BiHomLieAlgebra, catalog, derivations, heisenberg
+from bihomlie import (BiHomLieAlgebra, catalog, derivations, heisenberg,
+                      linalg)
 from bihomlie.fields import (GF, QQ, FieldMismatchError, PrimeField,
                              RationalField, ReductionError)
 from bihomlie.linalg import (Matrix, MatrixSubspace, is_invertible,
@@ -238,7 +239,7 @@ def test_normalized_span_matches_original_on_regular():
 def test_commutator_basics():
     d = mat2([[1, 0], [0, 2]])
     e = mat2([[0, 1], [0, 0]])
-    assert bh.commutator(d, d).is_zero()
+    assert bh.commutator(d, d) == Matrix.zero(2, 2, QQ)
     assert bh.commutator(d, e) == mat2([[0, -1], [0, 0]])
 
 
@@ -728,6 +729,36 @@ def test_commutant_coordinates_match_dense_reference():
             # a repeated solve on the algebra's kept context
             got = bh.derivation_space(L, 1, 1, 1, k, l)
             assert got == want[(1, 1, 1)], (L, k, l)
+
+
+def test_solved_space_is_one_row_reduction(monkeypatch):
+    # the nullspace x and the commutant basis B are canonical, and so is
+    # x B: a warm solve with a nonempty system, like an intertwiner space,
+    # costs exactly one rref, and re-reducing its basis changes nothing
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or rref(m))
+    algebras = [heisenberg(2, -6, -10, [2, 3], [5, 7]),
+                heisenberg(1, 12, 27, [2], [3]), l_1_17(), l_1_8(),
+                bh.reduce_mod_p(heisenberg(1, 4, 9, [2], [3]), 5)]
+    solved = 0
+    for L in algebras:
+        commutant = bh.twist_commutant(L)
+        for (k, l), triple in itertools.product(((0, 0), (1, 1)),
+                                                CANONICAL_TRIPLES):
+            bh.derivation_space(L, *triple, k, l)
+            del calls[:]
+            space = bh.derivation_space(L, *triple, k, l)
+            assert len(calls) == (space.dim < commutant.dim), (L, triple)
+            solved += len(calls)
+            assert space == MatrixSubspace(L.n, space.basis, L.field)
+        for L2 in algebras:
+            if (L2.n, L2.field) == (L.n, L.field):
+                del calls[:]
+                space = derivations.intertwiners(L, L2)
+                assert len(calls) == 1
+                assert space == MatrixSubspace(L.n, space.basis, L.field)
+    assert solved
 
 
 def test_dropped_gamma_block_is_caught(monkeypatch):

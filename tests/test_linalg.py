@@ -102,6 +102,28 @@ def test_nullspace_counts_fp_exhaustive():
             assert count == p ** len(basis)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)],
+                         ids=["Q", "F2", "F3", "F5"])
+def test_nullspace_basis_is_canonical(field):
+    # the kernel comes out in reduced row echelon form: re-reducing it as a
+    # VectorSubspace changes nothing
+    rng = random.Random(31)
+    ms = [Matrix.zero(3, 4, field), Matrix.identity(3, field),
+          Matrix([[0, 2, 1, 0, 3]], field), Matrix([[1], [0], [2]], field)]
+    for _ in range(60):
+        rows, cols = rng.choice([(1, rng.randrange(1, 7)),
+                                 (rng.randrange(1, 6), 1),
+                                 (rng.randrange(1, 6), rng.randrange(1, 7))])
+        ms.append(Matrix([[rng.randrange(-3, 4) if rng.random() < 0.6 else 0
+                           for _ in range(cols)] for _ in range(rows)], field))
+    for m in ms:
+        basis = nullspace_basis(m)
+        assert tuple(basis) == VectorSubspace(m.cols, basis, field).basis, m
+        assert rank(m) + len(basis) == m.cols
+        for v in basis:
+            assert all(x == 0 for x in m.apply(v))
+
+
 # --- inverse / rank -------------------------------------------------------
 
 def test_invert_diagonal():

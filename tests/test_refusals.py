@@ -72,6 +72,10 @@ REFUSALS = {
     "matrix-subspace-field": (
         lambda: MatrixSubspace(1, [Matrix([[1]], GF(3))], QQ),
         FieldMismatchError, "matrix field mismatch"),
+    "matrix-subspace-contains-field": (
+        lambda: MatrixSubspace(2, [Matrix.identity(2, GF(5))], GF(5)).contains(
+            Matrix([[6, 0], [0, 6]], QQ)),
+        FieldMismatchError, "matrix field mismatch"),
     "fp-zero-inverse": (
         lambda: FpElement(0, 5).inverse(),
         ZeroDivisionError, "0 has no inverse in F_5"),
