@@ -392,11 +392,10 @@ def _classical_lie(constants, n, field):
             _jacobi_violation(constants, one, one, one) is None)
 
 
-def _lie_constants(table, field):
-    """The nonzero constants of a classical Lie structure table, extracted
-    once; NotLieError when the table is not a Lie algebra."""
-    constants = _constants(table)
-    skew, jacobi = _classical_lie(constants, len(table), field)
+def _lie_constants(constants, n, field):
+    """The nonzero constants of a classical Lie bracket on n dimensions,
+    returned as given; NotLieError when they are not a Lie algebra."""
+    skew, jacobi = _classical_lie(constants, n, field)
     if not (skew and jacobi):
         raise NotLieError("input table is not a Lie algebra "
                           "(skew=%s, jacobi=%s)" % (skew, jacobi))
@@ -415,7 +414,7 @@ def yau_twist(table, alpha, beta, field=QQ):
         alpha = Matrix(alpha, field)
     if not isinstance(beta, Matrix):
         beta = Matrix(beta, field)
-    constants = _lie_constants(table, field)
+    constants = _lie_constants(_constants(table), len(table), field)
     if alpha * beta != beta * alpha:
         raise TwistError("twist maps do not commute")
     for name, m in (("alpha", alpha), ("beta", beta)):
@@ -477,14 +476,8 @@ def direct_sum(A, B):
                    for (i, j, s), c in B._constants.items())
 
     def block(m1, m2):
-        out = [[zero] * n for _ in range(n)]
-        for i in range(A.n):
-            for j in range(A.n):
-                out[i][j] = m1.entries[i][j]
-        for i in range(B.n):
-            for j in range(B.n):
-                out[A.n + i][A.n + j] = m2.entries[i][j]
-        return Matrix(out, field)
+        return Matrix([(*row, *[zero] * B.n) for row in m1.entries]
+                      + [(*[zero] * A.n, *row) for row in m2.entries], field)
 
     return BiHomLieAlgebra(_dense(n, entries, zero), block(A.alpha, B.alpha),
                            block(A.beta, B.beta), field)

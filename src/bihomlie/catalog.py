@@ -376,11 +376,13 @@ def verify_entry(family_id, params, k, l, algebra=None):
     return verdict
 
 
-def verify_family(family_id, params, grid=3):
-    """Verdicts for one instance over the (k,l) grid, building once."""
+def verify_family(family_id, params, kmax=2, lmax=2):
+    """Yield the verify_entry verdicts of one instance at every k <= kmax
+    and l <= lmax, in (k, l) order; the instance is built once."""
     L = build(family_id, params)
-    return [verify_entry(family_id, params, k, l, algebra=L)
-            for k in range(grid) for l in range(grid)]
+    for k in range(kmax + 1):
+        for l in range(lmax + 1):
+            yield verify_entry(family_id, params, k, l, algebra=L)
 
 
 def iter_default_verifications(grid=3):
@@ -390,5 +392,4 @@ def iter_default_verifications(grid=3):
     """
     for family_id in family_ids():
         for params in pinned_samples(family_id):
-            for verdict in verify_family(family_id, params, grid=grid):
-                yield verdict
+            yield from verify_family(family_id, params, grid - 1, grid - 1)

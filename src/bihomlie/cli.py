@@ -33,8 +33,8 @@ from .fields import (QQ, FieldMismatchError, ReductionError, format_scalar,
 from .isomorphism import (brute_force_iso, compare_fingerprints, fingerprint,
                           verify_isomorphism)
 from .structure import (ClosureError, center, derived_series,
-                        is_characteristically_nilpotent, is_nilpotent,
-                        is_small_centroid, is_solvable, lower_central_series)
+                        is_characteristically_nilpotent, is_small_centroid,
+                        lower_central_series)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -80,15 +80,19 @@ def _emit(args, kind, human, **fields):
         print(human)
 
 
+def _emit_facts(args, facts):
+    """One line per (key, value): labelled by the key with spaces, a flag
+    as yes/no, a sequence joined by commas."""
+    for key, value in facts:
+        if isinstance(value, bool):
+            value = "yes" if value else "no"
+        elif isinstance(value, tuple):
+            value = ",".join(map(format_scalar, value))
+        _emit(args, key, "%s: %s" % (key.replace("_", " "), value),
+              value=value)
+
+
 _VIOLATION_INDEX_NAMES = {3: ("i", "j", "s"), 4: ("i", "j", "k", "r")}
-
-
-def _violation_text(first):
-    kind, indices, _residual = first
-    names = _VIOLATION_INDEX_NAMES.get(len(indices), ())
-    inner = ",".join("%s=%d" % (name, value)
-                     for name, value in zip(names, indices))
-    return "%s (%s)" % (kind, inner) if inner else kind
 
 
 def cmd_check(args):
@@ -104,12 +108,11 @@ def cmd_check(args):
         _emit(args, "verdict", "all axioms hold", value="pass")
         return EXIT_OK
     kind, indices, _ = report.first_violation
-    text = _violation_text(report.first_violation)
-    fields = {"type": kind}
-    names = _VIOLATION_INDEX_NAMES.get(len(indices), ())
-    for name, value in zip(names, indices):
-        fields[name] = value
-    _emit(args, "violation", "violation: %s" % text, **fields)
+    named = dict(zip(_VIOLATION_INDEX_NAMES.get(len(indices), ()), indices))
+    inner = ",".join("%s=%d" % item for item in named.items())
+    _emit(args, "violation",
+          "violation: %s" % ("%s (%s)" % (kind, inner) if inner else kind),
+          type=kind, **named)
     return EXIT_NEGATIVE
 
 
@@ -121,8 +124,9 @@ def _refuse_unprintable_power(L, k, l):
     divides s_alpha^k s_beta^l. Over F_p every power prints."""
     if L.field.characteristic:
         return
-    (s_a, a_rows, _), (s_b, b_rows, _) = L._ints[1:]
-    a, b = (max((abs(x) for row in rows for _, x in row), default=0)
+    (s_a, a_rows), (s_b, b_rows) = (L.field.plain_rows(t.entries)
+                                    for t in (L.alpha, L.beta))
+    a, b = (max((abs(x) for row in rows for x in row), default=0)
             for rows in (a_rows, b_rows))
     bits = max(k * a.bit_length() + l * b.bit_length()
                + max(k + l - 1, 0) * L.n.bit_length(),
@@ -162,24 +166,16 @@ def cmd_der(args):
 
 def cmd_structure(args):
     L = algfile.load(args.path).algebra
-    lower = lower_central_series(L)
-    derived = derived_series(L)
-    facts = (
-        ("center_dim", "center dim", center(L).dim),
-        ("lower_central_dims", "lower central dims",
-         ",".join(str(d) for d in lower.dims)),
-        ("derived_dims", "derived dims",
-         ",".join(str(d) for d in derived.dims)),
-        ("nilpotent", "nilpotent", is_nilpotent(L)),
-        ("solvable", "solvable", is_solvable(L)),
-        ("characteristically_nilpotent", "characteristically nilpotent",
-         is_characteristically_nilpotent(L)),
-        ("small_centroid", "small centroid", is_small_centroid(L)),
-    )
-    for key, label, value in facts:
-        if isinstance(value, bool):
-            value = "yes" if value else "no"
-        _emit(args, key, "%s: %s" % (label, value), value=value)
+    lower, derived = lower_central_series(L), derived_series(L)
+    _emit_facts(args, (
+        ("center_dim", center(L).dim),
+        ("lower_central_dims", lower.dims),
+        ("derived_dims", derived.dims),
+        ("nilpotent", lower.terminated_at_zero),
+        ("solvable", derived.terminated_at_zero),
+        ("characteristically_nilpotent", is_characteristically_nilpotent(L)),
+        ("small_centroid", is_small_centroid(L)),
+    ))
     return EXIT_OK
 
 
@@ -231,26 +227,23 @@ def cmd_catalog(args):
         raise CliError("--kmax and --lmax must be non-negative")
     failures = 0
     for family_id, params in _catalog_jobs(args):
-        env = catalog.coerce_params(family_id, params)
-        shown = ",".join("%s=%s" % (name, format_scalar(value))
-                         for name, value in env.items())
-        L = catalog.build(family_id, params)
-        for k in range(args.kmax + 1):
-            for l in range(args.lmax + 1):
-                v = catalog.verify_entry(family_id, params, k, l, algebra=L)
-                verdict = "match" if v.ok else "MISMATCH"
-                _emit(args, "cell",
-                      "%s [%s] k=%d l=%d: %s"
-                      % (family_id, shown, k, l, verdict),
-                      entry=family_id, params=shown.replace(" ", ""),
-                      k=k, l=l, verdict=verdict.lower())
-                if not v.ok:
-                    failures += 1
-                    for aspect, expected, computed in v.diffs:
-                        _emit(args, "diff",
-                              "  %s: expected %s, computed %s"
-                              % (aspect, expected, computed),
-                              aspect=aspect.replace(" ", "_"))
+        for v in catalog.verify_family(family_id, params, args.kmax,
+                                       args.lmax):
+            shown = ",".join("%s=%s" % (name, format_scalar(value))
+                             for name, value in v.params.items())
+            verdict = "match" if v.ok else "MISMATCH"
+            _emit(args, "cell",
+                  "%s [%s] k=%d l=%d: %s"
+                  % (family_id, shown, v.k, v.l, verdict),
+                  entry=family_id, params=shown.replace(" ", ""),
+                  k=v.k, l=v.l, verdict=verdict.lower())
+            if not v.ok:
+                failures += 1
+                for aspect, expected, computed in v.diffs:
+                    _emit(args, "diff",
+                          "  %s: expected %s, computed %s"
+                          % (aspect, expected, computed),
+                          aspect=aspect.replace(" ", "_"))
     _emit(args, "summary",
           "mismatched cells: %d" % failures, mismatches=failures)
     return EXIT_OK if failures == 0 else EXIT_NEGATIVE
@@ -259,25 +252,16 @@ def cmd_catalog(args):
 def cmd_fingerprint(args):
     L = algfile.load(args.path).algebra
     fp = fingerprint(L)
-    scalars = (
+    _emit_facts(args, (
         ("dim", fp.dim), ("rank_alpha", fp.rank_alpha),
         ("rank_beta", fp.rank_beta),
         ("bracket_image_dim", fp.dim_bracket_image),
         ("center_dim", fp.dim_center),
-    )
-    for key, value in scalars:
-        _emit(args, key, "%s: %d" % (key.replace("_", " "), value),
-              value=value)
-    for key, dims in (("lower_central_dims", fp.lower_central_dims),
-                      ("derived_dims", fp.derived_dims)):
-        text = ",".join(str(d) for d in dims)
-        _emit(args, key, "%s: %s" % (key.replace("_", " "), text),
-              value=text)
-    for key, coeffs in (("char_poly_alpha", fp.char_poly_alpha),
-                        ("char_poly_beta", fp.char_poly_beta)):
-        text = ",".join(format_scalar(c) for c in coeffs)
-        _emit(args, key, "%s: %s" % (key.replace("_", " "), text),
-              value=text)
+        ("lower_central_dims", fp.lower_central_dims),
+        ("derived_dims", fp.derived_dims),
+        ("char_poly_alpha", fp.char_poly_alpha),
+        ("char_poly_beta", fp.char_poly_beta),
+    ))
     for (lam, mu, gamma, k, l) in sorted(fp.der_dims):
         dim = fp.der_dims[(lam, mu, gamma, k, l)]
         _emit(args, "der_dim",

@@ -29,7 +29,7 @@ slot: the powers, the blocks and the commutant.
 
 from functools import cached_property
 
-from .algebra import (BiHomLieAlgebra, NotLieError, _bracket, _dense,
+from .algebra import (BiHomLieAlgebra, _bracket, _dense, _lie_constants,
                       _pullback, _pushforward)
 from .fields import FieldMismatchError, QQ
 from .linalg import (Matrix, MatrixSubspace, VectorSubspace, _matrix,
@@ -140,9 +140,11 @@ def derivation_extension(table, D, field=QQ):
 
     The result is the classical semidirect product on n+1 dimensions, D the
     last basis vector, with brackets [e_i, D] = -D(e_i), [D, e_j] = D(e_j)
-    and identity twists; yau_twist twists it. The table is checked by
-    check_all of its identity-twisted algebra, D by verify_derivation at
-    (1, 1, 1), and the result by check_all: a failure there is a bug.
+    and identity twists; yau_twist twists it. The table is checked as
+    yau_twist checks it, by the table route at identity twists (NotLieError),
+    D by verify_derivation at (1, 1, 1), and the result by check_all, whose
+    two routes evaluate the same identities on the input's basis triples
+    before anything is returned: a failure there is a bug.
     """
     n = len(table)
     if not isinstance(D, Matrix):
@@ -151,14 +153,9 @@ def derivation_extension(table, D, field=QQ):
         raise ValueError("D is not %d x %d" % (n, n))
     one = Matrix.identity(n, field)
     classical = BiHomLieAlgebra(table, one, one, field)
-    report = classical.check_all()
-    if not (report.skew_symmetric and report.bihom_jacobi):
-        raise NotLieError("input table is not a Lie algebra (skew=%s, "
-                          "jacobi=%s)" % (report.skew_symmetric,
-                                          report.bihom_jacobi))
+    constants = dict(_lie_constants(classical._constants, n, field))
     if not verify_derivation(classical, D, 1, 1, 1):
         raise ValueError("D is not a derivation")
-    constants = dict(classical._constants)
     for s, row in enumerate(_row_support(D.entries)):
         for i, x in row:
             constants[i, n, s], constants[n, i, s] = -x, x

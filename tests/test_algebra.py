@@ -395,7 +395,7 @@ def test_derivation_extension_refuses_a_table_that_is_not_lie(entries,
 def test_derivation_extension_checks_its_table_along_both_routes(
         monkeypatch):
     # a table route that misses the Jacobi violation is caught by the
-    # basis route of the identity-twisted algebra
+    # basis route of the output's check_all, on the input's basis triples
     monkeypatch.setattr(algebra_module, "_jacobi_violation",
                         lambda *args: None)
     table = structure_table(3, {(1, 2, 3): 1, (2, 1, 3): -1, (2, 3, 2): 1,

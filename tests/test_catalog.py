@@ -452,6 +452,17 @@ def test_verify_single_bracket_scaling_family_cell():
     assert v.ok
 
 
+def test_verify_family_yields_each_cell_in_order():
+    params = pinned_samples("L_1^13")[0]
+    verdicts = list(verify_family("L_1^13", params, kmax=1, lmax=2))
+    assert [(v.k, v.l) for v in verdicts] == [(k, l) for k in range(2)
+                                              for l in range(3)]
+    for v in verdicts:
+        alone = verify_entry("L_1^13", params, v.k, v.l)
+        assert ((v.ok, v.diffs, v.matched_rows)
+                == (alone.ok, alone.diffs, alone.matched_rows))
+
+
 def test_verify_detects_planted_mismatch(monkeypatch):
     # verify against a family whose expected row was perturbed, one aspect
     # at a time: each plant is reported under its own aspect, and only there

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from bihomlie import algfile, catalog, cli, isomorphism
+from bihomlie import algfile, catalog, cli, isomorphism, structure
 from bihomlie.algebra import BiHomLieAlgebra, CrossCheckError, heisenberg
 from bihomlie.catalog import build
 from bihomlie.cli import main
@@ -214,6 +214,20 @@ def test_structure_report(files, capsys):
     assert "characteristically nilpotent: no" in out
     assert "small centroid: yes" in out
     assert "lower central dims: 2,1" in out
+
+
+def test_structure_computes_each_series_once(files, monkeypatch, capsys):
+    # nilpotent and solvable are read off the series the report prints
+    calls = {"lower_central_series": 0, "derived_series": 0}
+    for name in calls:
+        def counting(L, _series=getattr(structure, name), _name=name):
+            calls[_name] += 1
+            return _series(L)
+        for module in (structure, cli):
+            monkeypatch.setattr(module, name, counting)
+    assert main(["structure", files["l110"]]) == 0
+    assert "nilpotent: no\nsolvable: yes" in capsys.readouterr().out
+    assert calls == {"lower_central_series": 1, "derived_series": 1}
 
 
 def test_structure_closure_error_exit_code(files, monkeypatch, capsys):

@@ -47,6 +47,9 @@ CASES.extend(("h5_%s" % command,
               [command, os.path.join(GOLDEN, "twisted_heis5.json")], 0)
              for command in ("structure", "fingerprint"))
 CASES.append(("catalog_l_1_13", ["catalog", "--entry", "L_1^13"], 0))
+CASES.append(("catalog_l_1_13_k1_l2",
+              ["catalog", "--entry", "L_1^13", "--kmax", "1", "--lmax", "2"],
+              0))
 CASES.extend(("%s_check" % name,
               ["check", os.path.join(GOLDEN, name + ".json")], 1)
              for name in ("skew_fail", "jacobi_fail", "mult_fail"))

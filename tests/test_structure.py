@@ -369,6 +369,26 @@ def test_decompose_split_without_ideal_pair():
     assert decomposed(bh.reduce_mod_p(L, 3)) == (1, True)
 
 
+@pytest.mark.parametrize("field, complete", [
+    (QQ, True), (GF(3), True), (GF(7), True),
+    # 101^3 candidates pass MAX_SEARCH_CANDIDATES, so the idempotent scan
+    # is refused; ROADMAP item 21's trace-form test for p > n is expected
+    # to certify this case and flip it to True
+    (GF(101), False),
+], ids=["Q", "F3", "F7", "F101"])
+def test_decompose_local_centroid_of_dimension_three(field, complete):
+    # abelian with alpha = beta = J, the nilpotent 3x3 Jordan block: the
+    # two-sided centroid is {aI + bJ + cJ^2}, a local algebra of dimension
+    # 3, certified over Q by its trace form of rank 1 and over F_p by a
+    # scan of its p^3 members for an idempotent other than 0 and 1
+    J = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    L = BiHomLieAlgebra.from_brackets(3, {}, J, J, field)
+    assert L.check_all().passed
+    assert bh.centroid(L).intersection(
+        bh.derivation_space(L, 1, 0, 1)).dim == 3
+    assert decomposed(L) == (1, complete)
+
+
 def test_decompose_l_1_9():
     assert decomposed(l_1_9()) == (2, True)
 
