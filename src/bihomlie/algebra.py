@@ -8,19 +8,19 @@ candidate non-algebras can be represented and rejected.
 
 Construction extracts the data once into two read-only forms: _constants,
 the nonzero structure constants as field values, and _ints, the int view
-that one plain_rows call makes of the table (see _int_view). Every bracket
-on field values sums over _constants: the pull-back kernel _pullback for
-matrices, and L.bracket, the same sum for one pair of vectors; only the
-algebra itself reads the dense table. The sparse kernels sum from the int
-0, so a key exists only once a field value lands in it. Every axiom is
-evaluated by two independent routes. The table route sums the constant
-identities over _constants, to report the first violating total. The basis
-route only decides: it brackets the twists' unit images on _ints with the
-sparse int kernel _bracket, which the membership kernel in derivations
-also runs; the Jacobi route evaluates each distinct bracket once. Each check
-refuses to return if the two verdicts disagree; the redundancy exists
-because the index bookkeeping of the twisted Jacobi sum is easy to get
-wrong in exactly one of the two forms.
+that plain_rows makes of the table and the twists (see _int_view). Every
+bracket on field values sums over _constants: the pull-back kernel
+_pullback for matrices, and L.bracket, the same sum for one pair of
+vectors; only the algebra itself reads the dense table. The sparse kernels
+sum from the int 0, so a key exists only once a field value lands in it.
+Every axiom is evaluated by two independent routes. The table route sums
+the constant identities with _pullback and _pushforward (Jacobi: two
+pull-backs), to report the first violating total. The basis route only
+decides: it brackets the twists' unit images on _ints with the int kernels
+_bracket and _image, which the membership kernel in derivations also runs,
+each distinct Jacobi bracket once. Each check refuses to return if the two
+verdicts disagree, since the twisted Jacobi sum is easy to get wrong in
+exactly one of the two forms.
 """
 
 from itertools import product
@@ -150,24 +150,20 @@ def _skew_violation(constants, alpha, beta):
 
 def _jacobi_violation(constants, alpha, beta, beta2):
     """First ("jacobi", 1-based (i,j,k,r), total) with a nonzero twisted
-    Jacobi total, or None; alpha, beta and beta2 = beta * beta are
-    Matrices."""
+    Jacobi total, or None, for Matrices alpha, beta and beta2 = beta^2.
+    Column j*n + k of an n x n^2 entry list holds inner(j,k) = [beta e_j,
+    alpha e_k]; its pull-back with beta2 gives O(i,j,k,r), coordinate r
+    of [beta2 e_i, inner(j,k)]; the total is O plus its two cyclic shifts."""
     n = alpha.rows
-    b2_rows = _row_support(beta2.entries)
-    # inner(j,k,l) = sum_{q,s} b_qj a_sk c_qs^l, then the outer sum
-    # O(i,j,k,r) = sum_{p,l} beta2_pi inner(j,k,l) c_pl^r; the Jacobi
-    # total at (i,j,k,r) is O there plus its two cyclic shifts of (i,j,k)
-    inner = _pullback(constants, beta.entries, alpha.entries)
-    by_middle = [[] for _ in range(n)]
-    for (p, l, r), c in constants.items():
-        by_middle[l].append((p, r, c))
+    inner = [[0] * (n * n) for _ in range(n)]
+    for (j, k, l), w in _pullback(constants, beta.entries,
+                                  alpha.entries).items():
+        inner[l][j * n + k] = w
     totals = {}
-    for (j, k, l), w in inner.items():
-        for p, r, c in by_middle[l]:
-            for i, x in b2_rows[p]:
-                term = x * w * c
-                for key in _cyclic_keys(i, j, k, r):
-                    totals[key] = totals.get(key, 0) + term
+    for (i, jk, r), v in _pullback(constants, beta2.entries, inner).items():
+        j, k = divmod(jk, n)
+        for key in _cyclic_keys(i, j, k, r):
+            totals[key] = totals.get(key, 0) + v
     return _first_violation("jacobi", totals)
 
 
@@ -189,13 +185,13 @@ def _sparse(rows):
 
 def _int_view(structure, alpha, beta, field):
     """(brackets, alpha, beta) on ints through field.plain_rows: per bracket
-    [e_i, e_j] its nonzero (s, C c_ij^s), and per twist (scale, rows,
-    columns), the nonzero (index, entry) pairs of the scaled twist. Each
-    identity tested on it has one degree in the constants on both sides,
-    so the table scale C cancels and is not kept."""
+    [e_i, e_j] its nonzero (s, C c_ij^s), and per twist (scale, columns),
+    the nonzero (index, entry) pairs of each column of the scaled twist.
+    Each identity tested on it has one degree in the constants on both
+    sides, so the table scale C cancels and is not kept."""
     n, plain_rows = len(structure), field.plain_rows
     rows = _sparse(plain_rows(row for plane in structure for row in plane)[1])
-    twists = [(scale, _sparse(m), _sparse(zip(*m)))
+    twists = [(scale, _sparse(zip(*m)))
               for scale, m in map(plain_rows, (alpha.entries, beta.entries))]
     return (tuple(rows[i:i + n] for i in range(0, n * n, n)), *twists)
 
@@ -322,7 +318,7 @@ class BiHomLieAlgebra:
     def check_skew_symmetry(self):
         """Twisted skew-symmetry. Returns (ok, first_violation)."""
         n, field = self.n, self.field
-        brackets, (_, _, au), (_, _, bu) = self._ints
+        brackets, (_, au), (_, bu) = self._ints
         return _routes_agree("skew-symmetry", _skew_violation(
             self._constants, self.alpha, self.beta), all(
                 _vanishes((_bracket(brackets, bu[i], au[j]),
@@ -332,7 +328,7 @@ class BiHomLieAlgebra:
     def check_bihom_jacobi(self):
         """Twisted Jacobi identity. Returns (ok, first_violation)."""
         field, beta2 = self.field, self.beta * self.beta
-        brackets, (_, _, au), (_, _, bu) = self._ints
+        brackets, (_, au), (_, bu) = self._ints
         b2 = [_image(bu, x).items() for x in bu]
         return _routes_agree("BiHom-Jacobi", _jacobi_violation(
             self._constants, self.alpha, self.beta, beta2),
@@ -352,7 +348,7 @@ class BiHomLieAlgebra:
             _vanishes((_image(cols, [(s, -scale * c) for s, c in pairs]),
                        _bracket(brackets, cols[i], cols[j])),
                       self.field.is_zero)
-            for scale, _, cols in twists for i, plane in enumerate(brackets)
+            for scale, cols in twists for i, plane in enumerate(brackets)
             for j, pairs in enumerate(plane)))
 
     def check_all(self):

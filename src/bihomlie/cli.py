@@ -8,13 +8,14 @@ or parse errors, 3 an internal error (an independent cross-check of the
 library's own result failed; a bug, never the input's fault). Scalars are
 read as an integer or "num/den" and print exactly, never as floats.
 
-der over Q refuses twist exponents whose power alpha^k beta^l could have
-an entry with a numerator or denominator of more than 14000 bits, bounded
-from the twists' scaled int entries, their scales and the dimension before
-any product or output; such a request prints nothing and exits 2. Every
-accepted power prints within Python's 4300-digit int-to-string limit.
-Over F_p every exponent is accepted, and catalog, which prints no power,
-takes any --kmax and --lmax.
+Bounds: check, structure, fingerprint and iso --witness are polynomial in
+the file's dimension n, which has no bound yet, and so is der; over Q it
+refuses (exit 2, before any product or output) exponents whose power
+alpha^k beta^l could have an entry with a numerator or denominator past
+14000 bits, a bound read from the twists' int entries, scales and n, so
+every accepted power prints within Python's 4300-digit limit. catalog is
+linear in its output, which --kmax and --lmax set; iso --brute P refuses
+more than MAX_SEARCH_CANDIDATES (10^5) candidates.
 """
 
 import argparse

@@ -29,11 +29,14 @@ slot: the powers, the blocks and the commutant.
 
 from functools import cached_property
 
-from .algebra import (BiHomLieAlgebra, _bracket, _dense, _lie_constants,
-                      _pullback, _pushforward)
+from .algebra import (BiHomLieAlgebra, _bracket, _dense, _image,
+                      _lie_constants, _pullback, _pushforward)
 from .fields import FieldMismatchError, QQ
 from .linalg import (Matrix, MatrixSubspace, VectorSubspace, _matrix,
                      _row_support, nullspace_basis)
+
+# most candidates a bounded scan tries, or prefixes a census level holds
+MAX_SEARCH_CANDIDATES = 10 ** 5
 
 
 class MembershipError(AssertionError):
@@ -101,30 +104,21 @@ def _residual(d, brackets, alpha, beta, m, lam, mu, gamma, is_zero):
     """The membership kernel: {position: int} for the entries nonzero in the
     field, at (twist, i, j) of d t - t d, twist "alpha" or "beta", and at
     (i, j, s) of lam d([e_i,e_j]) - mu [d(e_i), m(e_j)] - gamma [m(e_i),
-    d(e_j)], for int entry rows d and m; zero entries are skipped."""
+    d(e_j)], for int entry rows d and m, summed by _image and _bracket."""
     out = {}
-    for name, (_, t_rows, t_cols) in (("alpha", alpha), ("beta", beta)):
-        for i, (d_row, t_row) in enumerate(zip(d, t_rows)):
-            for j, t_col in enumerate(t_cols):
-                left = right = 0
-                for t, x in t_col:
-                    if d_row[t]:
-                        left += d_row[t] * x
-                for t, x in t_row:
-                    if d[t][j]:
-                        right += x * d[t][j]
-                if (left or right) and not is_zero(left - right):
-                    out[name, i, j] = left - right
-    # d(e_i) and m(e_i) are the i-th columns
     d_cols, m_cols = _row_support(zip(*d)), _row_support(zip(*m))
+    for name, (_, t_cols) in (("alpha", alpha), ("beta", beta)):
+        for j, (d_j, t_j) in enumerate(zip(d_cols, t_cols)):
+            dt, td = _image(d_cols, t_j), _image(t_cols, d_j)
+            for i in dt.keys() | td.keys():
+                v = dt.get(i, 0) - td.get(i, 0)
+                if not is_zero(v):
+                    out[name, i, j] = v
     for i, (d_i, m_i) in enumerate(zip(d_cols, m_cols)):
         for j, (d_j, m_j) in enumerate(zip(d_cols, m_cols)):
-            # d([e_i,e_j]) = sum_b c_ij^b d(e_b)
-            image = {}
-            for b, c in brackets[i][j]:
-                for s, x in d_cols[b]:
-                    image[s] = image.get(s, 0) + c * x
-            t1, t2 = _bracket(brackets, d_i, m_j), _bracket(brackets, m_i, d_j)
+            image = _image(d_cols, brackets[i][j]) if brackets[i][j] else {}
+            t1 = _bracket(brackets, d_i, m_j) if d_i and m_j else {}
+            t2 = _bracket(brackets, m_i, d_j) if m_i and d_j else {}
             if not (image or t1 or t2):
                 continue
             for s in image.keys() | t1.keys() | t2.keys():
@@ -353,7 +347,8 @@ def count_members_fp(L, lam, mu, gamma, k=0, l=0):
     entries of d. The count sets d one entry at a time; once entry t is set,
     a nonzero form whose last entry is t discards the subtree, which holds
     only non-members, so each of the p^(n^2) candidates is counted at a leaf
-    or discarded. The forms never read the commutant or the blocks.
+    or discarded. The forms never read the commutant or the blocks. A level
+    that could hold more than MAX_SEARCH_CANDIDATES prefixes is refused.
     """
     p = L.field.characteristic
     if not p:
@@ -369,6 +364,8 @@ def count_members_fp(L, lam, mu, gamma, k=0, l=0):
         ending[form[-1][0]].append((form[:-1], form[-1][1]))
     leaves = [()]
     for checks in ending:
+        if len(leaves) * p > MAX_SEARCH_CANDIDATES:
+            raise ValueError("census past %d prefixes" % MAX_SEARCH_CANDIDATES)
         grown = []
         for d in leaves:
             values = range(p)

@@ -14,11 +14,12 @@ from itertools import product as cartesian
 
 from .algebra import (BiHomLieAlgebra, _dense, _morphism_violation, _pullback,
                       _pushforward)
-from .derivations import _refuse_mismatch, derivation_space, intertwiners
+from .derivations import (MAX_SEARCH_CANDIDATES, _refuse_mismatch,
+                          derivation_space, intertwiners)
 from .fields import GF, ReductionError, _is_prime
 from .linalg import Matrix, char_poly, invert, is_invertible, rank
-from .structure import (MAX_SEARCH_CANDIDATES, center, derived_series,
-                        derived_subalgebra, lower_central_series)
+from .structure import (center, derived_series, derived_subalgebra,
+                        lower_central_series)
 
 # one representative per coefficient-triple class, the scan grid for
 # fingerprint derivation dimensions

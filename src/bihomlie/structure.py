@@ -15,11 +15,8 @@ from operator import mul
 from .algebra import BiHomLieAlgebra
 from .linalg import (Matrix, MatrixSubspace, VectorSubspace, char_poly,
                      nullspace_basis, rank)
-from .derivations import centroid, commutator, derivation_space
-
-# most candidates a bounded scan tries (the witness search, the idempotent
-# scan and the rational root test of decompose); checked before it starts
-MAX_SEARCH_CANDIDATES = 10 ** 5
+from .derivations import (MAX_SEARCH_CANDIDATES, centroid, commutator,
+                          derivation_space)
 
 
 class ClosureError(ValueError):

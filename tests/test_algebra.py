@@ -673,6 +673,47 @@ def test_sparse_table_routes_match_dense_reference_on_heisenberg():
     assert 0 < violations < comparisons
 
 
+def _dense_transports(algebras, seed):
+    """Each algebra transported by a seeded invertible map with entries in
+    [-2, 2]: the same axioms fail, but on a basis where most structure
+    constants and twist entries are nonzero, so many Jacobi terms cancel."""
+    rng = random.Random(seed)
+    out = []
+    for L in algebras:
+        while True:
+            f = Matrix([[rng.randint(-2, 2) for _ in range(L.n)]
+                        for _ in range(L.n)], L.field)
+            if is_invertible(f):
+                break
+        out.append(bh.transport(L, f))
+    return out
+
+
+def test_sparse_table_routes_match_dense_reference_on_dense_bases():
+    # per algebra of _broken_heisenbergs(): itself, its copy with alpha
+    # bumped and, as no copy there fails Jacobi, one with [e_1, e_n] raised
+    # by e_1 in place of the beta-bumped copy, which keeps the dense
+    # Jacobi references quick. The axioms do not depend on the basis, so
+    # the transports fail as many checks as the sparse originals.
+    broken, originals = _broken_heisenbergs(), []
+    for H, alpha_bumped in zip(broken[::3], broken[1::3]):
+        table = [[list(row) for row in plane] for plane in H.structure]
+        table[0][-1][0] += H.field.one()
+        originals += [H, alpha_bumped,
+                      BiHomLieAlgebra(table, H.alpha, H.beta, H.field)]
+    algebras = _dense_transports(originals, seed=7)
+    assert all(len(L._constants) > L.n ** 2 for L in algebras if L.n == 5)
+    comparisons, violations, mismatches = _differential(algebras)
+    assert mismatches == []
+    assert comparisons == 36
+    verdicts = [(check()[0], check.__name__) for L in originals
+                for check in (L.check_skew_symmetry, L.check_bihom_jacobi,
+                              L.check_multiplicative)]
+    assert violations == sum(not ok for ok, _ in verdicts)
+    assert (False, "check_bihom_jacobi") in verdicts
+    assert (True, "check_bihom_jacobi") in verdicts
+
+
 def test_differential_catches_a_dropped_cyclic_shift(monkeypatch):
     # a Jacobi accumulation that forgets the (j,k,i) shift must be caught
     monkeypatch.setattr(algebra_module, "_cyclic_keys",

@@ -423,6 +423,22 @@ def test_census_matches_dimensions_at_n5_mod_5():
     assert dims == {1, 2, 3, 4, 5}
 
 
+def _zero_bracket(n, field):
+    ident = Matrix.identity(n, field)
+    return BiHomLieAlgebra([[[0] * n] * n] * n, ident, ident, field)
+
+
+def test_census_refuses_more_prefixes_than_the_cap():
+    # the zero bracket with identity twists at (0,0,0): every matrix is a
+    # member and no form prunes. Over GF(3) at n = 3 the census counts
+    # all 3^9; over GF(5) a level of 5^8 prefixes would pass
+    # MAX_SEARCH_CANDIDATES, so it is refused before that level is built
+    assert bh.count_members_fp(_zero_bracket(3, GF(3)), 0, 0, 0) == 3 ** 9
+    assert 5 ** 7 <= derivations.MAX_SEARCH_CANDIDATES < 5 ** 8
+    with pytest.raises(ValueError, match=r"^census past 100000 prefixes$"):
+        bh.count_members_fp(_zero_bracket(3, GF(5)), 0, 0, 0)
+
+
 def test_membership_edges():
     L = l_1_10()
     assert not bh.verify_derivation(L, Matrix.identity(3, QQ), 1, 1, 1)
@@ -852,7 +868,8 @@ def test_context_keeps_one_copy_of_each_value():
     # a kept twist power is (scale, int rows) alone, with no Matrix and no
     # Fraction or sparse copy beside it; the int view of the table and
     # twists lives on the algebra, built at construction, scaled by one
-    # factor for the table and one per twist, and the context keeps no copy
+    # factor for the table and one per twist, each twist kept as its scale
+    # and its sparse columns alone, and the context keeps no copy
     # of it or of the nonzero constants. At z = 1/2 the table, beta and the
     # power at (2, 1) have denominator 2, and mod 3 the algebra is
     # l_1_17(2).
@@ -871,13 +888,10 @@ def test_context_keeps_one_copy_of_each_value():
                         if c) for row in plane) for plane in A.structure)
         for twist, matrix, twist_scale in ((alpha, A.alpha, alpha_scale),
                                            (beta, A.beta, beta_scale)):
-            scale, rows, cols = twist
+            scale, cols = twist
             assert type(scale) is int and scale == twist_scale
             entries = [[plain(twist_scale * x) for x in row]
                        for row in matrix.entries]
-            assert rows == tuple(
-                tuple((j, x) for j, x in enumerate(row) if x)
-                for row in entries)
             assert cols == tuple(
                 tuple((i, x) for i, x in enumerate(col) if x)
                 for col in zip(*entries))

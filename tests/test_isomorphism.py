@@ -81,6 +81,43 @@ def test_transport_round_trip():
     assert back == L
 
 
+# --- catalog families that are one isomorphism class ------------------------
+
+def _catalog_isomorphisms(seed):
+    """(A, B, f) for the two redundancies of the 2-dim catalog (README):
+    L_1^11(z) is L_2^11 via f = [[1/z, 1/z], [0, 1]], and L_1^15(t) is
+    L_1^15(t') via f = [[1, t - t'], [0, 1]], at fixed and seeded values,
+    t1 = 0 among them."""
+    rng = random.Random(seed)
+
+    def draw():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    zs = [2, 3, Fraction(1, 2), Fraction(-5, 7)]
+    zs += [z for z in (draw() for _ in range(6)) if z]
+    pairs = [(2, 3), (2, Fraction(1, 2)), (-1, Fraction(7, 3)), (2, 0),
+             (0, 5)] + [(draw(), draw()) for _ in range(5)]
+    for z in zs:
+        yield (build("L_1^11", {"z": z}), build("L_2^11", {}),
+               Matrix([[1 / Fraction(z), 1 / Fraction(z)], [0, 1]], QQ))
+    for t, u in pairs:
+        yield (build("L_1^15", {"t1": t}), build("L_1^15", {"t1": u}),
+               Matrix([[1, t - u], [0, 1]], QQ))
+
+
+def test_catalog_lists_isomorphic_algebras_as_distinct():
+    cases = list(_catalog_isomorphisms(seed=27))
+    assert len(cases) == 19
+    assert any(B == build("L_1^15", {"t1": 0}) for _, B, _ in cases)
+    for A, B, f in cases:
+        assert verify_isomorphism(A, B, f), (A, B, f)
+        assert transport(A, f) == B
+    # the witnesses are not the identity: L_1^11 and L_2^11 differ as
+    # tables, and so do L_1^15 at different t1
+    assert build("L_1^11", {"z": 1}) != build("L_2^11", {})
+    assert build("L_1^15", {"t1": 2}) != build("L_1^15", {"t1": 3})
+
+
 # --- fingerprints ----------------------------------------------------------
 
 def test_fingerprint_of_abelian_plane():
