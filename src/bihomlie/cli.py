@@ -13,9 +13,11 @@ the file's dimension n, which has no bound yet, and so is der; over Q it
 refuses (exit 2, before any product or output) exponents whose power
 alpha^k beta^l could have an entry with a numerator or denominator past
 14000 bits, a bound read from the twists' int entries, scales and n, so
-every accepted power prints within Python's 4300-digit limit. catalog is
-linear in its output, which --kmax and --lmax set; iso --brute P refuses
-more than MAX_SEARCH_CANDIDATES (10^5) candidates.
+every accepted power prints within Python's 4300-digit limit. der and
+fingerprint format their matrices and polynomials before any line, so a
+result past that limit prints nothing and exits 2. catalog is linear in
+its output, which --kmax and --lmax set, and prints as it goes; iso
+--brute P refuses more than MAX_SEARCH_CANDIDATES (10^5) candidates.
 """
 
 import argparse
@@ -83,12 +85,16 @@ def _emit(args, kind, human, **fields):
 
 def _emit_facts(args, facts):
     """One line per (key, value): labelled by the key with spaces, a flag
-    as yes/no, a sequence joined by commas."""
+    as yes/no, a sequence joined by commas; every value is formatted
+    before the first line prints."""
+    shown = []
     for key, value in facts:
         if isinstance(value, bool):
             value = "yes" if value else "no"
         elif isinstance(value, tuple):
             value = ",".join(map(format_scalar, value))
+        shown.append((key, value))
+    for key, value in shown:
         _emit(args, key, "%s: %s" % (key.replace("_", " "), value),
               value=value)
 
@@ -143,25 +149,26 @@ def cmd_der(args):
     triple = args.lam, args.mu, args.gamma
     if args.normalize:
         triple, tag = normalize_params(*triple, L.field)
-    # refused or solved before any output, so that a refusal prints nothing
+        texts = [format_scalar(v) for v in triple]
+    # refused, solved and formatted before any output, so that a refusal or
+    # a value past the 4300-digit limit prints nothing
     _refuse_unprintable_power(L, args.k, args.l)
     space = derivation_space(L, *triple, args.k, args.l)
+    basis = [_fmt_matrix(m) for m in space.basis]
     _emit(args, "params",
           "params: lambda=%s mu=%s gamma=%s k=%d l=%d"
           % (args.lam, args.mu, args.gamma, args.k, args.l),
           **{"lambda": args.lam, "mu": args.mu, "gamma": args.gamma,
              "k": args.k, "l": args.l})
     if args.normalize:
-        texts = [format_scalar(v) for v in triple]
         _emit(args, "normalized",
               "normalized: (%s, %s, %s) case %d" % (*texts, tag),
               **dict(zip(("lambda", "mu", "gamma"), texts), case=tag))
     _emit(args, "dimension", "dimension: %d" % space.dim, value=space.dim)
     if args.output == "human" and space.dim:
         print("basis:")
-    for idx, m in enumerate(space.basis):
-        _emit(args, "basis", _fmt_matrix(m), index=idx,
-              matrix=_fmt_matrix(m))
+    for idx, text in enumerate(basis):
+        _emit(args, "basis", text, index=idx, matrix=text)
     return EXIT_OK
 
 

@@ -32,8 +32,8 @@ from functools import cached_property
 from .algebra import (BiHomLieAlgebra, _bracket, _dense, _image,
                       _lie_constants, _pullback, _pushforward)
 from .fields import FieldMismatchError, QQ
-from .linalg import (Matrix, MatrixSubspace, VectorSubspace, _matrix,
-                     _row_support, nullspace_basis)
+from .linalg import (Matrix, MatrixSubspace, _matrix, _row_support,
+                     nullspace_basis)
 
 # most candidates a bounded scan tries, or prefixes a census level holds
 MAX_SEARCH_CANDIDATES = 10 ** 5
@@ -80,8 +80,7 @@ def intertwiners(L, L2):
                     if m2[i][t]:
                         row[t * n + j] = row[t * n + j] - m2[i][t]
                 rows.append(row)
-    sols = nullspace_basis(_matrix(rows, field))
-    return MatrixSubspace._of(n, VectorSubspace._of(n * n, sols, field))
+    return MatrixSubspace._kernel(n * n, rows, field)
 
 
 def twist_commutant(L):
@@ -221,26 +220,24 @@ class SolveContext:
         scale, m = self._power(k, l)
         if (k, l) not in self._blocks:
             self._blocks[k, l] = self._residual_blocks(m)
-        basis = self.commutant.basis
-        rows = {}
+        space = self.commutant
+        rows, width = {}, space.dim
         for coeff, block in zip((lam * scale, -mu, -gamma),
                                 self._blocks[k, l]):
             if not coeff:
                 continue
             for r, residuals in enumerate(block):
                 for key, v in residuals.items():
-                    row = rows.setdefault(key, [zero] * len(basis))
+                    row = rows.setdefault(key, [zero] * width)
                     row[r] = row[r] + coeff * v
         system = [row for row in rows.values() if any(row)]
-        space = self.commutant
         if system:
-            # x B for the nullspace vectors x, B the vectorized commutant
-            # basis: the sparse product reads nonzero x_r and B_r entries only
+            # x B for the nullspace vectors x, B the commutant's canonical
+            # vectors: the sparse product reads nonzero x_r and B_r entries
             x = nullspace_basis(_matrix(system, field))
-            vecs = _matrix([b.vectorize() for b in basis], field)
+            vecs = _matrix(space._vectors, field)
             members = (_matrix(x, field) * vecs).entries if x else []
-            space = MatrixSubspace._of(n, VectorSubspace._of(n * n, members,
-                                                             field))
+            space = MatrixSubspace._of(n * n, members, field)
         for d in space.basis:
             if not verify_derivation(L, d, lam, mu, gamma, k, l):
                 raise MembershipError(

@@ -209,7 +209,7 @@ def brute_force_iso(L, L2, p):
             "witness search over %d^%d = %d candidates exceeds the cap of %d"
             % (p, space.dim, p ** space.dim, MAX_SEARCH_CANDIDATES))
     n = L.n
-    vecs = [b.vectorize() for b in space.basis]
+    vecs = space._vectors
     # per entry of a candidate, the basis members nonzero there
     entries = [[(r, Lp.field.plain(v[t])) for r, v in enumerate(vecs)
                 if v[t]] for t in range(n * n)]

@@ -5,12 +5,13 @@ Row reduction picks the first nonzero entry of each column scan as the pivot;
 with exact arithmetic there is nothing to gain from magnitude pivoting, and a
 deterministic rule keeps golden-file output stable.
 
-Two subspace types share one canonical-form idea: a subspace is stored by any
-spanning set but compared through the reduced row echelon form of the spanning
-vectors, which is unique. Span equality is therefore structural equality.
-nullspace_basis returns a kernel in that form, to be wrapped unreduced.
+A VectorSubspace is kept by the reduced row echelon form of its spanning
+vectors, which is unique, so span equality is structural equality; a
+MatrixSubspace is the VectorSubspace of its members' vectorizations.
+nullspace_basis returns a kernel in that form, which _kernel wraps unreduced.
 """
 
+from math import isqrt
 from operator import add
 
 from .fields import FieldMismatchError, field_of_scalar
@@ -254,101 +255,120 @@ def char_poly(m):
 
 
 class VectorSubspace:
-    """Subspace of coordinate n-space, canonicalized by row reduction."""
+    """Subspace of coordinate n-space, kept by its rref basis."""
 
-    __slots__ = ("ambient_dim", "field", "basis")
+    __slots__ = ("ambient_dim", "field", "_vectors")
 
     def __init__(self, ambient_dim, vectors, field):
-        self.ambient_dim = ambient_dim
-        self.field = field
         vecs = [tuple(field.coerce(x) for x in v) for v in vectors]
         if any(len(v) != ambient_dim for v in vecs):
             raise ValueError("vector length mismatch")
-        self.basis = ()
-        if vecs:
-            red, pivots = rref(_matrix(vecs, field))
-            self.basis = red.entries[:len(pivots)]
+        self._set(ambient_dim, _reduced(vecs, field), field)
+
+    def _set(self, n, vectors, field):
+        self.ambient_dim, self.field, self._vectors = n, field, tuple(vectors)
 
     @classmethod
     def _of(cls, n, basis, field):
         """The subspace spanned by basis, rows over field in reduced row
         echelon form already: nothing is coerced or reduced again."""
         space = object.__new__(cls)
-        space.ambient_dim, space.field, space.basis = n, field, tuple(basis)
+        space._set(n, basis, field)
         return space
 
     @classmethod
+    def _kernel(cls, n, rows, field):
+        """{x : r x = 0 for each of rows over field}, x in n-space: the
+        canonical nullspace_basis, wrapped. No rows give the whole space."""
+        return cls._of(n, nullspace_basis(_matrix(rows, field)) if rows
+                       else Matrix.identity(n, field).entries, field)
+
+    @classmethod
     def full(cls, n, field):
-        # an identity is its own reduced row echelon form
-        return cls._of(n, Matrix.identity(n, field).entries, field)
+        return cls._kernel(n, (), field)
 
     @classmethod
     def zero(cls, n, field):
         return cls(n, [], field)
 
     @property
+    def basis(self):
+        return self._vectors
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return len(self._vectors)
 
     def contains(self, vec):
         return self._holds([vec])
 
     def contains_subspace(self, other):
         self._check(other)
-        return self._holds(other.basis)
+        return self._holds(other._vectors)
 
     def _holds(self, vectors):
         """Whether every one of vectors lies in the space: the inclusion
         test, one rank of the basis stacked on the vectors."""
         if any(len(v) != self.ambient_dim for v in vectors):
             raise ValueError("vector length mismatch")
-        return not vectors or rank(Matrix([*self.basis, *vectors],
+        return not vectors or rank(Matrix([*self._vectors, *vectors],
                                           self.field)) == self.dim
 
     def sum(self, other):
         self._check(other)
-        return VectorSubspace(self.ambient_dim,
-                              list(self.basis) + list(other.basis), self.field)
+        return self._of(self.ambient_dim, _reduced(
+            self._vectors + other._vectors, self.field), self.field)
 
     def intersection(self, other):
         self._check(other)
-        if not self.basis or not other.basis:
-            return VectorSubspace.zero(self.ambient_dim, self.field)
+        n = self.ambient_dim
+        if not self._vectors or not other._vectors:
+            return self._of(n, (), self.field)
         # Zassenhaus: the rref of the rows (a | a) and (b | 0) has zero left
         # half exactly in the rows whose right halves span the intersection;
         # those rows have their pivots at n or later, so their right halves
         # are in reduced row echelon form already
-        n = self.ambient_dim
         zeros = (self.field.zero(),) * n
-        red, pivots = rref(_matrix([a + a for a in self.basis]
-                                   + [b + zeros for b in other.basis],
+        red, pivots = rref(_matrix([a + a for a in self._vectors]
+                                   + [b + zeros for b in other._vectors],
                                    self.field))
-        return VectorSubspace._of(n, (red.entries[i][n:]
-                                      for i, c in enumerate(pivots) if c >= n),
-                                  self.field)
+        return self._of(n, (red.entries[i][n:]
+                            for i, c in enumerate(pivots) if c >= n),
+                        self.field)
 
     def _check(self, other):
-        if (self.ambient_dim != other.ambient_dim
-                or self.field != other.field):
+        if ((type(self), self.ambient_dim, self.field)
+                != (type(other), other.ambient_dim, other.field)):
             raise ValueError("subspaces live in different ambient spaces")
 
     def __eq__(self, other):
-        return (isinstance(other, VectorSubspace)
-                and self.ambient_dim == other.ambient_dim
-                and self.field == other.field
-                and self.basis == other.basis)
+        return (type(self) is type(other)
+                and (self.ambient_dim, self.field, self._vectors)
+                == (other.ambient_dim, other.field, other._vectors))
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.field, self.basis))
+        return hash((self.ambient_dim, self.field, self._vectors))
 
     def __repr__(self):
         return "VectorSubspace(dim=%d of %d)" % (self.dim, self.ambient_dim)
 
 
-class MatrixSubspace:
-    """Linear space of n x n operators, canonicalized via vectorization."""
+def _reduced(vectors, field):
+    """The nonzero rows of the rref of vectors, rows over field."""
+    if not vectors:
+        return ()
+    red, pivots = rref(_matrix(vectors, field))
+    return red.entries[:len(pivots)]
 
-    __slots__ = ("dim_ambient", "field", "basis", "_vs")
+
+class MatrixSubspace(VectorSubspace):
+    """Linear space of n x n operators: the subspace of n^2-space spanned by
+    the row-major vectorizations of its members, its basis read back as n x n
+    matrices. MatrixSubspace(n, ...), zero(n, ...) and full(n, ...) take the
+    operator size n, kept as dim_ambient; ambient_dim is n^2, the dimension
+    of gl(n), which _of and _kernel take. A VectorSubspace is foreign to it."""
+
+    __slots__ = ("dim_ambient", "_matrices")
 
     def __init__(self, dim_ambient, matrices, field):
         for m in matrices:
@@ -356,47 +376,28 @@ class MatrixSubspace:
                 raise ValueError("matrix shape mismatch")
             if m.field != field:
                 raise FieldMismatchError("matrix field mismatch")
-        self._set(dim_ambient, VectorSubspace(
-            dim_ambient * dim_ambient, [m.vectorize() for m in matrices],
-            field))
+        super().__init__(dim_ambient * dim_ambient,
+                         [m.vectorize() for m in matrices], field)
+
+    def _set(self, n, vectors, field):
+        super()._set(n, vectors, field)
+        k = self.dim_ambient = isqrt(n)
+        self._matrices = tuple(_matrix([v[i * k:(i + 1) * k]
+                                        for i in range(k)], field)
+                               for v in self._vectors)
 
     @classmethod
-    def _of(cls, n, vs):
-        """The space of n x n operators whose vectorizations span vs, which
-        is canonical already: nothing is coerced or reduced again."""
-        space = object.__new__(cls)
-        space._set(n, vs)
-        return space
-
-    def _set(self, n, vs):
-        self.dim_ambient, self.field, self._vs = n, vs.field, vs
-        self.basis = tuple(_matrix([v[i * n:(i + 1) * n] for i in range(n)],
-                                   vs.field) for v in vs.basis)
+    def full(cls, n, field):
+        return super().full(n * n, field)
 
     @property
-    def dim(self):
-        return self._vs.dim
+    def basis(self):
+        return self._matrices
 
     def contains(self, m):
         if m.field != self.field:
             raise FieldMismatchError("matrix field mismatch")
-        return self._vs.contains(m.vectorize())
-
-    def contains_subspace(self, other):
-        return self._vs.contains_subspace(other._vs)
-
-    def sum(self, other):
-        return MatrixSubspace._of(self.dim_ambient, self._vs.sum(other._vs))
-
-    def intersection(self, other):
-        return MatrixSubspace._of(self.dim_ambient,
-                                  self._vs.intersection(other._vs))
-
-    def __eq__(self, other):
-        return isinstance(other, MatrixSubspace) and self._vs == other._vs
-
-    def __hash__(self):
-        return hash(self._vs)
+        return super().contains(m.vectorize())
 
     def __repr__(self):
         return "MatrixSubspace(dim=%d, ambient=%dx%d)" % (

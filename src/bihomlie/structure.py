@@ -42,7 +42,7 @@ class SeriesReport:
 def _refuse_foreign(L, *spaces):
     """ValueError unless every space is a subspace of L."""
     for S in spaces:
-        if (S.ambient_dim, S.field) != (L.n, L.field):
+        if (type(S), S.ambient_dim, S.field) != (VectorSubspace, L.n, L.field):
             raise ValueError("not a subspace of L: dimension %d over %r"
                              % (S.ambient_dim, S.field))
 
@@ -89,8 +89,7 @@ def _centralizer(L, vectors, two_sided=False):
             if two_sided and s[p]:
                 left[t][q] += s[p] * c
         rows += right + (left if two_sided else [])
-    sols = nullspace_basis(Matrix(rows or [[zero] * n], L.field))
-    return VectorSubspace._of(n, sols, L.field)
+    return VectorSubspace._kernel(n, rows, L.field)
 
 
 def _descend(first, step):
@@ -178,15 +177,9 @@ def _strictly_central_maps(L, gamma00):
     l2 = derived_subalgebra(L)
     target = center(L).intersection(l2)
     maps = [Matrix([[a * b for b in w] for a in t], L.field)
-            for t in target.basis for w in _annihilator(l2, L.n, L.field)]
+            for t in target.basis
+            for w in VectorSubspace._kernel(L.n, l2.basis, L.field).basis]
     return pool.intersection(MatrixSubspace(L.n, maps, L.field))
-
-
-def _annihilator(S, n, field):
-    """Functionals vanishing exactly on S: rows of a matrix with kernel S.
-    w vanishes on S iff it is orthogonal to each basis row, so these span
-    the nullspace of the stacked basis (of a zero row when S = 0)."""
-    return nullspace_basis(Matrix(S.basis or [[field.zero()] * n], field))
 
 
 def is_small_centroid(L):
@@ -277,11 +270,10 @@ def _split(L):
 def _fitting(f):
     """(ker f^n, im f^n) when both are nonzero, else None."""
     g = f ** f.rows
-    ker = nullspace_basis(g)
-    if not ker or len(ker) == f.rows:
+    ker = VectorSubspace._kernel(f.rows, g.entries, f.field)
+    if ker.dim in (0, f.rows):
         return None
-    return (VectorSubspace._of(f.rows, ker, f.field),
-            VectorSubspace(f.rows, g.transpose().entries, f.field))
+    return ker, VectorSubspace(f.rows, g.transpose().entries, f.field)
 
 
 def _eigenvalues(c):

@@ -113,6 +113,8 @@ MUTANTS = (
         "        k, j = divmod(jk, n)\n",
         ("tests/test_algebra.py::"
          "test_sparse_table_routes_match_dense_reference_on_random_tables",
+         "tests/test_algebra.py::"
+         "test_sparse_table_routes_match_dense_reference_on_heisenberg",
          DIGEST),
         "the Jacobi table route reads inner(k,j) for inner(j,k), which moves "
         "each total from (i,j,k) to (i,k,j): seen only where the first "
@@ -168,6 +170,24 @@ MUTANTS = (
          "test_sparse_table_routes_match_dense_reference_on_heisenberg",),
         "the int view loses one constant; the field-valued constants keep "
         "it, so the two routes disagree"),
+    Mutant(
+        "kernel-of-no-rows-is-zero", "linalg.py",
+        "else Matrix.identity(n, field).entries, field)",
+        "else (), field)",
+        ("tests/test_structure.py::test_centralizer_zero_subspace_full",
+         "tests/test_linalg.py::"
+         "test_matrix_subspace_is_the_vector_subspace_of_gl_n"),
+        "a kernel of no equations wrapped as the zero space, not the whole "
+        "space"),
+    Mutant(
+        "matrix-basis-column-major", "linalg.py",
+        "_matrix([v[i * k:(i + 1) * k]",
+        "_matrix([v[i::k]",
+        ("tests/test_linalg.py::"
+         "test_matrix_subspace_is_the_vector_subspace_of_gl_n",
+         DIGEST),
+        "each basis matrix of a MatrixSubspace read column-major from its "
+        "row-major vector, so every member comes out transposed"),
 )
 
 

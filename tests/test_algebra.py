@@ -617,21 +617,30 @@ def _random_algebras(seed, count):
 
 
 def _broken_heisenbergs():
-    """Twisted Heisenberg algebras with m = 1, 2 over Q and mod 5, each
-    also with a unit added to one entry of alpha (or beta), which breaks
-    some of the axioms at dimension 5."""
-    out = []
+    """Twisted Heisenberg algebras with m = 1, 2 over Q and mod 5, by kind:
+    the "original"s, their copies with a unit added to one entry of
+    "alpha" or of "beta", which break some of the axioms at dimension 5,
+    and at m = 2 their copies with 1 added to the "constant" c_12^1, which
+    break the BiHom-Jacobi identity first at (1, 2, 3, 5), three distinct
+    indices."""
+    kinds = {"original": [], "alpha": [], "beta": [], "constant": []}
     for field in (QQ, GF(5)):
         for m, (a, x, b, y) in ((1, (4, 9, [2], [3])),
                                 (2, (-3, -2, [2, 3], [4, 7]))):
             H = heisenberg(m, a, x, b, y, field)
-            out.append(H)
+            kinds["original"].append(H)
             bump = Matrix.unit(H.n, 0, H.n - 1, field)
-            out.append(BiHomLieAlgebra(H.structure, H.alpha + bump, H.beta,
-                                       field))
-            out.append(BiHomLieAlgebra(H.structure, H.alpha, H.beta + bump,
-                                       field))
-    return out
+            kinds["alpha"].append(BiHomLieAlgebra(H.structure, H.alpha + bump,
+                                                  H.beta, field))
+            kinds["beta"].append(BiHomLieAlgebra(H.structure, H.alpha,
+                                                 H.beta + bump, field))
+            if m == 2:
+                table = [[list(row) for row in plane]
+                         for plane in H.structure]
+                table[0][1][0] += field.one()
+                kinds["constant"].append(BiHomLieAlgebra(table, H.alpha,
+                                                         H.beta, field))
+    return kinds
 
 
 def _differential(algebras):
@@ -666,11 +675,15 @@ def test_sparse_table_routes_match_dense_reference_on_random_tables():
 
 
 def test_sparse_table_routes_match_dense_reference_on_heisenberg():
-    algebras = _broken_heisenbergs()
-    comparisons, violations, mismatches = _differential(algebras)
+    kinds = _broken_heisenbergs()
+    comparisons, violations, mismatches = _differential(
+        [L for group in kinds.values() for L in group])
     assert mismatches == []
-    assert all(H.check_all().passed for H in algebras[::3])
+    assert all(H.check_all().passed for H in kinds["original"])
     assert 0 < violations < comparisons
+    # the Jacobi route's reports are compared where (i, k, j) differs
+    assert [L.check_bihom_jacobi()[1][:2] for L in kinds["constant"]] == [
+        ("jacobi", (1, 2, 3, 5))] * 2
 
 
 def _dense_transports(algebras, seed):
@@ -690,22 +703,17 @@ def _dense_transports(algebras, seed):
 
 
 def test_sparse_table_routes_match_dense_reference_on_dense_bases():
-    # per algebra of _broken_heisenbergs(): itself, its copy with alpha
-    # bumped and, as no copy there fails Jacobi, one with [e_1, e_n] raised
-    # by e_1 in place of the beta-bumped copy, which keeps the dense
-    # Jacobi references quick. The axioms do not depend on the basis, so
-    # the transports fail as many checks as the sparse originals.
-    broken, originals = _broken_heisenbergs(), []
-    for H, alpha_bumped in zip(broken[::3], broken[1::3]):
-        table = [[list(row) for row in plane] for plane in H.structure]
-        table[0][-1][0] += H.field.one()
-        originals += [H, alpha_bumped,
-                      BiHomLieAlgebra(table, H.alpha, H.beta, H.field)]
+    # the algebras of _broken_heisenbergs() but the beta-bumped copies,
+    # which keeps the dense Jacobi references quick. The axioms do not
+    # depend on the basis, so the transports fail as many checks as the
+    # sparse originals.
+    kinds = _broken_heisenbergs()
+    originals = kinds["original"] + kinds["alpha"] + kinds["constant"]
     algebras = _dense_transports(originals, seed=7)
     assert all(len(L._constants) > L.n ** 2 for L in algebras if L.n == 5)
     comparisons, violations, mismatches = _differential(algebras)
     assert mismatches == []
-    assert comparisons == 36
+    assert comparisons == 30
     verdicts = [(check()[0], check.__name__) for L in originals
                 for check in (L.check_skew_symmetry, L.check_bihom_jacobi,
                               L.check_multiplicative)]

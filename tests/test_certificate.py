@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 
 from bihomlie import catalog, heisenberg
-from bihomlie.derivations import derivation_space
+from bihomlie.derivations import derivation_space, twist_commutant
 from bihomlie.fields import ReductionError
 from bihomlie.isomorphism import reduce_mod_p
 
@@ -175,6 +175,24 @@ def test_certificate_on_twisted_heisenberg_up_to_n17():
         corpus.append(("heisenberg(%d, 6, 10, %r, %r)"
                        % (m, primes[:m], primes[m:]),
                        heisenberg(m, 6, 10, primes[:m], primes[m:])))
+    assert _failures(corpus) == []
+
+
+def test_certificate_on_twisted_heisenberg_mod_5_and_7():
+    # b and y drawn as above but without p. At m = 3, and at m = 4 mod 5,
+    # twist eigenvalues collide, so the commutant is not the diagonals
+    corpus = []
+    for p in (5, 7):
+        rng = random.Random(20)
+        pool = [q for q in SMALL_PRIMES if q != p]
+        for m in range(1, 5):
+            primes = rng.sample(pool, 2 * m)
+            corpus.append(("heisenberg(%d, 6, 10, %r, %r) mod %d"
+                           % (m, primes[:m], primes[m:], p),
+                           reduce_mod_p(heisenberg(m, 6, 10, primes[:m],
+                                                   primes[m:]), p)))
+    assert [twist_commutant(L).dim for _, L in corpus] == [3, 5, 9, 11,
+                                                           3, 5, 9, 9]
     assert _failures(corpus) == []
 
 

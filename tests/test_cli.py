@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from pathlib import Path
 
@@ -343,6 +344,25 @@ def test_fingerprint_records(files, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "dim value=2" in lines
     assert "der_dim lambda=1 mu=1 gamma=1 k=0 l=0 value=2" in lines
+
+
+@pytest.mark.parametrize("command", ["der", "fingerprint"])
+def test_report_past_the_digit_limit_prints_nothing(tmp_path, capsys,
+                                                    command):
+    # a valid zero-bracket algebra whose twist has 2000-digit entries: its
+    # commutant basis and characteristic polynomial pass 4300 digits
+    rng = random.Random(3)
+    twist = [[str(rng.randrange(10 ** 1999, 10 ** 2000)) for _ in range(3)]
+             for _ in range(3)]
+    path = write_raw(tmp_path, "big.json", {
+        "format_version": 1, "field": "rational", "dim": 3, "brackets": [],
+        "alpha": twist, "beta": twist})
+    assert main(["check", path]) == 0
+    capsys.readouterr()
+    assert main([command, path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Exceeds the limit (4300 digits)" in err
 
 
 # --- iso -------------------------------------------------------------------

@@ -505,3 +505,23 @@ def test_matrix_subspace():
     ident = MatrixSubspace(2, [Matrix.identity(2, QQ)], QQ)
     assert s.contains_subspace(ident)
     assert not ident.contains_subspace(s)
+
+
+def test_matrix_subspace_is_the_vector_subspace_of_gl_n():
+    # the operator size n names the space; its ambient is gl(n), of
+    # dimension n^2, and its basis matrices are the rows read row-major
+    full, zero = MatrixSubspace.full(2, QQ), MatrixSubspace.zero(2, QQ)
+    assert (full.dim, zero.dim, full.ambient_dim, full.dim_ambient) == (
+        4, 0, 4, 2)
+    assert list(full.basis) == [Matrix.unit(2, i, j, QQ)
+                                for i in range(2) for j in range(2)]
+    assert zero.sum(full) == full and zero.intersection(full) == zero
+    e12 = MatrixSubspace(2, [Matrix.unit(2, 0, 1, QQ)], QQ)
+    assert e12.basis == (mat([[0, 1], [0, 0]]),)
+    assert e12.ambient_dim == 4 and isinstance(e12, VectorSubspace)
+    vectors = VectorSubspace(4, [(0, 1, 0, 0)], QQ)
+    assert e12 != vectors and vectors != e12
+    for a, b in ((e12, vectors), (vectors, e12)):
+        for op in (a.sum, a.intersection, a.contains_subspace):
+            with pytest.raises(ValueError, match="different ambient"):
+                op(b)

@@ -113,6 +113,14 @@ def test_centralizer_refuses_a_foreign_subspace(S):
         bh.centralizer(l_1_10(), S)
 
 
+def test_an_operator_space_is_foreign_to_an_algebra_of_its_dimension():
+    # 2 x 2 operators span a subspace of 4-space, but not of L
+    L, S = bh.direct_sum(l_1_10(), l_1_10()), bh.MatrixSubspace.full(2, QQ)
+    for refuse in (bh.centralizer, lambda L, S: bh.product_subspace(L, S, S)):
+        with pytest.raises(ValueError, match="not a subspace of L"):
+            refuse(L, S)
+
+
 @FOREIGN
 def test_product_subspace_refuses_a_foreign_subspace(S):
     # refused up front, as by centralizer, not left to L.bracket's length
