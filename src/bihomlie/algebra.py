@@ -226,19 +226,17 @@ def _vanishes(terms, is_zero):
 def _jacobi_holds(brackets, b2, bu, au, is_zero):
     """Whether the twisted Jacobi sum vanishes on every basis triple, for
     the sparse columns b2, bu and au of the scaled beta^2, beta and alpha.
-    Each distinct inner bracket [bu_j, au_k] and outer bracket [b2_i,
-    inner(j, k)] is evaluated once."""
-    n = len(brackets)
-    # outer[i][j][k] holds the coordinates of [b2_i, inner(j, k)]
-    outer = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    Each inner bracket [bu_j, au_k] is evaluated once, and each outer one
+    [b2_i, inner(j, k)] once where inner(j, k) is nonzero: 0 elsewhere."""
+    n, outer = len(brackets), {}    # (i, j, k): [b2_i, inner(j, k)]
     for j, k in product(range(n), repeat=2):
         w = _bracket(brackets, bu[j], au[k]).items()
         if w:
             for i, x in enumerate(b2):
-                outer[i][j][k] = _bracket(brackets, x, w)
-    return all(_vanishes((outer[i][j][k], outer[j][k][i], outer[k][i][j]),
-                         is_zero)
-               for i, j, k in product(range(n), repeat=3))
+                outer[i, j, k] = _bracket(brackets, x, w)
+    return all(_vanishes((v, outer.get((j, k, i), {}),
+                          outer.get((k, i, j), {})), is_zero)
+               for (i, j, k), v in outer.items())
 
 
 def _routes_agree(axiom, table_first, basis_ok):

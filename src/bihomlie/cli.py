@@ -126,15 +126,14 @@ def cmd_check(args):
 def _refuse_unprintable_power(L, k, l):
     """ValueError, before any product, when alpha^k beta^l over Q could have
     an entry whose numerator or denominator passes _MAX_POWER_BITS. With
-    each twist A/s for its scaled int entries A and scale s, and a, b the
-    largest |A|, a numerator is at most n^(k+l-1) a^k b^l and a denominator
-    divides s_alpha^k s_beta^l. Over F_p every power prints."""
+    each twist A/s as L's int view holds it, and a, b the largest |A|, a
+    numerator is at most n^(k+l-1) a^k b^l and a denominator divides
+    s_alpha^k s_beta^l. Over F_p every power prints."""
     if L.field.characteristic:
         return
-    (s_a, a_rows), (s_b, b_rows) = (L.field.plain_rows(t.entries)
-                                    for t in (L.alpha, L.beta))
-    a, b = (max((abs(x) for row in rows for x in row), default=0)
-            for rows in (a_rows, b_rows))
+    (s_a, a), (s_b, b) = (
+        (scale, max((abs(x) for col in cols for _, x in col), default=0))
+        for scale, cols in L._ints[1:])
     bits = max(k * a.bit_length() + l * b.bit_length()
                + max(k + l - 1, 0) * L.n.bit_length(),
                k * s_a.bit_length() + l * s_b.bit_length())

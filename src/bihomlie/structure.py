@@ -77,19 +77,16 @@ def centralizer(L, S):
 def _centralizer(L, vectors, two_sided=False):
     """The annihilator kernel: {x : [x, s] = 0 for every s in vectors},
     two_sided also demanding [s, x] = 0. It is the nullspace of the maps
-    x -> [x, s] (and x -> [s, x]), their columns sum_q s_q [e_i, e_q] (and
-    sum_p s_p [e_p, e_i]) read off the nonzero structure constants."""
-    n, zero, constants = L.n, L.field.zero(), L._constants
-    rows = []
-    for s in vectors:
-        right, left = ([[zero] * n for _ in range(n)] for _ in range(2))
-        for (p, q, t), c in constants.items():
+    x -> [x, s] (and x -> [s, x]), entry (t, i) sum_q s_q c_iq^t (and sum_p
+    s_p c_pi^t), one row per (s, t, side) that a nonzero constant enters."""
+    n, zero, rows = L.n, L.field.zero(), {}
+    for v, s in enumerate(vectors):
+        for (p, q, t), c in L._constants.items():
             if s[q]:
-                right[t][p] += s[q] * c
+                rows.setdefault((v, t, 0), [zero] * n)[p] += s[q] * c
             if two_sided and s[p]:
-                left[t][q] += s[p] * c
-        rows += right + (left if two_sided else [])
-    return VectorSubspace._kernel(n, rows, L.field)
+                rows.setdefault((v, t, 1), [zero] * n)[q] += s[p] * c
+    return VectorSubspace._kernel(n, list(rows.values()), L.field)
 
 
 def _descend(first, step):
@@ -129,6 +126,7 @@ def is_solvable(L):
 def is_ideal(L, S):
     """Twist-invariant and bracket-absorbing on both sides: one inclusion
     of alpha(S), beta(S), [S, L] and [L, S] in S."""
+    _refuse_foreign(L, S)
     full = VectorSubspace.full(L.n, L.field)
     return S.contains_subspace(VectorSubspace(L.n, [
         *(t.apply(v) for t in (L.alpha, L.beta) for v in S.basis),
@@ -176,9 +174,10 @@ def _strictly_central_maps(L, gamma00):
         return pool
     l2 = derived_subalgebra(L)
     target = center(L).intersection(l2)
+    annihilator = (VectorSubspace._kernel(L.n, l2.basis, L.field).basis
+                   if target.dim else ())
     maps = [Matrix([[a * b for b in w] for a in t], L.field)
-            for t in target.basis
-            for w in VectorSubspace._kernel(L.n, l2.basis, L.field).basis]
+            for t in target.basis for w in annihilator]
     return pool.intersection(MatrixSubspace(L.n, maps, L.field))
 
 

@@ -171,6 +171,34 @@ MUTANTS = (
         "the int view loses one constant; the field-valued constants keep "
         "it, so the two routes disagree"),
     Mutant(
+        "jacobi-basis-half-the-triples", "algebra.py",
+        "               for (i, j, k), v in outer.items())\n",
+        "               for (i, j, k), v in outer.items() if i <= j)\n",
+        ("tests/test_algebra.py::"
+         "test_sparse_table_routes_match_dense_reference_on_heisenberg",
+         "tests/test_algebra.py::"
+         "test_sparse_table_routes_match_dense_reference_on_random_tables",
+         DIGEST),
+        "the Jacobi basis route checks a kept triple only when i <= j, so a "
+        "failing class kept only at rotations with i > j passes"),
+    Mutant(
+        "centralizer-rows-merged", "structure.py",
+        "                rows.setdefault((v, t, 0), [zero] * n)[p] "
+        "+= s[q] * c\n"
+        "            if two_sided and s[p]:\n"
+        "                rows.setdefault((v, t, 1), [zero] * n)[q] "
+        "+= s[p] * c\n",
+        "                rows.setdefault(t, [zero] * n)[p] += s[q] * c\n"
+        "            if two_sided and s[p]:\n"
+        "                rows.setdefault(t, [zero] * n)[q] += s[p] * c\n",
+        ("tests/test_structure.py::test_center_l_1_10_trivial",
+         "tests/test_structure.py::"
+         "test_structure_matches_f3_oracle_on_every_subspace",
+         "tests/test_structure.py::test_is_ideal_is_one_rank",
+         DIGEST, "tests/test_cli_golden.py"),
+        "the centralizer's rows keyed by t alone, so the conditions of "
+        "different vectors and of both sides add into one row"),
+    Mutant(
         "kernel-of-no-rows-is-zero", "linalg.py",
         "else Matrix.identity(n, field).entries, field)",
         "else (), field)",

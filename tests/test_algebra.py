@@ -622,8 +622,12 @@ def _broken_heisenbergs():
     "alpha" or of "beta", which break some of the axioms at dimension 5,
     and at m = 2 their copies with 1 added to the "constant" c_12^1, which
     break the BiHom-Jacobi identity first at (1, 2, 3, 5), three distinct
-    indices."""
-    kinds = {"original": [], "alpha": [], "beta": [], "constant": []}
+    indices. At m = 1 the "rotated" copies add 1 to c_13^1: the failing
+    Jacobi class {(1, 3, 2), (3, 2, 1), (2, 1, 3)} has a nonzero inner
+    bracket [beta e_j, alpha e_k] only at (3, 2, 1) and (2, 1, 3), the
+    rotations with i > j."""
+    kinds = {"original": [], "alpha": [], "beta": [], "constant": [],
+             "rotated": []}
     for field in (QQ, GF(5)):
         for m, (a, x, b, y) in ((1, (4, 9, [2], [3])),
                                 (2, (-3, -2, [2, 3], [4, 7]))):
@@ -634,12 +638,10 @@ def _broken_heisenbergs():
                                                   H.beta, field))
             kinds["beta"].append(BiHomLieAlgebra(H.structure, H.alpha,
                                                  H.beta + bump, field))
-            if m == 2:
-                table = [[list(row) for row in plane]
-                         for plane in H.structure]
-                table[0][1][0] += field.one()
-                kinds["constant"].append(BiHomLieAlgebra(table, H.alpha,
-                                                         H.beta, field))
+            kind, j = ("constant", 1) if m == 2 else ("rotated", 2)
+            table = [[list(row) for row in plane] for plane in H.structure]
+            table[0][j][0] += field.one()
+            kinds[kind].append(BiHomLieAlgebra(table, H.alpha, H.beta, field))
     return kinds
 
 
@@ -684,6 +686,27 @@ def test_sparse_table_routes_match_dense_reference_on_heisenberg():
     # the Jacobi route's reports are compared where (i, k, j) differs
     assert [L.check_bihom_jacobi()[1][:2] for L in kinds["constant"]] == [
         ("jacobi", (1, 2, 3, 5))] * 2
+    assert [L.check_bihom_jacobi()[1][:2] for L in kinds["rotated"]] == [
+        ("jacobi", (1, 3, 2, 3))] * 2
+
+
+def test_baseline_heisenberg_past_the_sweep_sizes():
+    # heisenberg(m, 6, 10, b, y), b the first m primes and y the next m
+    # reversed, at n = 17 and 33; its copy with 1 added to c_12^1 fails
+    # skew-symmetry, Jacobi and multiplicativity
+    primes = [p for p in range(2, 132) if all(p % d for d in range(2, p))]
+    for m, total in ((8, 159), (16, 393)):
+        H = heisenberg(m, 6, 10, primes[:m], primes[m:2 * m][::-1])
+        assert H.check_all().passed
+        table = [[list(row) for row in plane] for plane in H.structure]
+        table[0][1][0] += 1
+        report = BiHomLieAlgebra(table, H.alpha, H.beta).check_all()
+        assert (report.commuting, report.skew_symmetric, report.bihom_jacobi,
+                report.multiplicative) == (True, False, False, False)
+        assert report.first_violation == ("skew", (1, 2, 1), total)
+        z = bh.VectorSubspace(H.n, [[0] * (H.n - 1) + [1]], QQ)
+        assert bh.center(H) == bh.center(H, two_sided=True) == z
+        assert bh.derived_subalgebra(H) == z
 
 
 def _dense_transports(algebras, seed):
@@ -703,9 +726,9 @@ def _dense_transports(algebras, seed):
 
 
 def test_sparse_table_routes_match_dense_reference_on_dense_bases():
-    # the algebras of _broken_heisenbergs() but the beta-bumped copies,
-    # which keeps the dense Jacobi references quick. The axioms do not
-    # depend on the basis, so the transports fail as many checks as the
+    # the algebras of _broken_heisenbergs() but the beta-bumped and rotated
+    # copies, which keeps the dense Jacobi references quick. The axioms do
+    # not depend on the basis, so the transports fail as many checks as the
     # sparse originals.
     kinds = _broken_heisenbergs()
     originals = kinds["original"] + kinds["alpha"] + kinds["constant"]
@@ -779,7 +802,8 @@ def _adjoint_yau_twists(rng, field):
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
 def test_memoised_jacobi_route_matches_six_brackets_per_triple(field):
-    # the basis route evaluates each distinct inner and outer bracket once;
+    # the basis route evaluates each distinct inner bracket once, and each
+    # outer bracket once where its inner bracket is nonzero;
     # its verdict, and check_all's report, match the route that brackets
     # six times per triple, on passing algebras and on the same algebras
     # with one structure constant perturbed so that Jacobi fails

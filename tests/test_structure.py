@@ -116,7 +116,8 @@ def test_centralizer_refuses_a_foreign_subspace(S):
 def test_an_operator_space_is_foreign_to_an_algebra_of_its_dimension():
     # 2 x 2 operators span a subspace of 4-space, but not of L
     L, S = bh.direct_sum(l_1_10(), l_1_10()), bh.MatrixSubspace.full(2, QQ)
-    for refuse in (bh.centralizer, lambda L, S: bh.product_subspace(L, S, S)):
+    for refuse in (bh.centralizer, bh.is_ideal,
+                   lambda L, S: bh.product_subspace(L, S, S)):
         with pytest.raises(ValueError, match="not a subspace of L"):
             refuse(L, S)
 
@@ -129,6 +130,13 @@ def test_product_subspace_refuses_a_foreign_subspace(S):
     for pair in ((S, full), (full, S)):
         with pytest.raises(ValueError, match="not a subspace of L"):
             bh.product_subspace(l_1_10(), *pair)
+
+
+@FOREIGN
+def test_is_ideal_refuses_a_foreign_subspace(S):
+    # refused before the twists or the bracket see a vector of S
+    with pytest.raises(ValueError, match="not a subspace of L"):
+        bh.is_ideal(bh.direct_sum(l_1_10(), l_1_10()), S)
 
 
 def test_centralizer_of_full_is_center():
@@ -285,6 +293,27 @@ def test_small_scalar_centroid():
     L = l_2_1()
     assert bh.centroid(L).dim == 1
     assert bh.is_small_centroid(L)
+
+
+def test_small_centroid_solves_the_annihilator_of_l2_once(monkeypatch):
+    # center and L^2 of the direct sum of two classical Heisenberg
+    # algebras meet in a plane; its two basis vectors share one solve of
+    # the 2 x 6 annihilator system of L^2
+    systems = []
+    kernel = VectorSubspace._kernel.__func__
+
+    def counting(cls, n, rows, field):
+        systems.append((n, tuple(map(tuple, rows))))
+        return kernel(cls, n, rows, field)
+
+    monkeypatch.setattr(VectorSubspace, "_kernel", classmethod(counting))
+    H = heisenberg(1, 1, 1, [1], [1])
+    L = bh.direct_sum(H, H)
+    l2 = bh.derived_subalgebra(L)
+    assert (bh.center(L).intersection(l2).dim, l2.dim) == (2, 2)
+    del systems[:]
+    assert not bh.is_small_centroid(L)    # the summands' projections
+    assert systems.count((6, l2.basis)) == 1
 
 
 def test_small_notions_disagree_on_l_3_1():
